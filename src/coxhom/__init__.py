@@ -1,64 +1,7 @@
 """Homology invariants of Artin and Coxeter groups from Coxeter graphs."""
 
-from .chains import (
-    Chain0,
-    Chain1,
-    CycleBasis,
-    Mod2Cycle,
-    boundary,
-    boundary_matrix,
-    even_boundary_check,
-    fundamental_cycle_basis,
-    gf2_rank,
-    is_dw_member,
-    mod2_reduce,
-    xi_reduce,
-)
-from .graph import (
-    INFINITY,
-    CoxeterGraph,
-    PlainGraph,
-    build_graph,
-    connected_components,
-    extend_family,
-    from_catalog,
-    full_subgraph,
-    label_of,
-    odd_subgraph,
-    underlying_graph,
-)
-from .invariants import (
-    AbelianDescriptor,
-    HomologySummary,
-    InvariantProfile,
-    PairPartition,
-    StabilityReport,
-    commuting_pairs,
-    homology_summary,
-    invariant_profile,
-    pair_classes,
-    stability_scan,
-)
-from .io import parse_catalog, parse_graph, render_graph, render_json, word_to_text
-from .oracles import (
-    RandomGraphSpec,
-    dihedral_h2_reference,
-    naive_pair_closure,
-    random_coxeter_graph,
-    rational_cycle_rank,
-)
-from .words import (
-    OmegaSets,
-    Word,
-    abelianize,
-    alternating_word,
-    commutator,
-    free_reduce,
-    in_commutator_subgroup,
-    omega_sets,
-    presentation_relators,
-    project_word,
-    relator,
-)
+from .graph import from_catalog
+from .invariants import analyze, homology_summary, invariant_profile, pair_classes
+from .words import omega_sets
 
 __version__ = "0.1.0"

@@ -39,17 +39,6 @@ class Chain1:
 
 
 @dataclass(frozen=True)
-class Chain0:
-    """Integer 0-chain: one coefficient per vertex."""
-
-    graph: PlainGraph
-    coefficients: tuple[int, ...]
-
-    def is_even(self) -> bool:
-        return all(c % 2 == 0 for c in self.coefficients)
-
-
-@dataclass(frozen=True)
 class Mod2Cycle:
     """Bit vector over the edges lying in the kernel of the mod-2 boundary."""
 
@@ -91,12 +80,13 @@ def boundary_matrix(pg: PlainGraph) -> list[list[int]]:
     return matrix
 
 
-def boundary(chain: Chain1) -> Chain0:
+def boundary(chain: Chain1) -> tuple[int, ...]:
+    """Integer 0-chain of the boundary: one coefficient per vertex."""
     out = [0] * len(chain.graph.vertices)
     for c, (i, j) in zip(chain.coefficients, chain.graph.edges):
         out[i] -= c
         out[j] += c
-    return Chain0(chain.graph, tuple(out))
+    return tuple(out)
 
 
 def _spanning_forest(pg: PlainGraph):
@@ -174,7 +164,7 @@ def mod2_reduce(basis: CycleBasis) -> tuple[Mod2Cycle, ...]:
 
 def even_boundary_check(chain: Chain1) -> bool:
     """True when every boundary coefficient is even, i.e. the reduction is a cycle."""
-    return boundary(chain).is_even()
+    return all(c % 2 == 0 for c in boundary(chain))
 
 
 def xi_reduce(chain: Chain1) -> Mod2Cycle:

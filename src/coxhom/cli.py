@@ -14,10 +14,10 @@ from pathlib import Path
 
 from .errors import CoxhomError, EmptyGraph, InvalidParameter
 from .graph import CoxeterGraph, catalog_grammar, from_catalog
-from .invariants import homology_summary, invariant_profile, stability_scan
-from .io import parse_graph, render_json, summary_document, word_to_text
+from .invariants import analyze, stability_scan
+from .io import parse_graph, render_json, word_to_text
 from .oracles import consistency_report
-from .words import omega_sets
+from .words import in_commutator_subgroup, omega_sets
 
 
 class _UsageError(Exception):
@@ -79,8 +79,8 @@ def _group_text(descriptor) -> str:
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
-    profile = invariant_profile(g)
-    summary = homology_summary(g)
+    analysis = analyze(g)
+    profile, summary = analysis.profile, analysis.summary
     if not profile.howlett_identity:
         print("internal error: Howlett identity violated", file=sys.stderr)
         return 3
@@ -92,7 +92,7 @@ def _cmd_compute(args) -> int:
     print(f"p  = {profile.p}")
     print(f"q1 = {profile.q1}  q2 = {profile.q2}  q3 = {profile.q3}  q = {profile.q}")
     print(f"n1..n4 = {profile.n1} {profile.n2} {profile.n3} {profile.n4}  (howlett identity: ok)")
-    print(f"H1(A; Z) free rank = {profile.h1_artin_free_rank}")
+    print(f"H1(A; Z) free rank = {profile.n4}")
     print(f"H2(N; Z)  = {_group_text(summary.h2_orbit)}")
     print(f"H2(W; Z)  = {_group_text(summary.h2_coxeter)}")
     print(f"H2(A; Z2) rank = {summary.h2_artin_mod2_rank}")
@@ -112,9 +112,8 @@ def _yn(flag: bool) -> str:
 
 def _cmd_generators(args) -> int:
     g = _load_graph(args)
-    profile = invariant_profile(g)
-    summary = homology_summary(g)
     omegas = omega_sets(g, args.flavor)
+    profile, summary = omegas.analysis.profile, omegas.analysis.summary
     if omegas.total != profile.p + profile.q:
         print("internal error: generator count != p+q", file=sys.stderr)
         return 3
@@ -125,8 +124,6 @@ def _cmd_generators(args) -> int:
     for name, words in (("omega1", omegas.omega1), ("omega2", omegas.omega2), ("omega3", omegas.omega3)):
         print(f"{name} ({len(words)} words):")
         for w in words:
-            from .words import in_commutator_subgroup
-
             zero = "yes" if in_commutator_subgroup(w) else "NO"
             print(f"  {word_to_text(w, g.vertices)}   (abelianization zero: {zero})")
     print(f"total = {omegas.total} = p+q = {profile.p + profile.q}")

@@ -157,11 +157,6 @@ def odd_subgraph(g: CoxeterGraph) -> PlainGraph:
     return PlainGraph(g.vertices, edges)
 
 
-def underlying_graph(g: CoxeterGraph) -> PlainGraph:
-    """All edges of the Coxeter graph (label >= 3 or INFINITY), unlabeled."""
-    return PlainGraph(g.vertices, tuple(sorted(g.labels)))
-
-
 def adjacency(pg: PlainGraph) -> list[list[int]]:
     """Neighbor lists in increasing vertex order."""
     nbrs: list[list[int]] = [[] for _ in pg.vertices]

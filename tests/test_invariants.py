@@ -6,7 +6,7 @@ import pytest
 
 from conftest import corpus_graphs, permuted_copy
 from coxhom.errors import EmptyGraph, InvalidParameter
-from coxhom.graph import build_graph, from_catalog
+from coxhom.graph import INFINITY, build_graph, from_catalog
 from coxhom.invariants import (
     commuting_pairs,
     homology_summary,
@@ -73,13 +73,13 @@ def test_invariant_profile_triangle_cycle_rank():
 def test_invariant_profile_empty_graph():
     profile = invariant_profile(build_graph([]))
     assert profile == invariant_profile(build_graph([]))
-    assert profile.p == profile.q == profile.n1 == profile.h1_artin_free_rank == 0
+    assert profile.p == profile.q == profile.n1 == profile.n4 == 0
 
 
 def test_h1_rank_counts_odd_components():
     # B3: the 4-edge splits s1 from the odd component {s2, s3}
-    assert invariant_profile(from_catalog("B3")).h1_artin_free_rank == 2
-    assert invariant_profile(from_catalog("A5")).h1_artin_free_rank == 1
+    assert invariant_profile(from_catalog("B3")).n4 == 2
+    assert invariant_profile(from_catalog("A5")).n4 == 1
 
 
 def test_homology_summary_affine_e6():
@@ -123,13 +123,37 @@ def test_corollary_tree_condition_is_on_whole_graph():
     assert invariant_profile(g).q3 == 0
 
 
+def _forest_components(n, edges):
+    """(component count, acyclic) by union-find over the edges."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    components, acyclic = n, True
+    for i, j in edges:
+        a, b = find(i), find(j)
+        if a == b:
+            acyclic = False
+        else:
+            parent[a] = b
+            components -= 1
+    return components, acyclic
+
+
 def test_howlett_identity_on_corpus():
     for g in corpus_graphs(120):
         profile = invariant_profile(g)
+        summary = homology_summary(g)
+        odd_edges = [pair for pair, m in g.labels.items() if m != INFINITY and m % 2]
         assert profile.howlett_identity
         assert profile.n3 == profile.p + profile.q1
         assert profile.n1 == len(g.vertices)
-        assert profile.n4 == profile.h1_artin_free_rank
+        assert profile.n4 == _forest_components(len(g.vertices), odd_edges)[0]
+        assert summary.corollary.all_torsion == all(pair_classes(g).torsion_flags)
+        assert summary.corollary.tree == _forest_components(len(g.vertices), g.labels)[1]
 
 
 def test_invariants_are_isomorphism_invariant():

@@ -17,7 +17,6 @@ from coxhom.errors import (
 from coxhom.graph import INFINITY, build_graph, from_catalog, label_of
 from coxhom.invariants import homology_summary, invariant_profile
 from coxhom.io import (
-    parse_catalog,
     parse_document,
     parse_graph,
     render_graph,
@@ -80,10 +79,6 @@ def test_round_trip_catalog_and_corpus():
     graphs = [from_catalog(n) for n in names] + corpus_graphs(30, base_seed=70)
     for g in graphs:
         assert parse_graph(render_graph(g)) == g
-
-
-def test_parse_catalog_delegates():
-    assert parse_catalog("~D4") == from_catalog("~D4")
 
 
 def test_word_serialization():
@@ -211,6 +206,28 @@ def test_cli_check_reports_failures_with_exit_3(monkeypatch, capsys):
     )
     assert main(["check", "--type", "A2"]) == 3
     assert "FAIL broken_identity" in capsys.readouterr().out
+
+
+def test_cli_runs_pair_classes_once_per_graph(monkeypatch, capsys):
+    import coxhom.invariants as invariants
+
+    calls = []
+    original = invariants.pair_classes
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(invariants, "pair_classes", counting)
+    for argv, expected in (
+        (["compute", "--type", "~D6", "--json"], 1),
+        (["generators", "--type", "~D6", "--json"], 1),
+        (["check", "--type", "~D6"], 2),  # one omega_sets run per flavor
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == expected, argv
+    capsys.readouterr()
 
 
 def test_cli_stability(tmp_path, capsys):
