@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatch, NotACycle, OddBoundary
+from .errors import CoxhomError
 from .graph import PlainGraph, adjacency, connected_components
 
 
@@ -24,14 +24,14 @@ class Chain1:
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.graph.edges):
-            raise LengthMismatch(
+            raise CoxhomError(
                 f"expected {len(self.graph.edges)} coefficients, "
                 f"got {len(self.coefficients)}"
             )
 
     def __add__(self, other: "Chain1") -> "Chain1":
         if other.graph != self.graph:
-            raise LengthMismatch("chains live on different graphs")
+            raise CoxhomError("chains live on different graphs")
         return Chain1(self.graph, tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __rmul__(self, scalar: int) -> "Chain1":
@@ -47,7 +47,7 @@ class Mod2Cycle:
 
     def __post_init__(self):
         if len(self.bits) != len(self.graph.edges):
-            raise LengthMismatch(
+            raise CoxhomError(
                 f"expected {len(self.graph.edges)} bits, got {len(self.bits)}"
             )
         degree = [0] * len(self.graph.vertices)
@@ -56,7 +56,7 @@ class Mod2Cycle:
                 degree[i] ^= 1
                 degree[j] ^= 1
         if any(degree):
-            raise NotACycle("bit vector is not a mod-2 cycle")
+            raise CoxhomError("bit vector is not a mod-2 cycle")
 
     def is_zero(self) -> bool:
         return not any(self.bits)
@@ -170,7 +170,7 @@ def even_boundary_check(chain: Chain1) -> bool:
 def xi_reduce(chain: Chain1) -> Mod2Cycle:
     """Mod-2 reduction of an even-boundary chain."""
     if not even_boundary_check(chain):
-        raise OddBoundary("chain has odd boundary coefficients")
+        raise CoxhomError("chain has odd boundary coefficients")
     return Mod2Cycle(chain.graph, tuple(c % 2 for c in chain.coefficients))
 
 
@@ -184,7 +184,7 @@ def gf2_rank(vectors: Sequence[Sequence[int]]) -> int:
     rows = [list(v) for v in vectors]
     widths = {len(row) for row in rows}
     if len(widths) > 1:
-        raise LengthMismatch(f"vectors of different lengths: {sorted(widths)}")
+        raise CoxhomError(f"vectors of different lengths: {sorted(widths)}")
     rank = 0
     width = widths.pop() if widths else 0
     for col in range(width):

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CoxhomError, EmptyGraph, InvalidParameter
+from .errors import CoxhomError
 from .graph import CoxeterGraph, catalog_grammar, from_catalog
 from .invariants import analyze, stability_scan
 from .io import parse_graph, render_json, word_to_text
@@ -60,9 +60,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_graph_file(path: str) -> CoxeterGraph:
+    """Parse a graph file; a leading BOM is skipped, undecodable bytes are an input error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise CoxhomError(f"cannot decode {path!r} as UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_graph(text)
+
+
 def _load_graph(args) -> CoxeterGraph:
     if args.file is not None:
-        return parse_graph(Path(args.file).read_text(encoding="utf-8"))
+        return _read_graph_file(args.file)
     return from_catalog(args.catalog)
 
 
@@ -143,10 +152,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    seed = parse_graph(Path(args.seed_file).read_text(encoding="utf-8"))
+    seed = _read_graph_file(args.seed_file)
     try:
         report = stability_scan(seed, args.n_max)
-    except (EmptyGraph, InvalidParameter) as exc:
+    except CoxhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
@@ -189,10 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except CoxhomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CoxhomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

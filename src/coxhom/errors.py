@@ -5,85 +5,9 @@ class CoxhomError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-# -- graph construction ------------------------------------------------------
-
-class DuplicateVertex(CoxhomError):
-    pass
-
-
-class UnknownVertex(CoxhomError):
-    pass
-
-
-class SelfLoop(CoxhomError):
-    pass
-
-
-class ConflictingLabel(CoxhomError):
-    pass
-
-
-class BadLabel(CoxhomError):
-    pass
-
-
-class EmptyGraph(CoxhomError):
-    pass
-
-
-# -- catalog -----------------------------------------------------------------
-
-class UnknownCatalogName(CoxhomError):
-    pass
-
-
-class InvalidParameter(CoxhomError):
-    pass
-
-
-# -- text format -------------------------------------------------------------
-
 class GraphSyntaxError(CoxhomError):
     """Malformed line in the graph file format; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-# -- chains ------------------------------------------------------------------
-
-class OddBoundary(CoxhomError):
-    pass
-
-
-class NotACycle(CoxhomError):
-    pass
-
-
-class LengthMismatch(CoxhomError):
-    pass
-
-
-# -- words -------------------------------------------------------------------
-
-class SameVertex(CoxhomError):
-    pass
-
-
-class NonPositiveLength(CoxhomError):
-    pass
-
-
-class InfiniteLabel(CoxhomError):
-    pass
-
-
-class OrderViolation(CoxhomError):
-    pass
-
-
-# -- random graph generator --------------------------------------------------
-
-class InvalidSpec(CoxhomError):
-    pass

@@ -15,16 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
-from .errors import (
-    ConflictingLabel,
-    DuplicateVertex,
-    EmptyGraph,
-    InvalidParameter,
-    BadLabel,
-    SelfLoop,
-    UnknownCatalogName,
-    UnknownVertex,
-)
+from .errors import CoxhomError
 
 INFINITY = math.inf
 
@@ -50,9 +41,9 @@ def _check_label(m: Label) -> Label:
     if m == INFINITY:
         return INFINITY
     if isinstance(m, bool) or not isinstance(m, int):
-        raise BadLabel(f"label must be an integer >= 2 or INFINITY, got {m!r}")
+        raise CoxhomError(f"label must be an integer >= 2 or INFINITY, got {m!r}")
     if m < 2:
-        raise BadLabel(f"label must be >= 2, got {m}")
+        raise CoxhomError(f"label must be >= 2, got {m}")
     return m
 
 
@@ -78,7 +69,7 @@ class CoxeterGraph:
         try:
             return self._index[name]
         except KeyError:
-            raise UnknownVertex(f"unknown vertex {name!r}") from None
+            raise CoxhomError(f"unknown vertex {name!r}") from None
 
     def label_ix(self, i: int, j: int) -> Label:
         """Label by vertex index, with the implicit diagonal and default 2."""
@@ -87,10 +78,6 @@ class CoxeterGraph:
         if i > j:
             i, j = j, i
         return self.labels.get((i, j), 2)
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """Index pairs with label >= 3 (including INFINITY), lexicographic."""
-        return sorted(self.labels)
 
 
 @dataclass(frozen=True)
@@ -113,21 +100,21 @@ def build_graph(
     index: dict[str, int] = {}
     for name in vertices:
         if name in index:
-            raise DuplicateVertex(f"vertex {name!r} declared twice")
+            raise CoxhomError(f"vertex {name!r} declared twice")
         index[name] = len(index)
     labels: dict[tuple[int, int], Label] = {}
     for u, v, m in edges:
         if u not in index:
-            raise UnknownVertex(f"unknown vertex {u!r}")
+            raise CoxhomError(f"unknown vertex {u!r}")
         if v not in index:
-            raise UnknownVertex(f"unknown vertex {v!r}")
+            raise CoxhomError(f"unknown vertex {v!r}")
         if u == v:
-            raise SelfLoop(f"self-loop at {u!r}")
+            raise CoxhomError(f"self-loop at {u!r}")
         m = _check_label(m)
         i, j = sorted((index[u], index[v]))
         seen = labels.get((i, j))
         if seen is not None and seen != m:
-            raise ConflictingLabel(f"pair ({u!r}, {v!r}) listed with labels {seen} and {m}")
+            raise CoxhomError(f"pair ({u!r}, {v!r}) listed with labels {seen} and {m}")
         labels[(i, j)] = m
     labels = {pair: m for pair, m in sorted(labels.items()) if m != 2}
     return CoxeterGraph(tuple(vertices), labels)
@@ -197,7 +184,7 @@ def extend_family(g: CoxeterGraph) -> CoxeterGraph:
     to label 2.  The fresh vertex takes the first free name s<k>.
     """
     if not g.vertices:
-        raise EmptyGraph("cannot extend the empty graph")
+        raise CoxhomError("cannot extend the empty graph")
     k = len(g.vertices) + 1
     while f"s{k}" in g._index:
         k += 1
@@ -285,24 +272,32 @@ def _affine_e(n: int) -> CoxeterGraph:
     return build_graph(names, edges)
 
 
-# family key -> (parameter check as text, builder, description for `catalog list`)
+# family key -> ((least n, greatest n or None), builder, description for `catalog list`)
 _CATALOG = {
-    "A": ("n >= 1", lambda n: n >= 1, _type_a, "path of n vertices, all edges 3"),
-    "B": ("n >= 2", lambda n: n >= 2, _type_b, "path, first edge 4, rest 3"),
-    "D": ("n >= 4", lambda n: n >= 4, _type_d, "path with a fork of two 3-edges at one end"),
-    "E": ("n in {6,7,8}", lambda n: n in (6, 7, 8), _type_e, "path with one branch vertex"),
-    "F": ("n = 4", lambda n: n == 4, lambda n: _path(4, [3, 4, 3]), "path, edges 3,4,3"),
-    "H": ("n in {3,4}", lambda n: n in (3, 4), lambda n: _path(n, [5] + [3] * (n - 2)),
-          "path, first edge 5, rest 3"),
-    "~A": ("n >= 2", lambda n: n >= 2, _affine_a, "cycle of n+1 vertices, all edges 3"),
-    "~B": ("n >= 3", lambda n: n >= 3, _affine_b, "forked path ending in a 4-edge"),
-    "~C": ("n >= 2", lambda n: n >= 2, _affine_c, "path with both end edges 4"),
-    "~D": ("n >= 4", lambda n: n >= 4, _affine_d, "path with a fork of two 3-edges at each end"),
-    "~E": ("n in {6,7,8}", lambda n: n in (6, 7, 8), _affine_e, "extended E diagram"),
+    "A": ((1, None), _type_a, "path of n vertices, all edges 3"),
+    "B": ((2, None), _type_b, "path, first edge 4, rest 3"),
+    "D": ((4, None), _type_d, "path with a fork of two 3-edges at one end"),
+    "E": ((6, 8), _type_e, "path with one branch vertex"),
+    "F": ((4, 4), lambda n: _path(4, [3, 4, 3]), "path, edges 3,4,3"),
+    "H": ((3, 4), lambda n: _path(n, [5] + [3] * (n - 2)), "path, first edge 5, rest 3"),
+    "~A": ((2, None), _affine_a, "cycle of n+1 vertices, all edges 3"),
+    "~B": ((3, None), _affine_b, "forked path ending in a 4-edge"),
+    "~C": ((2, None), _affine_c, "path with both end edges 4"),
+    "~D": ((4, None), _affine_d, "path with a fork of two 3-edges at each end"),
+    "~E": ((6, 8), _affine_e, "extended E diagram"),
 }
+_I2_MIN = 3
 
 _I2_RE = re.compile(r"^I2\((\d+|inf)\)$")
 _FAMILY_RE = re.compile(r"^(~?[A-Z])(\d+)$")
+
+
+def _constraint(lo: int, hi: int | None) -> str:
+    if hi is None:
+        return f"n >= {lo}"
+    if lo == hi:
+        return f"n = {lo}"
+    return "n in {" + ",".join(str(n) for n in range(lo, hi + 1)) + "}"
 
 
 def from_catalog(name: str) -> CoxeterGraph:
@@ -313,24 +308,24 @@ def from_catalog(name: str) -> CoxeterGraph:
         if m.group(1) == "inf":
             return _type_i2(INFINITY)
         value = int(m.group(1))
-        if value < 3:
-            raise InvalidParameter(f"I2 requires m >= 3 or inf, got {value}")
+        if value < _I2_MIN:
+            raise CoxhomError(f"I2 requires m >= {_I2_MIN} or inf, got {value}")
         return _type_i2(value)
     m = _FAMILY_RE.match(name)
     if not m:
-        raise UnknownCatalogName(f"unknown catalog name {name!r}")
+        raise CoxhomError(f"unknown catalog name {name!r}")
     family, n = m.group(1), int(m.group(2))
     if family not in _CATALOG:
-        raise UnknownCatalogName(f"unknown catalog family {family!r}")
-    constraint, accepts, builder, _ = _CATALOG[family]
-    if not accepts(n):
-        raise InvalidParameter(f"{family}{n}: parameter out of range ({constraint})")
+        raise CoxhomError(f"unknown catalog family {family!r}")
+    (lo, hi), builder, _ = _CATALOG[family]
+    if n < lo or (hi is not None and n > hi):
+        raise CoxhomError(f"{family}{n}: parameter out of range ({_constraint(lo, hi)})")
     return builder(n)
 
 
 def catalog_grammar() -> list[tuple[str, str, str]]:
     """(pattern, constraint, description) rows for the supported names."""
-    rows = [(f"{family}<n>", constraint, description)
-            for family, (constraint, _, _, description) in _CATALOG.items()]
-    rows.insert(6, ("I2(<m>|inf)", "m >= 3", "single edge labeled m"))
+    rows = [(f"{family}<n>", _constraint(*bounds), description)
+            for family, (bounds, _, description) in _CATALOG.items()]
+    rows.insert(6, ("I2(<m>|inf)", f"m >= {_I2_MIN}", "single edge labeled m"))
     return rows

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import EmptyGraph, InvalidParameter
+from .errors import CoxhomError
 from .graph import (
     CoxeterGraph,
     PlainGraph,
@@ -231,9 +231,9 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     consequence of the stability isomorphisms.
     """
     if not seed.vertices:
-        raise EmptyGraph("stability scan needs a nonempty seed")
+        raise CoxhomError("stability scan needs a nonempty seed")
     if n_max < 4:
-        raise InvalidParameter(f"n_max must be >= 4, got {n_max}")
+        raise CoxhomError(f"n_max must be >= 4, got {n_max}")
     trajectory = []
     g = seed
     for step in range(1, n_max + 1):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadLabel, GraphSyntaxError
+from .errors import GraphSyntaxError
 from .graph import INFINITY, CoxeterGraph, Label, build_graph
 from .invariants import HomologySummary, InvariantProfile
 from .words import OmegaSets, Word, in_commutator_subgroup
@@ -60,9 +60,9 @@ def _parse_label(token: str, line: int) -> Label:
     try:
         value = int(token)
     except ValueError:
-        raise BadLabel(f"line {line}: label must be an integer >= 2 or `inf`, got {token!r}") from None
+        raise GraphSyntaxError(f"label must be an integer >= 2 or `inf`, got {token!r}", line) from None
     if value < 2:
-        raise BadLabel(f"line {line}: label must be >= 2, got {value}")
+        raise GraphSyntaxError(f"label must be >= 2, got {value}", line)
     return value
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .chains import boundary, boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
-from .errors import InvalidSpec
+from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, build_graph, is_odd
-from .invariants import PairPartition, Pair, _has_torsion_witness
+from .invariants import PairPartition, Pair
 from .words import abelianize, in_commutator_subgroup, omega_sets, project_word
 
 LABEL_SUPPORT: tuple[Label, ...] = (2, 3, 4, 5, 6, INFINITY)
@@ -44,7 +45,12 @@ def naive_pair_closure(g: CoxeterGraph) -> PairPartition:
             if changed:
                 break
     classes = tuple(sorted(tuple(sorted(block)) for block in blocks))
-    flags = tuple(_has_torsion_witness(g, block) for block in classes)
+    # v is a torsion witness for each commuting pair among its 3-neighbours.
+    witnessed = set()
+    for v in range(n):
+        threes = [s for s in range(n) if g.label_ix(s, v) == 3]
+        witnessed.update(pair for pair in combinations(threes, 2) if g.label_ix(*pair) == 2)
+    flags = tuple(any(pair in witnessed for pair in block) for block in classes)
     return PairPartition(pairs, classes, flags)
 
 
@@ -93,7 +99,7 @@ def dihedral_h2_reference(m: Label) -> int:
     if m == INFINITY:
         return 0
     if m < 2:
-        raise InvalidSpec(f"dihedral parameter must be >= 2 or INFINITY, got {m}")
+        raise CoxhomError(f"dihedral parameter must be >= 2 or INFINITY, got {m}")
     return 1 if m % 2 == 0 else 0
 
 
@@ -111,11 +117,11 @@ class RandomGraphSpec:
 
 def random_coxeter_graph(spec: RandomGraphSpec) -> CoxeterGraph:
     if not 1 <= spec.vertex_count <= 10:
-        raise InvalidSpec(f"vertex_count must be in 1..10, got {spec.vertex_count}")
+        raise CoxhomError(f"vertex_count must be in 1..10, got {spec.vertex_count}")
     if len(spec.weights) != len(LABEL_SUPPORT):
-        raise InvalidSpec(f"need {len(LABEL_SUPPORT)} weights, one per label in {LABEL_SUPPORT}")
+        raise CoxhomError(f"need {len(LABEL_SUPPORT)} weights, one per label in {LABEL_SUPPORT}")
     if min(spec.weights) < 0 or sum(spec.weights) <= 0:
-        raise InvalidSpec("weights must be nonnegative with positive sum")
+        raise CoxhomError("weights must be nonnegative with positive sum")
     rng = random.Random(spec.seed)
     names = [f"v{i}" for i in range(1, spec.vertex_count + 1)]
     edges = []

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .chains import fundamental_cycle_basis
-from .errors import (
-    InfiniteLabel,
-    InvalidParameter,
-    NonPositiveLength,
-    OrderViolation,
-    SameVertex,
-)
+from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, is_even, is_finite
 from .invariants import Analysis, analyze
 
@@ -41,9 +35,9 @@ class Word:
     def __post_init__(self):
         for a, b in zip(self.letters, self.letters[1:]):
             if a == -b:
-                raise InvalidParameter(f"word is not freely reduced at {a}, {b}")
+                raise CoxhomError(f"word is not freely reduced at {a}, {b}")
         if any(a == 0 for a in self.letters):
-            raise InvalidParameter("letter 0 is not a generator")
+            raise CoxhomError("letter 0 is not a generator")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -95,9 +89,9 @@ def generator(index: int) -> Word:
 def alternating_word(s: int, t: int, m: int) -> Word:
     """The length-m word s t s t ... over vertex indices s, t."""
     if s == t:
-        raise SameVertex(f"alternating word needs distinct vertices, got {s}")
+        raise CoxhomError(f"alternating word needs distinct vertices, got {s}")
     if m < 1:
-        raise NonPositiveLength(f"length must be >= 1, got {m}")
+        raise CoxhomError(f"length must be >= 1, got {m}")
     return Word(tuple(letter(s if k % 2 == 0 else t) for k in range(m)))
 
 
@@ -107,11 +101,11 @@ def relator(s: int, t: int, m: Label) -> Word:
     For m = 2 this is the commutator of the two generators.
     """
     if m == INFINITY:
-        raise InfiniteLabel(f"no relator for the infinite label on ({s}, {t})")
+        raise CoxhomError(f"no relator for the infinite label on ({s}, {t})")
     if s >= t:
-        raise OrderViolation(f"relator requires s < t in vertex order, got ({s}, {t})")
+        raise CoxhomError(f"relator requires s < t in vertex order, got ({s}, {t})")
     if m < 2:
-        raise InvalidParameter(f"relator requires m >= 2, got {m}")
+        raise CoxhomError(f"relator requires m >= 2, got {m}")
     return alternating_word(s, t, m) * alternating_word(t, s, m).inverse()
 
 
@@ -170,7 +164,7 @@ class OmegaSets:
 
 def _check_flavor(flavor: str) -> None:
     if flavor not in FLAVORS:
-        raise InvalidParameter(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+        raise CoxhomError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
 
 
 def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:

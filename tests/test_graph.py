@@ -1,22 +1,17 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from conftest import corpus_graphs
-from coxhom.errors import (
-    ConflictingLabel,
-    DuplicateVertex,
-    EmptyGraph,
-    InvalidParameter,
-    SelfLoop,
-    UnknownCatalogName,
-    UnknownVertex,
-)
+from coxhom.cli import main
+from coxhom.errors import CoxhomError
 from coxhom.graph import (
     INFINITY,
     build_graph,
+    catalog_grammar,
     extend_family,
     from_catalog,
     full_subgraph,
@@ -38,7 +33,7 @@ def test_build_graph_drops_explicit_label_two():
 
 
 def test_build_graph_conflicting_labels():
-    with pytest.raises(ConflictingLabel):
+    with pytest.raises(CoxhomError, match="listed with labels 3 and 4"):
         build_graph(["s", "t"], [("s", "t", 3), ("t", "s", 4)])
 
 
@@ -48,11 +43,11 @@ def test_build_graph_duplicate_listing_with_equal_label_is_fine():
 
 
 def test_build_graph_errors_name_the_offender():
-    with pytest.raises(DuplicateVertex, match="'a'"):
+    with pytest.raises(CoxhomError, match="vertex 'a' declared twice"):
         build_graph(["a", "a"])
-    with pytest.raises(UnknownVertex, match="'b'"):
+    with pytest.raises(CoxhomError, match="unknown vertex 'b'"):
         build_graph(["a"], [("a", "b", 3)])
-    with pytest.raises(SelfLoop, match="'a'"):
+    with pytest.raises(CoxhomError, match="self-loop at 'a'"):
         build_graph(["a"], [("a", "a", 3)])
 
 
@@ -62,7 +57,7 @@ def test_label_of_diagonal_and_defaults():
     assert label_of(a3, "s2", "s1") == 3
     assert label_of(a3, "s1", "s1") == 1
     assert label_of(a3, "s1", "s3") == 2
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(CoxhomError, match="unknown vertex 'nope'"):
         label_of(a3, "s1", "nope")
 
 
@@ -107,11 +102,25 @@ def test_catalog_affine_d4_is_the_star():
 
 def test_catalog_parameter_errors():
     for bad in ["A0", "B1", "D3", "E5", "E9", "F5", "H2", "I2(1)", "I2(2)", "~A1", "~B2", "~C1", "~D3", "~E5"]:
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(CoxhomError, match=r"parameter out of range|I2 requires m >= 3"):
             from_catalog(bad)
     for unknown in ["X5", "~H3", "A", "I2()", "I2(x)", "foo", "~F4"]:
-        with pytest.raises(UnknownCatalogName):
+        with pytest.raises(CoxhomError, match="unknown catalog"):
             from_catalog(unknown)
+
+
+def test_catalog_bounds_match_catalog_list(capsys):
+    assert main(["catalog", "list"]) == 0
+    listing = capsys.readouterr().out.splitlines()
+    rows = catalog_grammar()
+    assert len(listing) == len(rows)
+    for line, (pattern, constraint, _) in zip(listing, rows):
+        assert line.startswith(pattern) and f"  {constraint}  " in line
+        lowest = int(re.search(r"\d+", constraint).group())
+        placeholder = "<m>|inf" if pattern.startswith("I2") else "<n>"
+        assert from_catalog(pattern.replace(placeholder, str(lowest))).vertices
+        with pytest.raises(CoxhomError, match=re.escape(constraint)):
+            from_catalog(pattern.replace(placeholder, str(lowest - 1)))
 
 
 def test_catalog_is_deterministic():
@@ -128,7 +137,7 @@ def test_extend_family_steps():
 
 
 def test_extend_family_rejects_empty_graph():
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(CoxhomError, match="cannot extend the empty graph"):
         extend_family(build_graph([]))
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import corpus_graphs, permuted_copy
-from coxhom.errors import EmptyGraph, InvalidParameter
+from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog
 from coxhom.invariants import (
     commuting_pairs,
@@ -178,7 +178,7 @@ def test_stability_scan_i24():
 
 
 def test_stability_scan_preconditions():
-    with pytest.raises(EmptyGraph):
+    with pytest.raises(CoxhomError, match="needs a nonempty seed"):
         stability_scan(build_graph([]), 6)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(CoxhomError, match="n_max must be >= 4"):
         stability_scan(from_catalog("A1"), 3)

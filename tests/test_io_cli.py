@@ -6,14 +6,7 @@ import pytest
 
 from conftest import corpus_graphs
 from coxhom.cli import main
-from coxhom.errors import (
-    BadLabel,
-    ConflictingLabel,
-    DuplicateVertex,
-    GraphSyntaxError,
-    SelfLoop,
-    UnknownVertex,
-)
+from coxhom.errors import CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, build_graph, from_catalog, label_of
 from coxhom.invariants import homology_summary, invariant_profile
 from coxhom.io import (
@@ -39,32 +32,33 @@ def test_parse_comments_blanks_and_inf():
 
 
 def test_parse_self_loop():
-    with pytest.raises(SelfLoop):
+    with pytest.raises(CoxhomError, match="self-loop at 'a'"):
         parse_graph("vertex a\nedge a a 3\n")
 
 
 def test_parse_error_positions():
-    with pytest.raises(GraphSyntaxError) as info:
+    with pytest.raises(GraphSyntaxError, match="unknown directive 'nonsense'") as info:
         parse_graph("vertex a\nnonsense here\n")
     assert info.value.line == 2
-    with pytest.raises(GraphSyntaxError) as info:
+    with pytest.raises(GraphSyntaxError, match="expected `edge <u> <v> <m>`") as info:
         parse_graph("vertex a\nvertex b\nedge a b\n")
     assert info.value.line == 3
 
 
 def test_parse_bad_labels():
-    with pytest.raises(BadLabel):
+    with pytest.raises(GraphSyntaxError, match="^line 3: label must be >= 2, got 1$") as info:
         parse_graph("vertex a\nvertex b\nedge a b 1\n")
-    with pytest.raises(BadLabel):
+    assert info.value.line == 3
+    with pytest.raises(GraphSyntaxError, match="^line 3: label must be an integer >= 2 or `inf`, got 'x'$"):
         parse_graph("vertex a\nvertex b\nedge a b x\n")
 
 
 def test_parse_structural_errors():
-    with pytest.raises(DuplicateVertex):
+    with pytest.raises(CoxhomError, match="vertex 'a' declared twice"):
         parse_graph("vertex a\nvertex a\n")
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(CoxhomError, match="unknown vertex 'b'"):
         parse_graph("vertex a\nedge a b 3\n")
-    with pytest.raises(ConflictingLabel):
+    with pytest.raises(CoxhomError, match="listed with labels 3 and 4"):
         parse_graph("vertex a\nvertex b\nedge a b 3\nedge b a 4\n")
 
 
@@ -179,6 +173,29 @@ def test_cli_parse_errors(tmp_path, capsys):
     assert main(["compute", "--type", "A0"]) == 2
     assert main(["compute", "--type", "Z9"]) == 2
     assert main(["compute", "--file", str(tmp_path / "missing.graph")]) == 2
+
+
+def test_cli_accepts_a_leading_bom(tmp_path, capsys):
+    path = tmp_path / "bom.graph"
+    path.write_bytes(b"\xef\xbb\xbfvertex s1\nvertex s2\nedge s1 s2 3\n")
+    assert main(["compute", "--file", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"] == ["s1", "s2"]
+    assert main(["stability", "--seed-file", str(path), "--n-max", "4"]) == 0
+    assert "stable for n >= 3" in capsys.readouterr().out
+
+
+def test_cli_undecodable_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.graph"
+    path.write_bytes(b"vertex a\nvertex \xff\n")
+    for argv in (
+        ["compute", "--file", str(path)],
+        ["stability", "--seed-file", str(path), "--n-max", "4"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot decode ")
+        assert "as UTF-8: invalid start byte at byte 16" in captured.err
 
 
 def test_cli_generators(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import corpus_graphs
 from coxhom.chains import boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
-from coxhom.errors import InvalidSpec
+from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import invariant_profile, pair_classes
 from coxhom.oracles import (
@@ -40,7 +40,7 @@ def test_dihedral_reference():
     assert dihedral_h2_reference(5) == 0
     assert dihedral_h2_reference(2) == 1
     assert dihedral_h2_reference(INFINITY) == 0
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(CoxhomError, match="dihedral parameter must be >= 2"):
         dihedral_h2_reference(1)
 
 
@@ -52,13 +52,13 @@ def test_random_graph_determinism():
 
 
 def test_random_graph_spec_validation():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(CoxhomError, match="vertex_count must be in 1..10, got 0"):
         random_coxeter_graph(RandomGraphSpec(seed=1, vertex_count=0))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(CoxhomError, match="vertex_count must be in 1..10, got 11"):
         random_coxeter_graph(RandomGraphSpec(seed=1, vertex_count=11))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(CoxhomError, match="weights, one per label"):
         random_coxeter_graph(RandomGraphSpec(seed=1, vertex_count=3, weights=(1.0,)))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(CoxhomError, match="nonnegative with positive sum"):
         random_coxeter_graph(
             RandomGraphSpec(seed=1, vertex_count=3, weights=(0, 0, 0, 0, 0, 0))
         )

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus_graphs
 from coxhom.chains import fundamental_cycle_basis
-from coxhom.errors import (
-    InfiniteLabel,
-    NonPositiveLength,
-    OrderViolation,
-    SameVertex,
-)
+from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import invariant_profile
 from coxhom.words import (
@@ -37,9 +32,9 @@ def test_alternating_word():
     assert alternating_word(0, 1, 3).letters == (1, 2, 1)
     assert alternating_word(0, 1, 1).letters == (1,)
     assert alternating_word(0, 1, 4).letters == (1, 2, 1, 2)
-    with pytest.raises(SameVertex):
+    with pytest.raises(CoxhomError, match="needs distinct vertices"):
         alternating_word(2, 2, 3)
-    with pytest.raises(NonPositiveLength):
+    with pytest.raises(CoxhomError, match="length must be >= 1"):
         alternating_word(0, 1, 0)
 
 
@@ -47,9 +42,9 @@ def test_relator_shapes():
     assert relator(0, 1, 2).letters == (1, 2, -1, -2)
     assert relator(0, 1, 3).letters == (1, 2, 1, -2, -1, -2)
     assert relator(0, 1, 4).letters == (1, 2, 1, 2, -1, -2, -1, -2)
-    with pytest.raises(InfiniteLabel):
+    with pytest.raises(CoxhomError, match="no relator for the infinite label"):
         relator(0, 1, INFINITY)
-    with pytest.raises(OrderViolation):
+    with pytest.raises(CoxhomError, match="requires s < t"):
         relator(1, 0, 3)
 
 
