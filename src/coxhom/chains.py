@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CoxhomError
-from .graph import PlainGraph, adjacency, connected_components
+from .graph import PlainGraph, adjacency
 
 
 @dataclass(frozen=True)
@@ -89,42 +89,32 @@ def boundary(chain: Chain1) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _spanning_forest(pg: PlainGraph):
-    """BFS forest rooted at the lowest-index vertex of each component.
+def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
+    """One integral cycle per non-tree edge, with +1 on that edge.
 
-    Returns (parent, depth, tree_edge_ids); neighbors are visited in vertex
-    order so the forest is deterministic.
+    The spanning forest is a breadth-first search from the lowest-index
+    vertex of each component, visiting neighbors in vertex order, so it is
+    deterministic.  The rest of the cycle runs back through the forest;
+    traversing a tree edge with its orientation contributes +1, against it
+    -1, so the boundary telescopes to zero.
     """
     edge_id = {edge: k for k, edge in enumerate(pg.edges)}
     nbrs = adjacency(pg)
     parent: dict[int, int] = {}
     depth: dict[int, int] = {}
     tree_edges: set[int] = set()
-    for component in connected_components(pg):
-        root = component[0]
+    for root in range(len(pg.vertices)):
+        if root in depth:
+            continue
         depth[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the list is the queue: it grows as it is read
             for w in nbrs[v]:
-                if w in depth:
-                    continue
-                depth[w] = depth[v] + 1
-                parent[w] = v
-                tree_edges.add(edge_id[(min(v, w), max(v, w))])
-                queue.append(w)
-    return parent, depth, tree_edges
-
-
-def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
-    """One integral cycle per non-tree edge, with +1 on that edge.
-
-    The rest of the cycle runs back through the spanning forest; traversing a
-    tree edge with its orientation contributes +1, against it -1, so the
-    boundary telescopes to zero.
-    """
-    parent, depth, tree_edges = _spanning_forest(pg)
-    edge_id = {edge: k for k, edge in enumerate(pg.edges)}
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    parent[w] = v
+                    tree_edges.add(edge_id[(min(v, w), max(v, w))])
+                    queue.append(w)
     basis = []
     generators = []
     for k, (u, v) in enumerate(pg.edges):

@@ -6,7 +6,7 @@ class CoxhomError(Exception):
 
 
 class GraphSyntaxError(CoxhomError):
-    """Malformed line in the graph file format; carries the 1-based line number."""
+    """Error in a graph file; carries the 1-based number of the line at fault."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

@@ -82,20 +82,28 @@ class CoxeterGraph:
 
 @dataclass(frozen=True)
 class PlainGraph:
-    """Unlabeled graph with oriented edges: (i, j) has i < j and boundary j - i."""
+    """Unlabeled graph whose edges join vertex indices.
 
-    vertices: tuple[str, ...]
+    ``vertices`` holds one entry per vertex: a name, or a commuting pair in
+    the pair graph of ``invariants.pair_classes``.  Chains orient an edge
+    (i, j) with i < j, boundary j - i, as ``odd_subgraph`` lists them; a
+    components search reads edges in either orientation.
+    """
+
+    vertices: tuple
     edges: tuple[tuple[int, int], ...]
 
 
 def build_graph(
-    vertices: Sequence[str],
+    vertices: Iterable[str],
     edges: Iterable[tuple[str, str, Label]] = (),
 ) -> CoxeterGraph:
     """Construct a canonical sparse graph from vertex names and labeled edges.
 
     Edges explicitly labeled 2 are dropped into the implicit default.  Listing
-    the same pair twice is allowed only with equal labels.
+    the same pair twice is allowed only with equal labels.  Each iterable is
+    consumed once, vertices first, so an error is raised while the offending
+    row is the latest one drawn.
     """
     index: dict[str, int] = {}
     for name in vertices:
@@ -117,7 +125,7 @@ def build_graph(
             raise CoxhomError(f"pair ({u!r}, {v!r}) listed with labels {seen} and {m}")
         labels[(i, j)] = m
     labels = {pair: m for pair, m in sorted(labels.items()) if m != 2}
-    return CoxeterGraph(tuple(vertices), labels)
+    return CoxeterGraph(tuple(index), labels)
 
 
 def label_of(g: CoxeterGraph, s: str, t: str) -> Label:
@@ -164,16 +172,13 @@ def connected_components(pg: PlainGraph) -> tuple[tuple[int, ...], ...]:
         if seen[root]:
             continue
         seen[root] = True
-        queue = [root]
-        out = []
-        while queue:
-            v = queue.pop(0)
-            out.append(v)
+        component = [root]
+        for v in component:  # the list is the queue: it grows as it is read
             for w in nbrs[v]:
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
-        components.append(tuple(out))
+                    component.append(w)
+        components.append(tuple(component))
     return tuple(components)
 
 

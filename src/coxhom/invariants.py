@@ -91,31 +91,6 @@ class HomologySummary:
     h2_artin_integral: Optional[AbelianDescriptor]
 
 
-class _UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self, elements):
-        self.parent = {x: x for x in elements}
-        self.size = {x: 1 for x in elements}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return
-        if self.size[a] < self.size[b]:
-            a, b = b, a
-        self.parent[b] = a
-        self.size[a] += self.size[b]
-
-
 def commuting_pairs(g: CoxeterGraph) -> tuple[Pair, ...]:
     """All unordered index pairs with label exactly 2, lexicographic."""
     n = len(g.vertices)
@@ -127,33 +102,31 @@ def commuting_pairs(g: CoxeterGraph) -> tuple[Pair, ...]:
 def pair_classes(g: CoxeterGraph) -> PairPartition:
     """Partition of the commuting pairs under the odd-label relation.
 
-    Pairs {a,x} and {a,y} merge whenever {x,y} is a finite-odd-labeled pair;
-    every direct relation of the defining equivalence has this form.
+    Pairs {a,x} and {a,y} are related whenever {x,y} is a finite-odd-labeled
+    pair; every direct relation of the defining equivalence has this form.
+    The classes are the connected components of the pair graph, which links
+    each such {a,x} and {a,y}.
     """
     pairs = commuting_pairs(g)
-    pair_set = set(pairs)
-    uf = _UnionFind(pairs)
-    odd_pairs = [pair for pair, m in sorted(g.labels.items()) if is_odd(m)]
-    for a in range(len(g.vertices)):
-        for x, y in odd_pairs:
-            first = (min(a, x), max(a, x))
-            second = (min(a, y), max(a, y))
-            if first in pair_set and second in pair_set:
-                uf.union(first, second)
-    blocks: dict[Pair, list[Pair]] = {}
-    for pair in pairs:
-        blocks.setdefault(uf.find(pair), []).append(pair)
-    classes = tuple(sorted(tuple(sorted(block)) for block in blocks.values()))
-    flags = tuple(_has_torsion_witness(g, block) for block in classes)
+    n = len(g.vertices)
+    # pair_id[a][x]: index in ``pairs`` of the commuting pair {a,x}, else -1
+    pair_id = [[-1] * n for _ in range(n)]
+    for k, (s, t) in enumerate(pairs):
+        pair_id[s][t] = pair_id[t][s] = k
+    links = []
+    for (x, y), m in g.labels.items():
+        if is_odd(m):
+            links += [(u, v) for u, v in zip(pair_id[x], pair_id[y]) if u >= 0 and v >= 0]
+    components = connected_components(PlainGraph(pairs, tuple(links)))
+    classes = tuple(tuple(pairs[k] for k in sorted(c)) for c in components)
+    threes: list[set[int]] = [set() for _ in range(n)]
+    for (s, t), m in g.labels.items():
+        if m == 3:
+            threes[s].add(t)
+            threes[t].add(s)
+    # torsion: some pair {s,t} of the class has a common neighbour v with m(s,v) = m(t,v) = 3
+    flags = tuple(any(threes[s] & threes[t] for s, t in block) for block in classes)
     return PairPartition(pairs, classes, flags)
-
-
-def _has_torsion_witness(g: CoxeterGraph, block) -> bool:
-    for s, t in block:
-        for v in range(len(g.vertices)):
-            if g.label_ix(s, v) == 3 and g.label_ix(t, v) == 3:
-                return True
-    return False
 
 
 @dataclass(frozen=True)

@@ -9,30 +9,18 @@ key order so identical inputs give byte-identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GraphSyntaxError
+from .errors import CoxhomError, GraphSyntaxError
 from .graph import INFINITY, CoxeterGraph, Label, build_graph
 from .invariants import HomologySummary, InvariantProfile
 from .words import OmegaSets, Word, in_commutator_subgroup
 
 
-@dataclass(frozen=True)
-class GraphDocument:
-    """Parsed graph plus source positions for diagnostics."""
-
-    source: str
-    graph: CoxeterGraph
-    vertex_lines: dict[str, int]
-    edge_lines: dict[tuple[str, str], int]
-
-
-def parse_document(text: str) -> GraphDocument:
-    vertices: list[str] = []
-    edges: list[tuple[str, str, Label]] = []
-    vertex_lines: dict[str, int] = {}
-    edge_lines: dict[tuple[str, str], int] = {}
+def parse_graph(text: str) -> CoxeterGraph:
+    """Graph of a file-format text; every error names its 1-based line."""
+    vertices: list[tuple[int, str]] = []
+    edges: list[tuple[int, tuple[str, str, Label]]] = []
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -41,17 +29,25 @@ def parse_document(text: str) -> GraphDocument:
         if tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphSyntaxError("expected `vertex <name>`", number)
-            vertices.append(tokens[1])
-            vertex_lines.setdefault(tokens[1], number)
+            vertices.append((number, tokens[1]))
         elif tokens[0] == "edge":
             if len(tokens) != 4:
                 raise GraphSyntaxError("expected `edge <u> <v> <m>`", number)
-            u, v, m = tokens[1], tokens[2], _parse_label(tokens[3], number)
-            edges.append((u, v, m))
-            edge_lines.setdefault((u, v), number)
+            edges.append((number, (tokens[1], tokens[2], _parse_label(tokens[3], number))))
         else:
             raise GraphSyntaxError(f"unknown directive {tokens[0]!r}", number)
-    return GraphDocument(text, build_graph(vertices, edges), vertex_lines, edge_lines)
+    current = 0
+
+    def rows(numbered):
+        # build_graph draws each row once, so a build error belongs to the latest line drawn
+        nonlocal current
+        for current, row in numbered:
+            yield row
+
+    try:
+        return build_graph(rows(vertices), rows(edges))
+    except CoxhomError as exc:
+        raise GraphSyntaxError(str(exc), current) from None
 
 
 def _parse_label(token: str, line: int) -> Label:
@@ -64,10 +60,6 @@ def _parse_label(token: str, line: int) -> Label:
     if value < 2:
         raise GraphSyntaxError(f"label must be >= 2, got {value}", line)
     return value
-
-
-def parse_graph(text: str) -> CoxeterGraph:
-    return parse_document(text).graph
 
 
 def render_graph(g: CoxeterGraph) -> str:

@@ -1,7 +1,7 @@
 """Brute-force oracles and generators backing the test suite and `check`.
 
 Each oracle reimplements a quantity by a structurally different route: pair
-classes by fixed-point closure instead of union-find, cycle rank by exact
+classes by fixed-point closure instead of graph components, cycle rank by exact
 fraction elimination instead of component counting, the dihedral reference
 straight from the classified homology of dihedral groups.  Agreement between
 routes is evidence, not tautology.

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import corpus_graphs, permuted_copy
+from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy, seeded_graph
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog
 from coxhom.invariants import (
@@ -14,6 +14,7 @@ from coxhom.invariants import (
     pair_classes,
     stability_scan,
 )
+from coxhom.oracles import DEFAULT_WEIGHTS
 
 TRIANGLE = build_graph(["s1", "s2", "s3"], [("s1", "s2", 3), ("s2", "s3", 3), ("s1", "s3", 3)])
 
@@ -162,6 +163,33 @@ def test_invariants_are_isomorphism_invariant():
         reference = invariant_profile(g)
         for _ in range(3):
             assert invariant_profile(permuted_copy(g, rng)) == reference
+
+
+def _disjoint_union(g1, g2):
+    """g1 and g2 side by side, every cross label 2."""
+    names = [f"a{v}" for v in g1.vertices] + [f"b{v}" for v in g2.vertices]
+    k = len(g1.vertices)
+    edges = [(names[i], names[j], m) for (i, j), m in g1.labels.items()]
+    edges += [(names[k + i], names[k + j], m) for (i, j), m in g2.labels.items()]
+    return build_graph(names, edges)
+
+
+def test_kunneth_law_for_disjoint_unions():
+    # rank2 H2(W1 x W2) = r1 + r2 + c1 * c2 with ci the odd components (n4)
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(30):
+        total = rng.randint(5, 60)
+        first = rng.randint(1, total - 1)
+        weights = rng.choice((DEFAULT_WEIGHTS, SPARSE_WEIGHTS))
+        pairs.append((seeded_graph(rng, first, weights), seeded_graph(rng, total - first, weights)))
+    names = ("~D12", "A20", "B15", "~A14", "E8", "H4", "I2(6)")
+    pairs += [(from_catalog(a), from_catalog(b)) for a in names for b in names if a <= b]
+    for g1, g2 in pairs:
+        p1, p2 = invariant_profile(g1), invariant_profile(g2)
+        union = invariant_profile(_disjoint_union(g1, g2))
+        assert union.mod2_rank == p1.mod2_rank + p2.mod2_rank + p1.n4 * p2.n4
+        assert union.n4 == p1.n4 + p2.n4
 
 
 def test_stability_scan_a1():

@@ -10,7 +10,6 @@ from coxhom.errors import CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, build_graph, from_catalog, label_of
 from coxhom.invariants import homology_summary, invariant_profile
 from coxhom.io import (
-    parse_document,
     parse_graph,
     render_graph,
     render_json,
@@ -62,10 +61,26 @@ def test_parse_structural_errors():
         parse_graph("vertex a\nvertex b\nedge a b 3\nedge b a 4\n")
 
 
-def test_document_records_positions():
-    doc = parse_document("vertex a\nvertex b\nedge a b 5\n")
-    assert doc.vertex_lines == {"a": 1, "b": 2}
-    assert doc.edge_lines == {("a", "b"): 3}
+def test_build_errors_carry_the_line():
+    for text, message, line in (
+        ("vertex a\n# note\nvertex b\nvertex a\n", "vertex 'a' declared twice", 4),
+        ("vertex a\nedge a b 3\nvertex b\nedge a c 3\n", "unknown vertex 'c'", 4),
+        ("edge a a 3\nvertex a\n", "self-loop at 'a'", 1),
+        ("vertex a\nvertex b\nedge a b 3\n\nedge b a 4\n", "pair ('b', 'a') listed with labels 3 and 4", 5),
+    ):
+        with pytest.raises(GraphSyntaxError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {line}: {message}"
+        assert info.value.line == line
+    with pytest.raises(CoxhomError, match="^vertex 'a' declared twice$"):
+        build_graph(["a", "a"])
+
+
+def test_cli_build_error_names_the_line(tmp_path, capsys):
+    path = tmp_path / "twice.graph"
+    path.write_text("vertex a\nvertex a\n", encoding="utf-8")
+    assert main(["compute", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: vertex 'a' declared twice\n"
 
 
 def test_round_trip_catalog_and_corpus():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import corpus_graphs
+from conftest import SPARSE_WEIGHTS, corpus_graphs, seeded_graph
 from coxhom.chains import boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
@@ -64,9 +66,21 @@ def test_random_graph_spec_validation():
         )
 
 
-def test_union_find_agrees_with_naive_closure():
+def test_pair_classes_agree_with_naive_closure():
     for g in corpus_graphs(120, base_seed=40):
         assert pair_classes(g) == naive_pair_closure(g)
+
+
+def test_pair_classes_agree_with_naive_closure_above_ten_vertices():
+    graphs = [seeded_graph(random.Random(seed), 11 + seed % 10) for seed in range(10)]
+    graphs += [seeded_graph(random.Random(seed), 11 + seed % 10, SPARSE_WEIGHTS) for seed in range(10, 20)]
+    graphs += [from_catalog(name) for name in ("~D16", "B16", "~C14", "D18", "A20")]
+    shapes = set()
+    for g in graphs:
+        partition = pair_classes(g)
+        assert partition == naive_pair_closure(g)
+        shapes.add((len(partition.classes) >= 4, all(partition.torsion_flags)))
+    assert (True, False) in shapes and (True, True) in shapes
 
 
 def test_cycle_rank_oracles_agree():
