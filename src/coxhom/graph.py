@@ -133,19 +133,6 @@ def label_of(g: CoxeterGraph, s: str, t: str) -> Label:
     return g.label_ix(g.index(s), g.index(t))
 
 
-def full_subgraph(g: CoxeterGraph, subset: Iterable[str]) -> CoxeterGraph:
-    """Full subgraph spanned by ``subset``, vertex order inherited from g."""
-    wanted = {g.index(name) for name in subset}
-    kept = [i for i in range(len(g.vertices)) if i in wanted]
-    renumber = {old: new for new, old in enumerate(kept)}
-    labels = {
-        (renumber[i], renumber[j]): m
-        for (i, j), m in sorted(g.labels.items())
-        if i in renumber and j in renumber
-    }
-    return CoxeterGraph(tuple(g.vertices[i] for i in kept), labels)
-
-
 def odd_subgraph(g: CoxeterGraph) -> PlainGraph:
     """Subgraph keeping all vertices and exactly the finite-odd-labeled edges."""
     edges = tuple(pair for pair, m in sorted(g.labels.items()) if is_odd(m))

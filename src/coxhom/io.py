@@ -86,13 +86,13 @@ def _descriptor_json(descriptor) -> Optional[dict]:
     return {"free_rank": descriptor.free_rank, "torsion2_rank": descriptor.torsion2_rank}
 
 
-def summary_document(
+def render_json(
     g: CoxeterGraph,
     profile: InvariantProfile,
     summary: HomologySummary,
     omegas: Optional[OmegaSets] = None,
-) -> dict:
-    """The JSON document as a dict with fixed key insertion order."""
+) -> str:
+    """The JSON document, keys in a fixed insertion order."""
     edges = []
     for (i, j), m in sorted(g.labels.items()):
         edges.append({
@@ -136,7 +136,7 @@ def summary_document(
                 "expected_total": profile.p + profile.q,
             },
         }
-    return doc
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _word_rows(words, vertices) -> list[dict]:
@@ -145,11 +145,3 @@ def _word_rows(words, vertices) -> list[dict]:
         for w in words
     ]
 
-
-def render_json(
-    g: CoxeterGraph,
-    profile: InvariantProfile,
-    summary: HomologySummary,
-    omegas: Optional[OmegaSets] = None,
-) -> str:
-    return json.dumps(summary_document(g, profile, summary, omegas), indent=2) + "\n"

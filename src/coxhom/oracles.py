@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .chains import boundary, boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
+from .chains import boundary, boundary_matrix, gf2_rank, mod2_reduce
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, build_graph, is_odd
 from .invariants import PairPartition, Pair
-from .words import abelianize, in_commutator_subgroup, omega_sets, project_word
+from .words import abelianize, in_commutator_subgroup, omega_sets
 
 LABEL_SUPPORT: tuple[Label, ...] = (2, 3, 4, 5, 6, INFINITY)
 
@@ -150,11 +150,10 @@ def catalog_sample() -> tuple[str, ...]:
 
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     """Every internal identity on one graph, as (name, passed, detail) rows."""
-    artin, coxeter = omega_sets(g, "artin"), omega_sets(g, "coxeter")
-    analysis = artin.analysis
+    omegas = omega_sets(g, "artin")  # both flavors build the same words
+    analysis, basis = omegas.analysis, omegas.basis
     profile = analysis.profile
     pg = analysis.odd
-    basis = fundamental_cycle_basis(pg)
     reduced = mod2_reduce(basis)
     rows: list[tuple[str, bool, str]] = []
 
@@ -185,29 +184,21 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
         and gf2_rank([c.bits for c in reduced]) == profile.q3,
         f"{len(basis.basis)} cycles",
     ))
-    for omegas in (artin, coxeter):
-        rows.append((
-            f"omega_counts_{omegas.flavor}",
-            len(omegas.omega1) == profile.p + profile.q1
-            and len(omegas.omega2) == profile.q2
-            and len(omegas.omega3) == profile.q3
-            and omegas.total == profile.p + profile.q,
-            f"|1|,|2|,|3| = {len(omegas.omega1)},{len(omegas.omega2)},{len(omegas.omega3)}",
-        ))
-        rows.append((
-            f"omega_abelianization_{omegas.flavor}",
-            all(
-                in_commutator_subgroup(w)
-                and not any(abelianize(w, len(g.vertices)))
-                for w in omegas.omega1 + omegas.omega2 + omegas.omega3
-            ),
-            f"{omegas.total} words",
-        ))
     rows.append((
-        "omega_projection",
-        tuple(project_word(w) for w in artin.omega1) == coxeter.omega1
-        and tuple(project_word(w) for w in artin.omega2) == coxeter.omega2
-        and len(artin.omega3) == len(coxeter.omega3),
-        "projection maps omega sets onto omega sets",
+        "omega_counts",
+        len(omegas.omega1) == profile.p + profile.q1
+        and len(omegas.omega2) == profile.q2
+        and len(omegas.omega3) == profile.q3
+        and omegas.total == profile.p + profile.q,
+        f"|1|,|2|,|3| = {len(omegas.omega1)},{len(omegas.omega2)},{len(omegas.omega3)}",
+    ))
+    rows.append((
+        "omega_abelianization",
+        all(
+            in_commutator_subgroup(w)
+            and not any(abelianize(w, len(g.vertices)))
+            for w in omegas.omega1 + omegas.omega2 + omegas.omega3
+        ),
+        f"{omegas.total} words",
     ))
     return rows

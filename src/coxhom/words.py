@@ -18,12 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .chains import fundamental_cycle_basis
+from .chains import CycleBasis, fundamental_cycle_basis
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, is_even, is_finite
 from .invariants import Analysis, analyze
 
 FLAVORS = ("artin", "coxeter")
+
+# Longest alternating word spelled, so a relator has at most 2 * 10**6 letters;
+# a larger label is an input error, not a MemoryError.
+MAX_SPELLED_LABEL = 10**6
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,8 @@ def alternating_word(s: int, t: int, m: int) -> Word:
         raise CoxhomError(f"alternating word needs distinct vertices, got {s}")
     if m < 1:
         raise CoxhomError(f"length must be >= 1, got {m}")
+    if m > MAX_SPELLED_LABEL:
+        raise CoxhomError(f"label {m} is above the limit {MAX_SPELLED_LABEL} on spelled words")
     return Word(tuple(letter(s if k % 2 == 0 else t) for k in range(m)))
 
 
@@ -142,11 +148,6 @@ def in_commutator_subgroup(w: Word) -> bool:
     return not any(abelianize(w, max((abs(a) for a in w), default=0)))
 
 
-def project_word(w: Word) -> Word:
-    """The lift of the Artin-to-Coxeter projection: identity on letter data."""
-    return Word(w.letters)
-
-
 @dataclass(frozen=True)
 class OmegaSets:
     """Generator words for the second homology, one family per mechanism."""
@@ -156,6 +157,7 @@ class OmegaSets:
     omega2: tuple[Word, ...]
     omega3: tuple[Word, ...]
     analysis: Analysis = field(compare=False, repr=False)
+    basis: CycleBasis = field(compare=False, repr=False)
 
     @property
     def total(self) -> int:
@@ -170,9 +172,9 @@ def _check_flavor(flavor: str) -> None:
 def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     """Construct the three generator families for either presentation.
 
-    Both flavors share letter data: the canonical cycle representatives carry
-    signed exponents, so no squaring relators are needed to land every word in
-    the commutator subgroup.
+    Both flavors share letter data (every Artin relator is a Coxeter relator,
+    and the signed cycle exponents need no squaring relators), so the flavor
+    only names the presentation.
     """
     _check_flavor(flavor)
     analysis = analyze(g)
@@ -186,13 +188,18 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     )
     pg = analysis.odd
     basis = fundamental_cycle_basis(pg)
+    spelled: dict[int, Word] = {}  # edge -> its relator, spelled when a cycle first uses it
     omega3 = []
     for chain in basis.basis:
         parts: list[int] = []
-        for coefficient, (i, j) in zip(chain.coefficients, pg.edges):
+        for k, coefficient in enumerate(chain.coefficients):
             if coefficient == 0:
                 continue
-            rel = relator(i, j, g.label_ix(i, j)) ** coefficient
+            if k not in spelled:
+                i, j = pg.edges[k]
+                spelled[k] = relator(i, j, g.labels[i, j])
+            # a fundamental cycle's coefficients are -1, 0 or 1
+            rel = spelled[k] if coefficient > 0 else spelled[k].inverse()
             parts.extend(rel.letters)
         omega3.append(free_reduce(parts))
-    return OmegaSets(flavor, omega1, omega2, tuple(omega3), analysis)
+    return OmegaSets(flavor, omega1, omega2, tuple(omega3), analysis, basis)

@@ -28,7 +28,7 @@ from coxhom.oracles import (
     random_coxeter_graph,
     rational_cycle_rank,
 )
-from coxhom.words import abelianize, in_commutator_subgroup, omega_sets, project_word
+from coxhom.words import abelianize, in_commutator_subgroup, omega_sets
 
 
 def _report(number: int, text: str) -> None:
@@ -106,7 +106,7 @@ def test_criterion_06_oracle_equivalence(capsys):
         assert q3 == rational_cycle_rank(pg)
         assert q3 == len(pg.edges) - gf2_rank(boundary_matrix(pg))
     with capsys.disabled():
-        _report(6, f"union-find vs closure and all three cycle ranks agree on {len(graphs)} graphs")
+        _report(6, f"pair-graph components vs closure and all three cycle ranks agree on {len(graphs)} graphs")
 
 
 def test_criterion_07_omega_contract(capsys):
@@ -124,11 +124,11 @@ def test_criterion_07_omega_contract(capsys):
             for w in omegas.omega1 + omegas.omega2 + omegas.omega3:
                 assert in_commutator_subgroup(w)
                 assert abelianize(w, rank) == (0,) * rank
-        # the projection lift maps the Artin families onto the Coxeter families
-        assert tuple(project_word(w) for w in artin.omega1) == coxeter.omega1
-        assert tuple(project_word(w) for w in artin.omega2) == coxeter.omega2
+        # the Artin and Coxeter families are the same words
+        assert artin.omega1 == coxeter.omega1
+        assert artin.omega2 == coxeter.omega2
         for wa, wc in zip(artin.omega3, coxeter.omega3):
-            ea = _relator_exponents(g, project_word(wa))
+            ea = _relator_exponents(g, wa)
             ec = _relator_exponents(g, wc)
             assert [x % 2 for x in ea] == [x % 2 for x in ec]
     with capsys.disabled():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 import re
 
 import pytest
@@ -14,7 +13,6 @@ from coxhom.graph import (
     catalog_grammar,
     extend_family,
     from_catalog,
-    full_subgraph,
     label_of,
     odd_subgraph,
 )
@@ -59,14 +57,6 @@ def test_label_of_diagonal_and_defaults():
     assert label_of(a3, "s1", "s3") == 2
     with pytest.raises(CoxhomError, match="unknown vertex 'nope'"):
         label_of(a3, "s1", "nope")
-
-
-def test_full_subgraph_restriction():
-    a3 = from_catalog("A3")
-    assert full_subgraph(a3, ["s1", "s2"]) == from_catalog("A2")
-    empty = full_subgraph(a3, [])
-    assert empty.vertices == () and empty.labels == {}
-    assert full_subgraph(a3, a3.vertices) == a3
 
 
 def test_odd_subgraph_parity():
@@ -153,19 +143,3 @@ def test_label_symmetry_on_corpus():
         for s in g.vertices:
             for t in g.vertices:
                 assert label_of(g, s, t) == label_of(g, t, s)
-
-
-def test_odd_subgraph_commutes_with_full_subgraph():
-    rng = random.Random(7)
-    for g in corpus_graphs(40):
-        names = [v for v in g.vertices if rng.random() < 0.6]
-        sub = full_subgraph(g, names)
-        via_sub = {
-            frozenset((sub.vertices[i], sub.vertices[j])) for i, j in odd_subgraph(sub).edges
-        }
-        restricted = {
-            frozenset((g.vertices[i], g.vertices[j]))
-            for i, j in odd_subgraph(g).edges
-            if g.vertices[i] in names and g.vertices[j] in names
-        }
-        assert via_sub == restricted

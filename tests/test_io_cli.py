@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from coxhom.io import (
     render_json,
     word_to_text,
 )
-from coxhom.words import Word, free_reduce, omega_sets
+from coxhom.words import MAX_SPELLED_LABEL, Word, free_reduce, omega_sets
 
 
 def test_parse_simple_graph():
@@ -242,24 +243,57 @@ def test_cli_check_reports_failures_with_exit_3(monkeypatch, capsys):
 
 def test_cli_runs_pair_classes_once_per_graph(monkeypatch, capsys):
     import coxhom.invariants as invariants
+    import coxhom.words as words
 
     calls = []
-    original = invariants.pair_classes
 
-    def counting(g):
-        calls.append(g)
-        return original(g)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(invariants, "pair_classes", counting)
-    for argv, expected in (
-        (["compute", "--type", "~D6", "--json"], 1),
-        (["generators", "--type", "~D6", "--json"], 1),
-        (["check", "--type", "~D6"], 2),  # one omega_sets run per flavor
+        def count(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(invariants, "pair_classes")
+    counting(words, "fundamental_cycle_basis")
+    for argv, classes, bases in (
+        (["compute", "--type", "~D6", "--json"], 1, 0),
+        (["generators", "--type", "~D6", "--json"], 1, 1),
+        (["check", "--type", "~D6"], 1, 1),
     ):
         calls.clear()
         assert main(argv) == 0
-        assert len(calls) == expected, argv
+        assert calls.count("pair_classes") == classes, argv
+        assert calls.count("fundamental_cycle_basis") == bases, argv
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("label, on_cycle", [
+    (MAX_SPELLED_LABEL + 2, False),
+    (10**20, False),
+    (MAX_SPELLED_LABEL + 1, True),  # odd, so spelled only because it lies on a cycle
+])
+def test_cli_refuses_to_spell_labels_above_the_limit(label, on_cycle, tmp_path, capsys):
+    source = ["--type", f"I2({label})"]
+    if on_cycle:
+        path = tmp_path / "triangle.graph"
+        path.write_text(f"vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\nedge a c {label}\n", encoding="utf-8")
+        source = ["--file", str(path)]
+    assert main(["compute", *source]) == 0
+    capsys.readouterr()
+    for command in (["generators"], ["generators", "--json", "--flavor", "coxeter"], ["check"]):
+        tracemalloc.start()
+        try:
+            assert main([*command, *source]) == 2, command
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, command  # raised before the label's letters were allocated
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: label {label} is above the limit {MAX_SPELLED_LABEL} on spelled words\n"
 
 
 def test_cli_stability(tmp_path, capsys):

@@ -10,6 +10,7 @@ from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import invariant_profile
 from coxhom.words import (
+    MAX_SPELLED_LABEL,
     Word,
     abelianize,
     alternating_word,
@@ -19,7 +20,6 @@ from coxhom.words import (
     in_commutator_subgroup,
     omega_sets,
     presentation_relators,
-    project_word,
     relator,
 )
 
@@ -36,6 +36,8 @@ def test_alternating_word():
         alternating_word(2, 2, 3)
     with pytest.raises(CoxhomError, match="length must be >= 1"):
         alternating_word(0, 1, 0)
+    with pytest.raises(CoxhomError, match="label 1000001 is above the limit 1000000"):
+        alternating_word(0, 1, MAX_SPELLED_LABEL + 1)
 
 
 def test_relator_shapes():
@@ -183,16 +185,11 @@ def test_omega_counts_and_abelianization_on_corpus():
                 assert abelianize(w, len(g.vertices)) == (0,) * len(g.vertices)
 
 
-def test_project_word_is_the_identity_lift():
-    assert project_word(Word()) == Word()
-    r = relator(0, 1, 3)
-    assert project_word(r) == r
-
-
-def test_projection_maps_artin_onto_coxeter():
+def test_both_flavors_build_the_same_words():
     for g in corpus_graphs(40, base_seed=200):
         artin = omega_sets(g, "artin")
         coxeter = omega_sets(g, "coxeter")
-        assert tuple(project_word(w) for w in artin.omega1) == coxeter.omega1
-        assert tuple(project_word(w) for w in artin.omega2) == coxeter.omega2
-        assert len(artin.omega3) == len(coxeter.omega3)
+        assert (artin.flavor, coxeter.flavor) == ("artin", "coxeter")
+        assert artin.omega1 == coxeter.omega1
+        assert artin.omega2 == coxeter.omega2
+        assert artin.omega3 == coxeter.omega3
