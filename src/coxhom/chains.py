@@ -1,73 +1,29 @@
 """Chain complex of an oriented graph: boundaries, cycle bases, mod-2 reduction.
 
 All arithmetic is exact integer arithmetic.  An edge (i, j) with i < j is
-oriented from i to j, so its boundary is (vertex j) - (vertex i).  The
-fundamental cycle basis is fixed once and for all by a breadth-first spanning
-forest, making every downstream generator word reproducible.
+oriented from i to j, so its boundary is (vertex j) - (vertex i).  A 1-chain
+is an iterable of (edge, coefficient) terms, and a mod-2 reduction is an int
+whose bit k is the parity of edge k.  The fundamental cycle basis is fixed
+once and for all by a breadth-first spanning forest, making every downstream
+generator word reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-from .errors import CoxhomError
 from .graph import PlainGraph, adjacency
 
 
 @dataclass(frozen=True)
-class Chain1:
-    """Integer 1-chain: one coefficient per oriented edge of the graph."""
-
-    graph: PlainGraph
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.graph.edges):
-            raise CoxhomError(
-                f"expected {len(self.graph.edges)} coefficients, "
-                f"got {len(self.coefficients)}"
-            )
-
-    def __add__(self, other: "Chain1") -> "Chain1":
-        if other.graph != self.graph:
-            raise CoxhomError("chains live on different graphs")
-        return Chain1(self.graph, tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __rmul__(self, scalar: int) -> "Chain1":
-        return Chain1(self.graph, tuple(scalar * c for c in self.coefficients))
-
-
-@dataclass(frozen=True)
-class Mod2Cycle:
-    """Bit vector over the edges lying in the kernel of the mod-2 boundary."""
-
-    graph: PlainGraph
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) != len(self.graph.edges):
-            raise CoxhomError(
-                f"expected {len(self.graph.edges)} bits, got {len(self.bits)}"
-            )
-        degree = [0] * len(self.graph.vertices)
-        for bit, (i, j) in zip(self.bits, self.graph.edges):
-            if bit % 2:
-                degree[i] ^= 1
-                degree[j] ^= 1
-        if any(degree):
-            raise CoxhomError("bit vector is not a mod-2 cycle")
-
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
-
-@dataclass(frozen=True)
 class CycleBasis:
-    """Fundamental cycles of a graph, one per non-tree edge, in edge order."""
+    """Fundamental cycles of a graph, one per non-tree edge, in edge order.
 
-    graph: PlainGraph
-    basis: tuple[Chain1, ...]
+    Each cycle is its nonzero (edge, +-1) terms in increasing edge order.
+    """
+
+    basis: tuple[tuple[tuple[int, int], ...], ...]
     nontree_edges: tuple[int, ...]
 
 
@@ -80,10 +36,11 @@ def boundary_matrix(pg: PlainGraph) -> list[list[int]]:
     return matrix
 
 
-def boundary(chain: Chain1) -> tuple[int, ...]:
+def boundary(pg: PlainGraph, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Integer 0-chain of the boundary: one coefficient per vertex."""
-    out = [0] * len(chain.graph.vertices)
-    for c, (i, j) in zip(chain.coefficients, chain.graph.edges):
+    out = [0] * len(pg.vertices)
+    for k, c in terms:
+        i, j = pg.edges[k]
         out[i] -= c
         out[j] += c
     return tuple(out)
@@ -120,15 +77,13 @@ def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
     for k, (u, v) in enumerate(pg.edges):
         if k in tree_edges:
             continue
-        coefficients = [0] * len(pg.edges)
-        coefficients[k] = 1
+        terms = [(k, 1)]
         path = _forest_path(v, u, parent, depth)
-        for x, y in zip(path, path[1:]):
-            step = edge_id[(min(x, y), max(x, y))]
-            coefficients[step] += 1 if x < y else -1
-        basis.append(Chain1(pg, tuple(coefficients)))
+        for x, y in zip(path, path[1:]):  # a forest path repeats no edge and avoids k
+            terms.append((edge_id[(min(x, y), max(x, y))], 1 if x < y else -1))
+        basis.append(tuple(sorted(terms)))
         generators.append(k)
-    return CycleBasis(pg, tuple(basis), tuple(generators))
+    return CycleBasis(tuple(basis), tuple(generators))
 
 
 def _forest_path(a: int, b: int, parent, depth) -> list[int]:
@@ -144,46 +99,23 @@ def _forest_path(a: int, b: int, parent, depth) -> list[int]:
     return left + right[-2::-1]
 
 
-def mod2_reduce(basis: CycleBasis) -> tuple[Mod2Cycle, ...]:
-    """Coefficientwise reduction of each basis cycle to a mod-2 cycle."""
-    return tuple(
-        Mod2Cycle(basis.graph, tuple(c % 2 for c in chain.coefficients))
-        for chain in basis.basis
-    )
+def mod2_reduce(terms: Iterable[tuple[int, int]]) -> int:
+    """Bit mask of the edges whose coefficient is odd."""
+    mask = 0
+    for k, c in terms:
+        if c % 2:
+            mask ^= 1 << k
+    return mask
 
 
-def even_boundary_check(chain: Chain1) -> bool:
-    """True when every boundary coefficient is even, i.e. the reduction is a cycle."""
-    return all(c % 2 == 0 for c in boundary(chain))
-
-
-def xi_reduce(chain: Chain1) -> Mod2Cycle:
-    """Mod-2 reduction of an even-boundary chain."""
-    if not even_boundary_check(chain):
-        raise CoxhomError("chain has odd boundary coefficients")
-    return Mod2Cycle(chain.graph, tuple(c % 2 for c in chain.coefficients))
-
-
-def is_dw_member(chain: Chain1) -> bool:
-    """True when every coefficient is even (the kernel of the reduction map)."""
-    return all(c % 2 == 0 for c in chain.coefficients)
-
-
-def gf2_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of a family of bit vectors over the two-element field."""
-    rows = [list(v) for v in vectors]
-    widths = {len(row) for row in rows}
-    if len(widths) > 1:
-        raise CoxhomError(f"vectors of different lengths: {sorted(widths)}")
-    rank = 0
-    width = widths.pop() if widths else 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % 2), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % 2:
-                rows[r] = [(a + b) % 2 for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def gf2_rank(masks: Iterable[int]) -> int:
+    """Rank of a family of bit masks over the two-element field."""
+    pivots: dict[int, int] = {}  # leading bit -> the kept mask that leads with it
+    for mask in masks:
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = mask
+                break
+            mask ^= pivots[top]
+    return len(pivots)

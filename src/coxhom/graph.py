@@ -128,11 +128,6 @@ def build_graph(
     return CoxeterGraph(tuple(index), labels)
 
 
-def label_of(g: CoxeterGraph, s: str, t: str) -> Label:
-    """m(s, t): 1 on the diagonal, stored label otherwise, default 2."""
-    return g.label_ix(g.index(s), g.index(t))
-
-
 def odd_subgraph(g: CoxeterGraph) -> PlainGraph:
     """Subgraph keeping all vertices and exactly the finite-odd-labeled edges."""
     edges = tuple(pair for pair, m in sorted(g.labels.items()) if is_odd(m))

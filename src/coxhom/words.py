@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 
 from .chains import CycleBasis, fundamental_cycle_basis
 from .errors import CoxhomError
-from .graph import INFINITY, CoxeterGraph, Label, is_even, is_finite
+from .graph import INFINITY, CoxeterGraph, Label, is_even
 from .invariants import Analysis, analyze
 
 FLAVORS = ("artin", "coxeter")
@@ -119,22 +119,6 @@ def commutator(x: Word, y: Word) -> Word:
     return free_reduce(x.letters + y.letters + x.inverse().letters + y.inverse().letters)
 
 
-def presentation_relators(g: CoxeterGraph, flavor: str) -> list[Word]:
-    """Defining relators: one per finite-labeled pair (s < t, lexicographic);
-    the Coxeter flavor appends the generator squares in vertex order."""
-    _check_flavor(flavor)
-    n = len(g.vertices)
-    words = [
-        relator(i, j, g.label_ix(i, j))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if is_finite(g.label_ix(i, j))
-    ]
-    if flavor == "coxeter":
-        words += [Word((letter(i), letter(i))) for i in range(n)]
-    return words
-
-
 def abelianize(w: Word, rank: int) -> tuple[int, ...]:
     """Signed letter counts as a vector over the first ``rank`` vertices."""
     counts = [0] * rank
@@ -164,11 +148,6 @@ class OmegaSets:
         return len(self.omega1) + len(self.omega2) + len(self.omega3)
 
 
-def _check_flavor(flavor: str) -> None:
-    if flavor not in FLAVORS:
-        raise CoxhomError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-
-
 def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     """Construct the three generator families for either presentation.
 
@@ -176,7 +155,8 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     and the signed cycle exponents need no squaring relators), so the flavor
     only names the presentation.
     """
-    _check_flavor(flavor)
+    if flavor not in FLAVORS:
+        raise CoxhomError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     analysis = analyze(g)
     omega1 = tuple(
         commutator(generator(s), generator(t)) for s, t in (block[0] for block in analysis.partition.classes)
@@ -190,15 +170,13 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     basis = fundamental_cycle_basis(pg)
     spelled: dict[int, Word] = {}  # edge -> its relator, spelled when a cycle first uses it
     omega3 = []
-    for chain in basis.basis:
+    for cycle in basis.basis:
         parts: list[int] = []
-        for k, coefficient in enumerate(chain.coefficients):
-            if coefficient == 0:
-                continue
+        for k, coefficient in cycle:
             if k not in spelled:
                 i, j = pg.edges[k]
                 spelled[k] = relator(i, j, g.labels[i, j])
-            # a fundamental cycle's coefficients are -1, 0 or 1
+            # a fundamental cycle's coefficients are -1 or 1
             rel = spelled[k] if coefficient > 0 else spelled[k].inverse()
             parts.extend(rel.letters)
         omega3.append(free_reduce(parts))

@@ -2,22 +2,14 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from conftest import corpus_graphs
 from coxhom.chains import (
-    Chain1,
-    Mod2Cycle,
     boundary,
     boundary_matrix,
-    even_boundary_check,
     fundamental_cycle_basis,
     gf2_rank,
-    is_dw_member,
     mod2_reduce,
-    xi_reduce,
 )
-from coxhom.errors import CoxhomError
 from coxhom.graph import PlainGraph, from_catalog, odd_subgraph
 from coxhom.invariants import invariant_profile
 from coxhom.oracles import rational_cycle_rank
@@ -53,26 +45,28 @@ def test_fundamental_basis_triangle():
     basis = fundamental_cycle_basis(TRIANGLE)
     assert len(basis.basis) == 1
     cycle = basis.basis[0]
-    assert not any(boundary(cycle))
-    assert all(abs(c) == 1 for c in cycle.coefficients)  # support is all 3 edges
-    assert cycle.coefficients[basis.nontree_edges[0]] == 1
+    assert not any(boundary(TRIANGLE, cycle))
+    assert [k for k, c in cycle] == [0, 1, 2]  # support is all 3 edges
+    assert all(abs(c) == 1 for k, c in cycle)
+    assert (basis.nontree_edges[0], 1) in cycle
 
 
 def test_fundamental_basis_two_components():
     basis = fundamental_cycle_basis(TWO_TRIANGLES)
     assert len(basis.basis) == 2
-    supports = [
-        {k for k, c in enumerate(chain.coefficients) if c} for chain in basis.basis
-    ]
+    supports = [{k for k, c in cycle} for cycle in basis.basis]
     assert supports[0].isdisjoint(supports[1])
 
 
 def test_fundamental_basis_boundaries_vanish_on_corpus():
     for g in corpus_graphs(60):
-        basis = fundamental_cycle_basis(odd_subgraph(g))
-        for k, chain in enumerate(basis.basis):
-            assert not any(boundary(chain))
-            assert chain.coefficients[basis.nontree_edges[k]] == 1
+        pg = odd_subgraph(g)
+        basis = fundamental_cycle_basis(pg)
+        for k, cycle in enumerate(basis.basis):
+            assert not any(boundary(pg, cycle))
+            assert (basis.nontree_edges[k], 1) in cycle
+            assert [e for e, c in cycle] == sorted({e for e, c in cycle})
+            assert all(c in (-1, 1) for e, c in cycle)
 
 
 def test_basis_size_is_cycle_rank():
@@ -81,55 +75,38 @@ def test_basis_size_is_cycle_rank():
         basis = fundamental_cycle_basis(pg)
         q3 = invariant_profile(g).q3
         assert len(basis.basis) == q3
-        assert gf2_rank([c.bits for c in mod2_reduce(basis)]) == q3
+        assert gf2_rank(mod2_reduce(cycle) for cycle in basis.basis) == q3
 
 
 def test_mod2_reduce_triangle_is_all_ones():
-    basis = fundamental_cycle_basis(TRIANGLE)
-    (cycle,) = mod2_reduce(basis)
-    assert cycle.bits == (1, 1, 1)
-    assert mod2_reduce(fundamental_cycle_basis(odd_subgraph(from_catalog("A4")))) == ()
+    (cycle,) = fundamental_cycle_basis(TRIANGLE).basis
+    assert mod2_reduce(cycle) == 0b111
+    assert mod2_reduce(enumerate([2, -3, 0, 5])) == 0b1010
+    assert fundamental_cycle_basis(odd_subgraph(from_catalog("A4"))).basis == ()
 
 
-def test_even_boundary_check():
-    assert even_boundary_check(Chain1(EDGE, (2,)))
-    assert not even_boundary_check(Chain1(EDGE, (1,)))
-    for chain in fundamental_cycle_basis(K4).basis:
-        assert even_boundary_check(chain)
+def test_boundary_parity():
+    assert not any(c % 2 for c in boundary(EDGE, enumerate([2])))
+    assert any(c % 2 for c in boundary(EDGE, enumerate([1])))
+    for cycle in fundamental_cycle_basis(K4).basis:
+        assert not any(c % 2 for c in boundary(K4, cycle))
 
 
-def test_xi_reduce_values():
-    assert xi_reduce(Chain1(EDGE, (2,))).bits == (0,)
-    basis = fundamental_cycle_basis(TRIANGLE)
-    assert xi_reduce(basis.basis[0]).bits == (1, 1, 1)
-    with pytest.raises(CoxhomError, match="odd boundary"):
-        xi_reduce(Chain1(EDGE, (1,)))
-
-
-def test_xi_reduce_kills_doubled_chains():
+def test_mod2_reduce_kills_doubled_chains():
     cycle = fundamental_cycle_basis(TRIANGLE).basis[0]
-    shifted = cycle + 2 * Chain1(TRIANGLE, (3, -1, 5))
-    assert xi_reduce(shifted) == xi_reduce(cycle)
-
-
-def test_is_dw_member():
-    assert is_dw_member(Chain1(TRIANGLE, (0, 0, 0)))
-    assert is_dw_member(2 * Chain1(TRIANGLE, (3, -2, 7)))
-    assert not is_dw_member(fundamental_cycle_basis(TRIANGLE).basis[0])
-
-
-def test_mod2cycle_rejects_non_cycles():
-    with pytest.raises(CoxhomError, match="not a mod-2 cycle"):
-        Mod2Cycle(EDGE, (1,))
+    shifted = [2 * d for d in (3, -1, 5)]
+    for k, c in cycle:
+        shifted[k] += c
+    assert mod2_reduce(enumerate(shifted)) == mod2_reduce(cycle)
 
 
 def test_gf2_rank_basics():
     assert gf2_rank([]) == 0
-    assert gf2_rank([(1, 0, 1), (1, 0, 1)]) == 1
+    assert gf2_rank([0b101, 0b101]) == 1
+    assert gf2_rank([0b011, 0b110, 0b101]) == 2
+    assert gf2_rank([0b1, 0b10, 0b100, 0]) == 3
     basis = fundamental_cycle_basis(K4)
-    assert gf2_rank([c.bits for c in mod2_reduce(basis)]) == 3
-    with pytest.raises(CoxhomError, match="different lengths"):
-        gf2_rank([(1, 0), (1, 0, 1)])
+    assert gf2_rank(mod2_reduce(cycle) for cycle in basis.basis) == 3
 
 
 def test_boundary_matrix_rank_is_vertices_minus_components():
@@ -142,7 +119,7 @@ def test_boundary_matrix_rank_is_vertices_minus_components():
 
 
 def test_kernel_law_on_random_even_chains():
-    # xi_reduce(a) = 0 exactly when every coefficient of a is even
+    # the mod-2 reduction xi(a) is 0 exactly when every coefficient of a is even
     rng = random.Random(23)
     checked = 0
     graphs = corpus_graphs(200, base_seed=500)
@@ -150,15 +127,16 @@ def test_kernel_law_on_random_even_chains():
         g = graphs[checked % len(graphs)]
         pg = odd_subgraph(g)
         basis = fundamental_cycle_basis(pg)
-        doubled = Chain1(pg, tuple(2 * rng.randint(-3, 3) for _ in pg.edges))
+        a = [2 * rng.randint(-3, 3) for _ in pg.edges]
         flags = [rng.randint(0, 1) for _ in basis.basis]
-        chain = doubled
         for flag, cycle in zip(flags, basis.basis):
             if flag:
-                chain = chain + cycle
-        assert even_boundary_check(chain)
-        assert is_dw_member(chain) == (not any(flags))
-        assert xi_reduce(chain).is_zero() == is_dw_member(chain)
+                for k, c in cycle:
+                    a[k] += c
+        assert not any(c % 2 for c in boundary(pg, enumerate(a)))
+        all_even = all(c % 2 == 0 for c in a)
+        assert all_even == (not any(flags))
+        assert (mod2_reduce(enumerate(a)) == 0) == all_even
         checked += 1
 
 
@@ -168,12 +146,10 @@ def test_xi_is_onto_the_mod2_cycle_space():
     rng = random.Random(29)
     for g in corpus_graphs(80, base_seed=900):
         pg = odd_subgraph(g)
-        reduced = mod2_reduce(fundamental_cycle_basis(pg))
-        bits = [0] * len(pg.edges)
-        for cycle in reduced:
+        target = 0
+        for cycle in fundamental_cycle_basis(pg).basis:
             if rng.random() < 0.5:
-                bits = [(a + b) % 2 for a, b in zip(bits, cycle.bits)]
-        target = Mod2Cycle(pg, tuple(bits))
-        lift = Chain1(pg, tuple(bits))
-        assert even_boundary_check(lift)
-        assert xi_reduce(lift) == target
+                target ^= mod2_reduce(cycle)
+        lift = [target >> k & 1 for k in range(len(pg.edges))]
+        assert not any(c % 2 for c in boundary(pg, enumerate(lift)))
+        assert mod2_reduce(enumerate(lift)) == target

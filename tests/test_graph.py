@@ -13,21 +13,20 @@ from coxhom.graph import (
     catalog_grammar,
     extend_family,
     from_catalog,
-    label_of,
     odd_subgraph,
 )
 
 
 def test_build_graph_stores_labels():
     g = build_graph(["s", "t"], [("s", "t", 3)])
-    assert label_of(g, "s", "t") == 3
+    assert g.label_ix(g.index("s"), g.index("t")) == 3
     assert g.vertices == ("s", "t")
 
 
 def test_build_graph_drops_explicit_label_two():
     g = build_graph(["s", "t"], [("s", "t", 2)])
     assert g.labels == {}
-    assert label_of(g, "s", "t") == 2
+    assert g.label_ix(g.index("s"), g.index("t")) == 2
 
 
 def test_build_graph_conflicting_labels():
@@ -37,7 +36,7 @@ def test_build_graph_conflicting_labels():
 
 def test_build_graph_duplicate_listing_with_equal_label_is_fine():
     g = build_graph(["s", "t"], [("s", "t", 3), ("t", "s", 3)])
-    assert label_of(g, "s", "t") == 3
+    assert g.label_ix(g.index("s"), g.index("t")) == 3
 
 
 def test_build_graph_errors_name_the_offender():
@@ -49,14 +48,15 @@ def test_build_graph_errors_name_the_offender():
         build_graph(["a"], [("a", "a", 3)])
 
 
-def test_label_of_diagonal_and_defaults():
+def test_label_ix_diagonal_and_defaults():
     a3 = from_catalog("A3")
-    assert label_of(a3, "s1", "s2") == 3
-    assert label_of(a3, "s2", "s1") == 3
-    assert label_of(a3, "s1", "s1") == 1
-    assert label_of(a3, "s1", "s3") == 2
+    s1, s2, s3 = (a3.index(s) for s in ("s1", "s2", "s3"))
+    assert a3.label_ix(s1, s2) == 3
+    assert a3.label_ix(s2, s1) == 3
+    assert a3.label_ix(s1, s1) == 1
+    assert a3.label_ix(s1, s3) == 2
     with pytest.raises(CoxhomError, match="unknown vertex 'nope'"):
-        label_of(a3, "s1", "nope")
+        a3.label_ix(s1, a3.index("nope"))
 
 
 def test_odd_subgraph_parity():
@@ -142,4 +142,5 @@ def test_label_symmetry_on_corpus():
     for g in corpus_graphs(40):
         for s in g.vertices:
             for t in g.vertices:
-                assert label_of(g, s, t) == label_of(g, t, s)
+                i, j = g.index(s), g.index(t)
+                assert g.label_ix(i, j) == g.label_ix(j, i)

@@ -8,7 +8,7 @@ import pytest
 from conftest import corpus_graphs
 from coxhom.cli import main
 from coxhom.errors import CoxhomError, GraphSyntaxError
-from coxhom.graph import INFINITY, build_graph, from_catalog, label_of
+from coxhom.graph import INFINITY, build_graph, from_catalog
 from coxhom.invariants import homology_summary, invariant_profile
 from coxhom.io import (
     parse_graph,
@@ -28,7 +28,7 @@ def test_parse_simple_graph():
 def test_parse_comments_blanks_and_inf():
     text = "# a comment\n\nvertex a\nvertex b\n  \nedge a b inf\n"
     g = parse_graph(text)
-    assert label_of(g, "a", "b") == INFINITY
+    assert g.label_ix(g.index("a"), g.index("b")) == INFINITY
 
 
 def test_parse_self_loop():

@@ -88,5 +88,5 @@ def test_cycle_rank_oracles_agree():
         pg = odd_subgraph(g)
         q3 = invariant_profile(g).q3
         assert q3 == rational_cycle_rank(pg)
-        assert q3 == len(pg.edges) - gf2_rank(boundary_matrix(pg))
-        assert q3 == gf2_rank([c.bits for c in mod2_reduce(fundamental_cycle_basis(pg))])
+        assert q3 == len(pg.edges) - gf2_rank(mod2_reduce(enumerate(row)) for row in boundary_matrix(pg))
+        assert q3 == gf2_rank(mod2_reduce(cycle) for cycle in fundamental_cycle_basis(pg).basis)

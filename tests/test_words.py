@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import corpus_graphs
+from conftest import corpus_graphs, seeded_graph
 from coxhom.chains import fundamental_cycle_basis
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
@@ -19,7 +22,6 @@ from coxhom.words import (
     generator,
     in_commutator_subgroup,
     omega_sets,
-    presentation_relators,
     relator,
 )
 
@@ -52,18 +54,6 @@ def test_relator_shapes():
 
 def test_relator_equals_commutator_for_label_two():
     assert relator(0, 1, 2) == commutator(generator(0), generator(1))
-
-
-def test_presentation_relators():
-    a2 = from_catalog("A2")
-    artin = presentation_relators(a2, "artin")
-    assert artin == [relator(0, 1, 3)]
-    coxeter = presentation_relators(a2, "coxeter")
-    assert coxeter == [relator(0, 1, 3), Word((1, 1)), Word((2, 2))]
-    assert presentation_relators(from_catalog("I2(inf)"), "artin") == []
-    # label-2 pairs contribute commuting relators
-    a3 = from_catalog("A3")
-    assert relator(0, 2, 2) in presentation_relators(a3, "artin")
 
 
 def test_free_reduce_examples():
@@ -151,7 +141,8 @@ def test_omega_sets_triangle_cycle_word():
     pg = odd_subgraph(TRIANGLE)
     (cycle,) = fundamental_cycle_basis(pg).basis
     parts = []
-    for coefficient, (i, j) in zip(cycle.coefficients, pg.edges):
+    for k, coefficient in cycle:
+        i, j = pg.edges[k]
         parts.extend((relator(i, j, 3) ** coefficient).letters)
     assert word == free_reduce(parts)
 
@@ -165,10 +156,23 @@ def test_omega_exponent_recovery_on_corpus():
             assert len(om.omega3) == len(basis.basis)
             for word, cycle in zip(om.omega3, basis.basis):
                 parts = []
-                for coefficient, (i, j) in zip(cycle.coefficients, pg.edges):
+                for k, coefficient in cycle:
+                    i, j = pg.edges[k]
                     rel = relator(i, j, g.label_ix(i, j)) ** coefficient
                     parts.extend(rel.letters)
                 assert word == free_reduce(parts)
+
+
+def test_omega_sets_memory_stays_near_the_output_size():
+    # each fundamental cycle holds its path's terms, not one entry per odd edge
+    g = seeded_graph(random.Random(1), 100)
+    tracemalloc.start()
+    try:
+        omega_sets(g, "artin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_omega_counts_and_abelianization_on_corpus():
