@@ -62,9 +62,6 @@ class CoxeterGraph:
     def __post_init__(self):
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def index(self, name: str) -> int:
         try:
             return self._index[name]

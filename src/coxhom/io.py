@@ -14,7 +14,7 @@ from typing import Optional
 from .errors import CoxhomError, GraphSyntaxError
 from .graph import INFINITY, CoxeterGraph, Label, build_graph
 from .invariants import HomologySummary, InvariantProfile
-from .words import OmegaSets, Word, in_commutator_subgroup
+from .words import OmegaSets, in_commutator_subgroup
 
 
 def parse_graph(text: str) -> CoxeterGraph:
@@ -71,9 +71,9 @@ def render_graph(g: CoxeterGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def word_to_text(w: Word, vertices: tuple[str, ...]) -> str:
+def word_to_text(w: tuple[int, ...], vertices: tuple[str, ...]) -> str:
     """Letters as `name` / `name^-1` separated by spaces; the empty word is `1`."""
-    if not w.letters:
+    if not w:
         return "1"
     return " ".join(
         vertices[abs(a) - 1] if a > 0 else f"{vertices[abs(a) - 1]}^-1" for a in w

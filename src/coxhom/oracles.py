@@ -65,29 +65,32 @@ def _directly_related(g: CoxeterGraph, a: Pair, b: Pair) -> bool:
 
 
 def rational_cycle_rank(pg: PlainGraph) -> int:
-    """#edges minus the rank of the boundary matrix over the rationals."""
-    matrix = [[Fraction(x) for x in row] for row in boundary_matrix(pg)]
-    return len(pg.edges) - _fraction_rank(matrix)
+    """#edges minus the rank of the boundary matrix over the rationals.
 
-
-def _fraction_rank(matrix: list[list[Fraction]]) -> int:
-    if not matrix:
-        return 0
+    Exact elimination on sparse rows: each vertex row is a {column: Fraction}
+    dict, and entries that become 0 are dropped.
+    """
+    rows: list[dict[int, Fraction]] = [{} for _ in pg.vertices]
+    for column, (i, j) in enumerate(pg.edges):
+        rows[i][column] = Fraction(-1)
+        rows[j][column] = Fraction(1)
     rank = 0
-    cols = len(matrix[0])
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None)
-        if pivot is None:
+    for col in range(len(pg.edges)):
+        holding = [row for row in rows if col in row]
+        if not holding:
             continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][col]
-        matrix[rank] = [x * inv for x in matrix[rank]]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
+        pivot = holding[0]
+        rows = [row for row in rows if row is not pivot]
         rank += 1
-    return rank
+        for row in holding[1:]:
+            factor = row[col] / pivot[col]
+            for c, x in pivot.items():
+                y = row.get(c, 0) - factor * x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+    return len(pg.edges) - rank
 
 
 def dihedral_h2_reference(m: Label) -> int:
@@ -195,6 +198,14 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
         "omega_abelianization",
         all(
             not any(abelianize(w, len(g.vertices)))
+            for w in omegas.omega1 + omegas.omega2 + omegas.omega3
+        ),
+        f"{omegas.total} words",
+    ))
+    rows.append((
+        "omega_freely_reduced",
+        all(
+            0 not in w and all(a != -b for a, b in zip(w, w[1:]))
             for w in omegas.omega1 + omegas.omega2 + omegas.omega3
         ),
         f"{omegas.total} words",

@@ -4,6 +4,7 @@ import random
 
 from coxhom.graph import CoxeterGraph, build_graph
 from coxhom.oracles import DEFAULT_WEIGHTS, LABEL_SUPPORT, RandomGraphSpec, random_coxeter_graph
+from coxhom.words import free_reduce, inverse
 
 # Label 2 weighted 20: mostly commuting pairs, so graphs split into many pair classes.
 SPARSE_WEIGHTS = (20.0,) + DEFAULT_WEIGHTS[1:]
@@ -33,3 +34,8 @@ def permuted_copy(g: CoxeterGraph, rng: random.Random) -> CoxeterGraph:
     names = [g.vertices[i] for i in order]
     edges = [(g.vertices[i], g.vertices[j], m) for (i, j), m in g.labels.items()]
     return build_graph(names, edges)
+
+
+def power(w: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The word w**e in the free group, for any integer exponent."""
+    return free_reduce((w if e >= 0 else inverse(w)) * abs(e))

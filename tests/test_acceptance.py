@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import random
 
-from conftest import corpus_graphs, permuted_copy
+from conftest import corpus_graphs, permuted_copy, power
 from coxhom.chains import boundary, boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
@@ -141,7 +141,7 @@ def _relator_exponents(g, word):
         exponents = [0] * len(pg.edges)
         for k, coefficient in cycle:
             i, j = pg.edges[k]
-            parts.extend((relator(i, j, g.label_ix(i, j)) ** coefficient).letters)
+            parts.extend(power(relator(i, j, g.label_ix(i, j)), coefficient))
             exponents[k] = coefficient
         if free_reduce(parts) == word:
             return exponents

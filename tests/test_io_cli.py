@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import corpus_graphs
 from coxhom.cli import main
@@ -16,7 +23,7 @@ from coxhom.io import (
     render_json,
     word_to_text,
 )
-from coxhom.words import MAX_SPELLED_LABEL, Word, free_reduce, omega_sets
+from coxhom.words import MAX_SPELLED_LABEL, free_reduce, omega_sets
 
 
 def test_parse_simple_graph():
@@ -93,7 +100,7 @@ def test_round_trip_catalog_and_corpus():
 
 def test_word_serialization():
     vertices = ("s1", "s2")
-    assert word_to_text(Word(), vertices) == "1"
+    assert word_to_text((), vertices) == "1"
     assert word_to_text(free_reduce([1, -2, 1]), vertices) == "s1 s2^-1 s1"
 
 
@@ -241,6 +248,22 @@ def test_cli_check_reports_failures_with_exit_3(monkeypatch, capsys):
     assert "FAIL broken_identity" in capsys.readouterr().out
 
 
+def test_check_fails_only_the_reducedness_row_on_an_unreduced_word(monkeypatch, capsys):
+    import coxhom.oracles as oracles
+
+    real_omega_sets = oracles.omega_sets
+
+    def unreduced(g, flavor):
+        # zero abelianization and the triangle's counts, but 2 next to -2
+        return dataclasses.replace(real_omega_sets(g, flavor), omega3=((1, 2, -2, -1),))
+
+    monkeypatch.setattr(oracles, "omega_sets", unreduced)
+    rows = oracles.consistency_report(from_catalog("~A2"))
+    assert [name for name, passed, _ in rows if not passed] == ["omega_freely_reduced"]
+    assert main(["check", "--type", "~A2"]) == 3
+    assert "FAIL omega_freely_reduced: 1 words" in capsys.readouterr().out
+
+
 def test_cli_runs_pair_classes_once_per_graph(monkeypatch, capsys):
     import coxhom.invariants as invariants
     import coxhom.words as words
@@ -319,3 +342,38 @@ def test_cli_output_is_deterministic(capsys):
         assert main(["compute", "--type", "~D4", "--json"]) == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1] == runs[2]
+
+
+_NAMES = st.sampled_from("abcde")
+_LABELS = st.sampled_from(
+    [str(m) for m in range(1, 8)] + ["inf", "0", "-3", "x", "3.0", "1000001", "12345678901234567890"]
+)
+_LINES = st.one_of(
+    st.builds("vertex {}".format, _NAMES),
+    st.builds("edge {} {} {}".format, _NAMES, _NAMES, _LABELS),
+    st.sampled_from(["", "# note", "vertex", "vertex a b", "edge a b", "nonsense", "\t"]),
+)
+_GRAPH_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_LINES, max_size=12).map(lambda lines: "\n".join(lines).encode("utf-8")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAPH_BYTES)
+def test_cli_ends_every_graph_file_in_a_documented_exit_code(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.graph"
+        path.write_bytes(data)
+        for argv, codes in (
+            (["compute", "--json", "--file", str(path)], (0, 2)),
+            (["generators", "--file", str(path)], (0, 2)),
+            (["check", "--file", str(path)], (0, 2)),
+            (["stability", "--n-max", "5", "--seed-file", str(path)], (0, 1, 2)),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in codes, (argv, data, err.getvalue())
+            if code:
+                assert err.getvalue().startswith("error: "), (argv, data)

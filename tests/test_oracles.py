@@ -8,7 +8,7 @@ from conftest import SPARSE_WEIGHTS, corpus_graphs, seeded_graph
 from coxhom.chains import boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
-from coxhom.invariants import invariant_profile, pair_classes
+from coxhom.invariants import analyze, invariant_profile, pair_classes
 from coxhom.oracles import (
     RandomGraphSpec,
     dihedral_h2_reference,
@@ -35,6 +35,13 @@ def test_rational_cycle_rank_examples():
     triangle = PlainGraph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2)))
     assert rational_cycle_rank(triangle) == 1
     assert rational_cycle_rank(K4) == 3
+
+
+@pytest.mark.parametrize("n", [60, 100])
+def test_rational_cycle_rank_matches_q3_on_large_graphs(n):
+    for seed in range(2):
+        analysis = analyze(seeded_graph(random.Random(seed), n))
+        assert rational_cycle_rank(analysis.odd) == analysis.profile.q3
 
 
 def test_dihedral_reference():
