@@ -271,6 +271,9 @@ _CATALOG = {
     "~E": ((6, 8), _affine_e, "extended E diagram"),
 }
 _I2_MIN = 3
+# Largest catalog parameter n.  pair_classes tabulates all pairs of the
+# diagram's n or n + 1 vertices, and compute on A3000 already takes about 20 s.
+MAX_CATALOG_N = 3000
 
 _I2_RE = re.compile(r"^I2\((\d+|inf)\)$")
 _FAMILY_RE = re.compile(r"^(~?[A-Z])(\d+)$")
@@ -298,9 +301,13 @@ def from_catalog(name: str) -> CoxeterGraph:
     m = _FAMILY_RE.match(name)
     if not m:
         raise CoxhomError(f"unknown catalog name {name!r}")
-    family, n = m.group(1), int(m.group(2))
+    family, digits = m.group(1), m.group(2).lstrip("0") or "0"
     if family not in _CATALOG:
         raise CoxhomError(f"unknown catalog family {family!r}")
+    # lengths first: int() refuses a string of thousands of digits
+    if len(digits) > len(str(MAX_CATALOG_N)) or int(digits) > MAX_CATALOG_N:
+        raise CoxhomError(f"{name}: parameter above the limit n <= {MAX_CATALOG_N}")
+    n = int(digits)
     (lo, hi), builder, _ = _CATALOG[family]
     if n < lo or (hi is not None and n > hi):
         raise CoxhomError(f"{family}{n}: parameter out of range ({_constraint(lo, hi)})")

@@ -197,21 +197,94 @@ class StabilityReport:
     stable: bool
 
 
+# Largest n_max a stability scan accepts.  Its pair union-find holds a slot
+# for every pair of the last graph, about n_max**2 / 2 of them.
+MAX_SCAN_STEPS = 2000
+
+
+def _slot(x: int, y: int) -> int:
+    """Index of the pair {x,y} in a triangular table over vertices 0, 1, ..."""
+    if x > y:
+        x, y = y, x
+    return y * (y - 1) // 2 + x
+
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent: list[int], x: int, y: int) -> int:
+    """Merge the sets of x and y; 1 if they were two sets, else 0."""
+    x, y = _root(parent, x), _root(parent, y)
+    parent[x] = y
+    return int(x != y)
+
+
 def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     """Ranks p+q of the family seed = G1, G2, ... up to ``n_max`` steps.
 
     ``stable`` is true when the rank is constant from step 3 on, the dimension
     consequence of the stability isomorphisms.
+
+    The seed is analysed once.  Each appended vertex v then updates a
+    union-find over commuting pairs and one over the odd components with what
+    v adds.  The rank is n3 + q2 + q3 (p + q1 = n3), so no torsion is tracked.
     """
     if not seed.vertices:
         raise CoxhomError("stability scan needs a nonempty seed")
     if n_max < 4:
         raise CoxhomError(f"n_max must be >= 4, got {n_max}")
-    trajectory = []
+    if n_max > MAX_SCAN_STEPS:
+        raise CoxhomError(f"n_max must be <= {MAX_SCAN_STEPS}, got {n_max}")
+    analysis = analyze(seed)
+    profile = analysis.profile
+    classes, q2, components = profile.n3, profile.q2, profile.n4
+    n = len(seed.vertices)
+    pair_parent = list(range(n * (n - 1) // 2))  # slots of non-commuting pairs stay unused
+    for block in analysis.partition.classes:
+        root = _slot(*block[0])
+        for s, t in block:
+            pair_parent[_slot(s, t)] = root
+    odd_edges = list(analysis.odd.edges)
+    vertex_parent = list(range(n))
+    for x, y in odd_edges:
+        _join(vertex_parent, x, y)
+    trajectory = [(1, profile.mod2_rank)]
     g = seed
-    for step in range(1, n_max + 1):
-        if step > 1:
-            g = extend_family(g)
-        trajectory.append((step, invariant_profile(g).mod2_rank))
+    for step in range(2, n_max + 1):
+        g = extend_family(g)
+        v = len(g.vertices) - 1
+        commuting, odd = [], []
+        for x in range(v):
+            m = g.labels.get((x, v), 2)
+            if m == 2:
+                commuting.append(x)
+            elif is_odd(m):
+                odd.append(x)
+            elif is_even(m):  # an even label other than 2 is >= 4
+                q2 += 1
+        row = len(pair_parent)  # the slot of {x,v} is row + x
+        pair_parent.extend(range(row, row + v))
+        classes += len(commuting)
+        commutes = set(commuting)
+        # {v,x} ~ {v,y} for each old odd edge {x,y} whose ends both commute with v
+        for x, y in odd_edges:
+            if x in commutes and y in commutes:
+                classes -= _join(pair_parent, row + x, row + y)
+        # {a,x} ~ {a,v} for each new odd edge {x,v} and each a commuting with both
+        for x in odd:
+            for a in commuting:
+                if g.label_ix(a, x) == 2:
+                    classes -= _join(pair_parent, _slot(a, x), row + a)
+        vertex_parent.append(v)
+        components += 1
+        for x in odd:
+            components -= _join(vertex_parent, x, v)
+            odd_edges.append((x, v))
+        q3 = len(odd_edges) - len(g.vertices) + components
+        trajectory.append((step, classes + q2 + q3))
     tail = [rank for step, rank in trajectory if step >= 3]
     return StabilityReport(tuple(trajectory), all(r == tail[0] for r in tail))

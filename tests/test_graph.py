@@ -9,6 +9,7 @@ from coxhom.cli import main
 from coxhom.errors import CoxhomError
 from coxhom.graph import (
     INFINITY,
+    MAX_CATALOG_N,
     build_graph,
     catalog_grammar,
     extend_family,
@@ -97,6 +98,15 @@ def test_catalog_parameter_errors():
     for unknown in ["X5", "~H3", "A", "I2()", "I2(x)", "foo", "~F4"]:
         with pytest.raises(CoxhomError, match="unknown catalog"):
             from_catalog(unknown)
+
+
+def test_catalog_parameter_limit():
+    assert MAX_CATALOG_N >= 3000
+    assert len(from_catalog(f"A{MAX_CATALOG_N}").vertices) == MAX_CATALOG_N
+    assert from_catalog("~D0012") == from_catalog("~D12")
+    for name in (f"A{MAX_CATALOG_N + 1}", f"~D{MAX_CATALOG_N + 1}", "E" + "9" * 5000):
+        with pytest.raises(CoxhomError, match=f"parameter above the limit n <= {MAX_CATALOG_N}"):
+            from_catalog(name)
 
 
 def test_catalog_bounds_match_catalog_list(capsys):

@@ -5,16 +5,18 @@ import random
 import pytest
 
 from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy, seeded_graph
+import coxhom.invariants
 from coxhom.errors import CoxhomError
-from coxhom.graph import INFINITY, build_graph, from_catalog
+from coxhom.graph import INFINITY, build_graph, extend_family, from_catalog, is_even
 from coxhom.invariants import (
+    MAX_SCAN_STEPS,
     commuting_pairs,
     homology_summary,
     invariant_profile,
     pair_classes,
     stability_scan,
 )
-from coxhom.oracles import DEFAULT_WEIGHTS
+from coxhom.oracles import DEFAULT_WEIGHTS, LABEL_SUPPORT
 
 TRIANGLE = build_graph(["s1", "s2", "s3"], [("s1", "s2", 3), ("s2", "s3", 3), ("s1", "s3", 3)])
 
@@ -210,3 +212,64 @@ def test_stability_scan_preconditions():
         stability_scan(build_graph([]), 6)
     with pytest.raises(CoxhomError, match="n_max must be >= 4"):
         stability_scan(from_catalog("A1"), 3)
+    with pytest.raises(CoxhomError, match=f"n_max must be <= {MAX_SCAN_STEPS}, got {MAX_SCAN_STEPS + 1}"):
+        stability_scan(from_catalog("A1"), MAX_SCAN_STEPS + 1)
+
+
+def _per_step_ranks(seed, n_max, extend):
+    """The trajectory from a full invariant_profile of every graph of the family."""
+    g, ranks = seed, []
+    for step in range(1, n_max + 1):
+        if step > 1:
+            g = extend(g)
+        ranks.append((step, invariant_profile(g).mod2_rank))
+    return tuple(ranks)
+
+
+def _scan_seeds():
+    rng = random.Random(8)
+    seeds = [seeded_graph(rng, rng.randint(1, 12), weights)
+             for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS) for _ in range(40)]
+    labels = {m for g in seeds for m in g.labels.values()}
+    assert INFINITY in labels and any(is_even(m) for m in labels)
+    return seeds + [from_catalog(name) for name in ("A1", "B2", "I2(4)", "I2(inf)", "~D4", "E8", "H4")]
+
+
+def test_stability_scan_matches_the_per_step_profile():
+    for seed in _scan_seeds():
+        n_max = 16 + len(seed.vertices) % 5
+        assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max, extend_family)
+
+
+def test_stability_scan_updates_for_any_appended_vertex(monkeypatch):
+    # The scan reads the new vertex's labels from the extended graph, so its
+    # update rules must hold for a step that adds even, inf and several odd
+    # labels at once, not only for extend_family's single 3-edge.
+    rng = random.Random(9)
+    drawn = [rng.choices(LABEL_SUPPORT, weights=SPARSE_WEIGHTS, k=k) for k in range(40)]
+
+    def extend(g):
+        k = len(g.vertices)
+        names = g.vertices + (f"x{k}",)
+        edges = [(names[i], names[j], m) for (i, j), m in g.labels.items()]
+        edges += [(names[i], names[k], m) for i, m in enumerate(drawn[k])]
+        return build_graph(names, edges)
+
+    monkeypatch.setattr(coxhom.invariants, "extend_family", extend)
+    for seed in _scan_seeds():
+        assert stability_scan(seed, 16).trajectory == _per_step_ranks(seed, 16, extend)
+
+
+def test_stability_scan_partitions_the_pairs_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return pair_classes(g)
+
+    monkeypatch.setattr(coxhom.invariants, "pair_classes", counted)
+    seed = build_graph(["a", "b", "c"], [("a", "b", 3), ("a", "c", 4)])
+    for n_max in (4, 40):
+        calls.clear()
+        stability_scan(seed, n_max)
+        assert calls == [seed]

@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 from conftest import corpus_graphs
 from coxhom.cli import main
 from coxhom.errors import CoxhomError, GraphSyntaxError
-from coxhom.graph import INFINITY, build_graph, from_catalog
-from coxhom.invariants import homology_summary, invariant_profile
+from coxhom.graph import INFINITY, MAX_CATALOG_N, build_graph, from_catalog
+from coxhom.invariants import MAX_SCAN_STEPS, homology_summary, invariant_profile
 from coxhom.io import (
     parse_graph,
     render_graph,
     render_json,
     word_to_text,
 )
+from coxhom.oracles import catalog_sample
 from coxhom.words import MAX_SPELLED_LABEL, free_reduce, omega_sets
 
 
@@ -92,8 +93,7 @@ def test_cli_build_error_names_the_line(tmp_path, capsys):
 
 
 def test_round_trip_catalog_and_corpus():
-    names = ["A4", "B3", "~D5", "I2(inf)", "~C3"]
-    graphs = [from_catalog(n) for n in names] + corpus_graphs(30, base_seed=70)
+    graphs = [from_catalog(n) for n in catalog_sample()] + corpus_graphs(100) + corpus_graphs(30, base_seed=70)
     for g in graphs:
         assert parse_graph(render_graph(g)) == g
 
@@ -327,6 +327,29 @@ def test_cli_stability(tmp_path, capsys):
     assert doc["verdict"] is True
     assert doc["trajectory"][2] == {"n": 3, "rank": 1}
     assert main(["stability", "--seed-file", str(seed), "--n-max", "3"]) == 1
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["stability", "--n-max", str(10**9)], 1, f"n_max must be <= {MAX_SCAN_STEPS}, got {10**9}"),
+    (["compute", "--type", "A999999999999"], 2, f"A999999999999: parameter above the limit n <= {MAX_CATALOG_N}"),
+    (["generators", "--type", "~D100000000000"], 2,
+     f"~D100000000000: parameter above the limit n <= {MAX_CATALOG_N}"),
+])
+def test_cli_refuses_sizes_above_the_limits(argv, code, message, tmp_path, capsys):
+    if argv[0] == "stability":
+        seed = tmp_path / "seed.graph"
+        seed.write_text("vertex a\nvertex b\nvertex c\nedge a b 3\n", encoding="utf-8")
+        argv = [*argv, "--seed-file", str(seed)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # refused before any table of that size was built
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_catalog_list(capsys):
