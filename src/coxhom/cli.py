@@ -17,7 +17,7 @@ from .graph import CoxeterGraph, catalog_grammar, from_catalog
 from .invariants import analyze, stability_scan
 from .io import parse_graph, render_json, word_to_text
 from .oracles import consistency_report
-from .words import in_commutator_subgroup, omega_sets
+from .words import FLAVORS, in_commutator_subgroup, omega_sets
 
 
 class _UsageError(Exception):
@@ -44,7 +44,7 @@ def _build_parser() -> _Parser:
 
     generators = sub.add_parser("generators", help="second-homology generator words")
     add_graph_source(generators)
-    generators.add_argument("--flavor", choices=("artin", "coxeter"), default="artin")
+    generators.add_argument("--flavor", choices=FLAVORS, default="artin")
     generators.add_argument("--json", action="store_true")
 
     check = sub.add_parser("check", help="run all internal identities on one graph")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import CoxhomError
@@ -37,6 +37,23 @@ def is_even(m: Label) -> bool:
     return m != INFINITY and m % 2 == 0
 
 
+# Python's int() refuses a decimal string of more digits than this.
+MAX_LABEL_DIGITS = 4300
+
+
+def read_label(token: str) -> Label:
+    """The label a token spells, `inf` or a decimal integer, not yet range-checked."""
+    if token == "inf":
+        return INFINITY
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if len(digits) > MAX_LABEL_DIGITS and digits.isdecimal():
+        raise CoxhomError(f"label has {len(digits)} digits, above the limit of {MAX_LABEL_DIGITS}")
+    try:
+        return int(token)
+    except ValueError:
+        raise CoxhomError(f"label must be an integer >= 2 or `inf`, got {token!r}") from None
+
+
 def _check_label(m: Label) -> Label:
     if m == INFINITY:
         return INFINITY
@@ -57,16 +74,6 @@ class CoxeterGraph:
 
     vertices: tuple[str, ...]
     labels: dict[tuple[int, int], Label]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
-
-    def index(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise CoxhomError(f"unknown vertex {name!r}") from None
 
     def label_ix(self, i: int, j: int) -> Label:
         """Label by vertex index, with the implicit diagonal and default 2."""
@@ -170,7 +177,8 @@ def extend_family(g: CoxeterGraph) -> CoxeterGraph:
     if not g.vertices:
         raise CoxhomError("cannot extend the empty graph")
     k = len(g.vertices) + 1
-    while f"s{k}" in g._index:
+    names = set(g.vertices)
+    while f"s{k}" in names:
         k += 1
     vertices = g.vertices + (f"s{k}",)
     labels = dict(g.labels)
@@ -292,9 +300,7 @@ def from_catalog(name: str) -> CoxeterGraph:
     I2(<m>|inf), ~A<n>, ~B<n>, ~C<n>, ~D<n>, ~E6..~E8."""
     m = _I2_RE.match(name)
     if m:
-        if m.group(1) == "inf":
-            return _type_i2(INFINITY)
-        value = int(m.group(1))
+        value = read_label(m.group(1))
         if value < _I2_MIN:
             raise CoxhomError(f"I2 requires m >= {_I2_MIN} or inf, got {value}")
         return _type_i2(value)

@@ -229,9 +229,11 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     ``stable`` is true when the rank is constant from step 3 on, the dimension
     consequence of the stability isomorphisms.
 
-    The seed is analysed once.  Each appended vertex v then updates a
-    union-find over commuting pairs and one over the odd components with what
-    v adds.  The rank is n3 + q2 + q3 (p + q1 = n3), so no torsion is tracked.
+    The scan starts from empty union-finds, one over commuting pairs and one
+    over the odd components, and updates them with what each vertex adds: the
+    seed's vertices in order, then each appended vertex.  It never calls
+    ``analyze``.  The rank is n3 + q2 + q3 (p + q1 = n3), so no torsion is
+    tracked.
     """
     if not seed.vertices:
         raise CoxhomError("stability scan needs a nonempty seed")
@@ -239,51 +241,43 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
         raise CoxhomError(f"n_max must be >= 4, got {n_max}")
     if n_max > MAX_SCAN_STEPS:
         raise CoxhomError(f"n_max must be <= {MAX_SCAN_STEPS}, got {n_max}")
-    analysis = analyze(seed)
-    profile = analysis.profile
-    classes, q2, components = profile.n3, profile.q2, profile.n4
-    n = len(seed.vertices)
-    pair_parent = list(range(n * (n - 1) // 2))  # slots of non-commuting pairs stay unused
-    for block in analysis.partition.classes:
-        root = _slot(*block[0])
-        for s, t in block:
-            pair_parent[_slot(s, t)] = root
-    odd_edges = list(analysis.odd.edges)
-    vertex_parent = list(range(n))
-    for x, y in odd_edges:
-        _join(vertex_parent, x, y)
-    trajectory = [(1, profile.mod2_rank)]
+    classes = q2 = components = 0
+    pair_parent: list[int] = []  # slots of non-commuting pairs stay unused
+    vertex_parent: list[int] = []
+    odd_edges: list[Pair] = []
+    trajectory = []
     g = seed
-    for step in range(2, n_max + 1):
-        g = extend_family(g)
-        v = len(g.vertices) - 1
-        commuting, odd = [], []
-        for x in range(v):
-            m = g.labels.get((x, v), 2)
-            if m == 2:
-                commuting.append(x)
-            elif is_odd(m):
-                odd.append(x)
-            elif is_even(m):  # an even label other than 2 is >= 4
-                q2 += 1
-        row = len(pair_parent)  # the slot of {x,v} is row + x
-        pair_parent.extend(range(row, row + v))
-        classes += len(commuting)
-        commutes = set(commuting)
-        # {v,x} ~ {v,y} for each old odd edge {x,y} whose ends both commute with v
-        for x, y in odd_edges:
-            if x in commutes and y in commutes:
-                classes -= _join(pair_parent, row + x, row + y)
-        # {a,x} ~ {a,v} for each new odd edge {x,v} and each a commuting with both
-        for x in odd:
-            for a in commuting:
-                if g.label_ix(a, x) == 2:
-                    classes -= _join(pair_parent, _slot(a, x), row + a)
-        vertex_parent.append(v)
-        components += 1
-        for x in odd:
-            components -= _join(vertex_parent, x, v)
-            odd_edges.append((x, v))
+    for step in range(1, n_max + 1):
+        if step > 1:
+            g = extend_family(g)
+        for v in range(len(vertex_parent), len(g.vertices)):
+            commuting, odd = [], []
+            for x in range(v):
+                m = g.labels.get((x, v), 2)
+                if m == 2:
+                    commuting.append(x)
+                elif is_odd(m):
+                    odd.append(x)
+                elif is_even(m):  # an even label other than 2 is >= 4
+                    q2 += 1
+            row = len(pair_parent)  # the slot of {x,v} is row + x
+            pair_parent.extend(range(row, row + v))
+            classes += len(commuting)
+            commutes = set(commuting)
+            # {v,x} ~ {v,y} for each old odd edge {x,y} whose ends both commute with v
+            for x, y in odd_edges:
+                if x in commutes and y in commutes:
+                    classes -= _join(pair_parent, row + x, row + y)
+            # {a,x} ~ {a,v} for each new odd edge {x,v} and each a commuting with both
+            for x in odd:
+                for a in commuting:
+                    if g.label_ix(a, x) == 2:
+                        classes -= _join(pair_parent, _slot(a, x), row + a)
+            vertex_parent.append(v)
+            components += 1
+            for x in odd:
+                components -= _join(vertex_parent, x, v)
+                odd_edges.append((x, v))
         q3 = len(odd_edges) - len(g.vertices) + components
         trajectory.append((step, classes + q2 + q3))
     tail = [rank for step, rank in trajectory if step >= 3]

@@ -12,7 +12,7 @@ import json
 from typing import Optional
 
 from .errors import CoxhomError, GraphSyntaxError
-from .graph import INFINITY, CoxeterGraph, Label, build_graph
+from .graph import INFINITY, CoxeterGraph, Label, build_graph, read_label
 from .invariants import HomologySummary, InvariantProfile
 from .words import OmegaSets, in_commutator_subgroup
 
@@ -51,12 +51,10 @@ def parse_graph(text: str) -> CoxeterGraph:
 
 
 def _parse_label(token: str, line: int) -> Label:
-    if token == "inf":
-        return INFINITY
     try:
-        value = int(token)
-    except ValueError:
-        raise GraphSyntaxError(f"label must be an integer >= 2 or `inf`, got {token!r}", line) from None
+        value = read_label(token)
+    except CoxhomError as exc:
+        raise GraphSyntaxError(str(exc), line) from None
     if value < 2:
         raise GraphSyntaxError(f"label must be >= 2, got {value}", line)
     return value

@@ -10,7 +10,6 @@ routes is evidence, not tautology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -109,30 +108,20 @@ def dihedral_h2_reference(m: Label) -> int:
 DEFAULT_WEIGHTS: tuple[float, ...] = (3.0, 3.0, 1.0, 1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class RandomGraphSpec:
-    """Seeded recipe for a random Coxeter graph; equal specs give equal graphs."""
-
-    seed: int
-    vertex_count: int
-    weights: tuple[float, ...] = DEFAULT_WEIGHTS
-
-
-def random_coxeter_graph(spec: RandomGraphSpec) -> CoxeterGraph:
-    if not 1 <= spec.vertex_count <= 10:
-        raise CoxhomError(f"vertex_count must be in 1..10, got {spec.vertex_count}")
-    if len(spec.weights) != len(LABEL_SUPPORT):
+def random_coxeter_graph(
+    rng: random.Random, n: int, weights: tuple[float, ...] = DEFAULT_WEIGHTS
+) -> CoxeterGraph:
+    """Graph on v1..vn whose pair labels are drawn from ``rng`` in pair order,
+    each from LABEL_SUPPORT with the given weights; equal draws give equal graphs."""
+    if n < 1:
+        raise CoxhomError(f"vertex count must be >= 1, got {n}")
+    if len(weights) != len(LABEL_SUPPORT):
         raise CoxhomError(f"need {len(LABEL_SUPPORT)} weights, one per label in {LABEL_SUPPORT}")
-    if min(spec.weights) < 0 or sum(spec.weights) <= 0:
+    if min(weights) < 0 or sum(weights) <= 0:
         raise CoxhomError("weights must be nonnegative with positive sum")
-    rng = random.Random(spec.seed)
-    names = [f"v{i}" for i in range(1, spec.vertex_count + 1)]
-    edges = []
-    for i in range(spec.vertex_count):
-        for j in range(i + 1, spec.vertex_count):
-            m = rng.choices(LABEL_SUPPORT, weights=spec.weights)[0]
-            if m != 2:
-                edges.append((names[i], names[j], m))
+    names = [f"v{i}" for i in range(1, n + 1)]
+    edges = [(names[i], names[j], rng.choices(LABEL_SUPPORT, weights=weights)[0])
+             for i in range(n) for j in range(i + 1, n)]
     return build_graph(names, edges)
 
 

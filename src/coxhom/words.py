@@ -31,9 +31,9 @@ FLAVORS = ("artin", "coxeter")
 MAX_SPELLED_LABEL = 10**6
 
 
-def letter(index: int, sign: int = 1) -> int:
-    """Encode a vertex index as a signed letter."""
-    return (index + 1) if sign > 0 else -(index + 1)
+def letter(index: int) -> int:
+    """Encode a vertex index as its positive letter."""
+    return index + 1
 
 
 def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import invariant_profile, pair_classes, stability_scan
 from coxhom.oracles import (
-    RandomGraphSpec,
     catalog_sample,
     dihedral_h2_reference,
     naive_pair_closure,
@@ -174,7 +173,7 @@ def test_criterion_08_kernel_law(capsys):
 
 def test_criterion_09_stability(capsys):
     seeds = [
-        random_coxeter_graph(RandomGraphSpec(seed=9000 + i, vertex_count=(i % 5) + 1))
+        random_coxeter_graph(random.Random(9000 + i), (i % 5) + 1)
         for i in range(50)
     ]
     seeds += [from_catalog(name) for name in ("A1", "B2", "I2(4)")]

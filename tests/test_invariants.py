@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy, seeded_graph
+from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy
 import coxhom.invariants
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, extend_family, from_catalog, is_even
@@ -16,7 +16,7 @@ from coxhom.invariants import (
     pair_classes,
     stability_scan,
 )
-from coxhom.oracles import DEFAULT_WEIGHTS, LABEL_SUPPORT
+from coxhom.oracles import DEFAULT_WEIGHTS, LABEL_SUPPORT, random_coxeter_graph
 
 TRIANGLE = build_graph(["s1", "s2", "s3"], [("s1", "s2", 3), ("s2", "s3", 3), ("s1", "s3", 3)])
 
@@ -184,7 +184,7 @@ def test_kunneth_law_for_disjoint_unions():
         total = rng.randint(5, 60)
         first = rng.randint(1, total - 1)
         weights = rng.choice((DEFAULT_WEIGHTS, SPARSE_WEIGHTS))
-        pairs.append((seeded_graph(rng, first, weights), seeded_graph(rng, total - first, weights)))
+        pairs.append((random_coxeter_graph(rng, first, weights), random_coxeter_graph(rng, total - first, weights)))
     names = ("~D12", "A20", "B15", "~A14", "E8", "H4", "I2(6)")
     pairs += [(from_catalog(a), from_catalog(b)) for a in names for b in names if a <= b]
     for g1, g2 in pairs:
@@ -228,8 +228,10 @@ def _per_step_ranks(seed, n_max, extend):
 
 def _scan_seeds():
     rng = random.Random(8)
-    seeds = [seeded_graph(rng, rng.randint(1, 12), weights)
+    seeds = [random_coxeter_graph(rng, rng.randint(1, 12), weights)
              for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS) for _ in range(40)]
+    seeds += [random_coxeter_graph(rng, rng.randint(13, 30), rng.choice((DEFAULT_WEIGHTS, SPARSE_WEIGHTS)))
+              for _ in range(5)]
     labels = {m for g in seeds for m in g.labels.values()}
     assert INFINITY in labels and any(is_even(m) for m in labels)
     return seeds + [from_catalog(name) for name in ("A1", "B2", "I2(4)", "I2(inf)", "~D4", "E8", "H4")]
@@ -246,7 +248,7 @@ def test_stability_scan_updates_for_any_appended_vertex(monkeypatch):
     # update rules must hold for a step that adds even, inf and several odd
     # labels at once, not only for extend_family's single 3-edge.
     rng = random.Random(9)
-    drawn = [rng.choices(LABEL_SUPPORT, weights=SPARSE_WEIGHTS, k=k) for k in range(40)]
+    drawn = [rng.choices(LABEL_SUPPORT, weights=SPARSE_WEIGHTS, k=k) for k in range(48)]
 
     def extend(g):
         k = len(g.vertices)
@@ -260,16 +262,13 @@ def test_stability_scan_updates_for_any_appended_vertex(monkeypatch):
         assert stability_scan(seed, 16).trajectory == _per_step_ranks(seed, 16, extend)
 
 
-def test_stability_scan_partitions_the_pairs_once(monkeypatch):
-    calls = []
+def test_stability_scan_never_analyses_a_graph(monkeypatch):
+    # the scan grows its seed vertex by vertex, so it shares no step with analyze
+    def refuse(g):
+        raise AssertionError("stability_scan must not analyse a graph")
 
-    def counted(g):
-        calls.append(g)
-        return pair_classes(g)
-
-    monkeypatch.setattr(coxhom.invariants, "pair_classes", counted)
+    monkeypatch.setattr(coxhom.invariants, "analyze", refuse)
+    monkeypatch.setattr(coxhom.invariants, "pair_classes", refuse)
     seed = build_graph(["a", "b", "c"], [("a", "b", 3), ("a", "c", 4)])
     for n_max in (4, 40):
-        calls.clear()
-        stability_scan(seed, n_max)
-        assert calls == [seed]
+        assert stability_scan(seed, n_max).trajectory[:4] == ((1, 2), (2, 2), (3, 3), (4, 3))

@@ -36,7 +36,7 @@ def test_parse_simple_graph():
 def test_parse_comments_blanks_and_inf():
     text = "# a comment\n\nvertex a\nvertex b\n  \nedge a b inf\n"
     g = parse_graph(text)
-    assert g.label_ix(g.index("a"), g.index("b")) == INFINITY
+    assert g.label_ix(g.vertices.index("a"), g.vertices.index("b")) == INFINITY
 
 
 def test_parse_self_loop():
@@ -334,12 +334,18 @@ def test_cli_stability(tmp_path, capsys):
     (["compute", "--type", "A999999999999"], 2, f"A999999999999: parameter above the limit n <= {MAX_CATALOG_N}"),
     (["generators", "--type", "~D100000000000"], 2,
      f"~D100000000000: parameter above the limit n <= {MAX_CATALOG_N}"),
+    (["compute", "--type", f"I2({'9' * 5000})"], 2, "label has 5000 digits, above the limit of 4300"),
+    (["compute", "--file"], 2, "line 3: label has 5000 digits, above the limit of 4300"),
 ])
 def test_cli_refuses_sizes_above_the_limits(argv, code, message, tmp_path, capsys):
     if argv[0] == "stability":
         seed = tmp_path / "seed.graph"
         seed.write_text("vertex a\nvertex b\nvertex c\nedge a b 3\n", encoding="utf-8")
         argv = [*argv, "--seed-file", str(seed)]
+    if argv[-1] == "--file":
+        path = tmp_path / "huge.graph"
+        path.write_text(f"vertex a\nvertex b\nedge a b {'9' * 5000}\n", encoding="utf-8")
+        argv = [*argv, str(path)]
     tracemalloc.start()
     try:
         assert main(argv) == code
@@ -350,6 +356,7 @@ def test_cli_refuses_sizes_above_the_limits(argv, code, message, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    assert len(captured.err) < 200
 
 
 def test_cli_catalog_list(capsys):

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, seeded_graph
+from conftest import SPARSE_WEIGHTS, corpus_graphs
 from coxhom.chains import boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze, invariant_profile, pair_classes
 from coxhom.oracles import (
-    RandomGraphSpec,
+    LABEL_SUPPORT,
     dihedral_h2_reference,
     naive_pair_closure,
     random_coxeter_graph,
@@ -40,7 +40,7 @@ def test_rational_cycle_rank_examples():
 @pytest.mark.parametrize("n", [60, 100])
 def test_rational_cycle_rank_matches_q3_on_large_graphs(n):
     for seed in range(2):
-        analysis = analyze(seeded_graph(random.Random(seed), n))
+        analysis = analyze(random_coxeter_graph(random.Random(seed), n))
         assert rational_cycle_rank(analysis.odd) == analysis.profile.q3
 
 
@@ -54,23 +54,25 @@ def test_dihedral_reference():
 
 
 def test_random_graph_determinism():
-    spec = RandomGraphSpec(seed=42, vertex_count=8)
-    assert random_coxeter_graph(spec) == random_coxeter_graph(spec)
-    single = random_coxeter_graph(RandomGraphSpec(seed=1, vertex_count=1))
+    assert random_coxeter_graph(random.Random(42), 8) == random_coxeter_graph(random.Random(42), 8)
+    single = random_coxeter_graph(random.Random(1), 1)
     assert len(single.vertices) == 1 and single.labels == {}
 
 
-def test_random_graph_spec_validation():
-    with pytest.raises(CoxhomError, match="vertex_count must be in 1..10, got 0"):
-        random_coxeter_graph(RandomGraphSpec(seed=1, vertex_count=0))
-    with pytest.raises(CoxhomError, match="vertex_count must be in 1..10, got 11"):
-        random_coxeter_graph(RandomGraphSpec(seed=1, vertex_count=11))
+def test_random_graph_validation():
+    # no cap on the vertex count: a 40-vertex graph draws every label
+    large = random_coxeter_graph(random.Random(1), 40, SPARSE_WEIGHTS)
+    assert large.vertices == tuple(f"v{i}" for i in range(1, 41))
+    assert large == random_coxeter_graph(random.Random(1), 40, SPARSE_WEIGHTS)
+    assert set(large.labels.values()) == set(LABEL_SUPPORT) - {2}
+    with pytest.raises(CoxhomError, match="vertex count must be >= 1, got 0"):
+        random_coxeter_graph(random.Random(1), 0)
     with pytest.raises(CoxhomError, match="weights, one per label"):
-        random_coxeter_graph(RandomGraphSpec(seed=1, vertex_count=3, weights=(1.0,)))
+        random_coxeter_graph(random.Random(1), 3, (1.0,))
     with pytest.raises(CoxhomError, match="nonnegative with positive sum"):
-        random_coxeter_graph(
-            RandomGraphSpec(seed=1, vertex_count=3, weights=(0, 0, 0, 0, 0, 0))
-        )
+        random_coxeter_graph(random.Random(1), 3, (0, 0, 0, 0, 0, 0))
+    with pytest.raises(CoxhomError, match="nonnegative with positive sum"):
+        random_coxeter_graph(random.Random(1), 3, (1.0, -1.0, 1.0, 1.0, 1.0, 1.0))
 
 
 def test_pair_classes_agree_with_naive_closure():
@@ -79,8 +81,9 @@ def test_pair_classes_agree_with_naive_closure():
 
 
 def test_pair_classes_agree_with_naive_closure_above_ten_vertices():
-    graphs = [seeded_graph(random.Random(seed), 11 + seed % 10) for seed in range(10)]
-    graphs += [seeded_graph(random.Random(seed), 11 + seed % 10, SPARSE_WEIGHTS) for seed in range(10, 20)]
+    graphs = [random_coxeter_graph(random.Random(seed), 11 + seed % 10) for seed in range(10)]
+    graphs += [random_coxeter_graph(random.Random(seed), 11 + seed % 10, SPARSE_WEIGHTS)
+               for seed in range(10, 20)]
     graphs += [from_catalog(name) for name in ("~D16", "B16", "~C14", "D18", "A20")]
     shapes = set()
     for g in graphs:

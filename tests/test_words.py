@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import corpus_graphs, power, seeded_graph
+from conftest import corpus_graphs, power
 from coxhom.chains import fundamental_cycle_basis
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import invariant_profile
+from coxhom.oracles import random_coxeter_graph
 from coxhom.words import (
     MAX_SPELLED_LABEL,
     abelianize,
@@ -164,7 +165,7 @@ def test_omega_exponent_recovery_on_corpus():
 
 def test_omega_sets_memory_stays_near_the_output_size():
     # each fundamental cycle holds its path's terms, not one entry per odd edge
-    g = seeded_graph(random.Random(1), 100)
+    g = random_coxeter_graph(random.Random(1), 100)
     tracemalloc.start()
     try:
         omega_sets(g, "artin")
