@@ -8,6 +8,7 @@ signals a bug rather than valid output).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 from .errors import CoxhomError
 from .graph import CoxeterGraph, catalog_grammar, from_catalog
 from .invariants import analyze, stability_scan
-from .io import parse_graph, render_json, word_to_text
+from .io import parse_graph, render_json, word_texts
 from .oracles import consistency_report
 from .words import FLAVORS, in_commutator_subgroup, omega_sets
 
@@ -29,6 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # built at first use and reused: a parse keeps no state in the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="coxhom", description="Homology invariants of Artin and Coxeter groups from Coxeter graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -130,11 +132,12 @@ def _cmd_generators(args) -> int:
         sys.stdout.write(render_json(g, profile, summary, omegas))
         return 0
     print(f"flavor: {omegas.flavor}")
-    for name, words in (("omega1", omegas.omega1), ("omega2", omegas.omega2), ("omega3", omegas.omega3)):
-        print(f"{name} ({len(words)} words):")
-        for w in words:
+    families = (omegas.omega1, omegas.omega2, omegas.omega3)
+    for k, (words, texts) in enumerate(zip(families, word_texts(families, g.vertices)), start=1):
+        print(f"omega{k} ({len(words)} words):")
+        for w, text in zip(words, texts):
             zero = "yes" if in_commutator_subgroup(w) else "NO"
-            print(f"  {word_to_text(w, g.vertices)}   (abelianization zero: {zero})")
+            print(f"  {text}   (abelianization zero: {zero})")
     print(f"total = {omegas.total} = p+q = {profile.p + profile.q}")
     return 0
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import CoxhomError
+from .errors import CoxhomError, echo
 
 INFINITY = math.inf
 
@@ -51,7 +51,7 @@ def read_label(token: str) -> Label:
     try:
         return int(token)
     except ValueError:
-        raise CoxhomError(f"label must be an integer >= 2 or `inf`, got {token!r}") from None
+        raise CoxhomError(f"label must be an integer >= 2 or `inf`, got {echo(token)}") from None
 
 
 def _check_label(m: Label) -> Label:
@@ -112,21 +112,24 @@ def build_graph(
     index: dict[str, int] = {}
     for name in vertices:
         if name in index:
-            raise CoxhomError(f"vertex {name!r} declared twice")
+            raise CoxhomError(f"vertex {echo(name)} declared twice")
         index[name] = len(index)
     labels: dict[tuple[int, int], Label] = {}
     for u, v, m in edges:
         if u not in index:
-            raise CoxhomError(f"unknown vertex {u!r}")
+            raise CoxhomError(f"unknown vertex {echo(u)}")
         if v not in index:
-            raise CoxhomError(f"unknown vertex {v!r}")
+            raise CoxhomError(f"unknown vertex {echo(v)}")
         if u == v:
-            raise CoxhomError(f"self-loop at {u!r}")
+            raise CoxhomError(f"self-loop at {echo(u)}")
         m = _check_label(m)
         i, j = sorted((index[u], index[v]))
         seen = labels.get((i, j))
         if seen is not None and seen != m:
-            raise CoxhomError(f"pair ({u!r}, {v!r}) listed with labels {seen} and {m}")
+            raise CoxhomError(
+                f"pair ({echo(u)}, {echo(v)}) listed with labels "
+                f"{echo(str(seen), False)} and {echo(str(m), False)}"
+            )
         labels[(i, j)] = m
     labels = {pair: m for pair, m in sorted(labels.items()) if m != 2}
     return CoxeterGraph(tuple(index), labels)
@@ -306,13 +309,13 @@ def from_catalog(name: str) -> CoxeterGraph:
         return _type_i2(value)
     m = _FAMILY_RE.match(name)
     if not m:
-        raise CoxhomError(f"unknown catalog name {name!r}")
+        raise CoxhomError(f"unknown catalog name {echo(name)}")
     family, digits = m.group(1), m.group(2).lstrip("0") or "0"
     if family not in _CATALOG:
         raise CoxhomError(f"unknown catalog family {family!r}")
     # lengths first: int() refuses a string of thousands of digits
     if len(digits) > len(str(MAX_CATALOG_N)) or int(digits) > MAX_CATALOG_N:
-        raise CoxhomError(f"{name}: parameter above the limit n <= {MAX_CATALOG_N}")
+        raise CoxhomError(f"{echo(name, False)}: parameter above the limit n <= {MAX_CATALOG_N}")
     n = int(digits)
     (lo, hi), builder, _ = _CATALOG[family]
     if n < lo or (hi is not None and n > hi):

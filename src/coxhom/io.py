@@ -9,9 +9,10 @@ key order so identical inputs give byte-identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote  # how json.dumps quotes every str
 from typing import Optional
 
-from .errors import CoxhomError, GraphSyntaxError
+from .errors import CoxhomError, GraphSyntaxError, echo
 from .graph import INFINITY, CoxeterGraph, Label, build_graph, read_label
 from .invariants import HomologySummary, InvariantProfile
 from .words import OmegaSets, in_commutator_subgroup
@@ -35,7 +36,7 @@ def parse_graph(text: str) -> CoxeterGraph:
                 raise GraphSyntaxError("expected `edge <u> <v> <m>`", number)
             edges.append((number, (tokens[1], tokens[2], _parse_label(tokens[3], number))))
         else:
-            raise GraphSyntaxError(f"unknown directive {tokens[0]!r}", number)
+            raise GraphSyntaxError(f"unknown directive {echo(tokens[0])}", number)
     current = 0
 
     def rows(numbered):
@@ -56,7 +57,7 @@ def _parse_label(token: str, line: int) -> Label:
     except CoxhomError as exc:
         raise GraphSyntaxError(str(exc), line) from None
     if value < 2:
-        raise GraphSyntaxError(f"label must be >= 2, got {value}", line)
+        raise GraphSyntaxError(f"label must be >= 2, got {echo(str(value), False)}", line)
     return value
 
 
@@ -69,13 +70,15 @@ def render_graph(g: CoxeterGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def word_to_text(w: tuple[int, ...], vertices: tuple[str, ...]) -> str:
-    """Letters as `name` / `name^-1` separated by spaces; the empty word is `1`."""
-    if not w:
-        return "1"
-    return " ".join(
-        vertices[abs(a) - 1] if a > 0 else f"{vertices[abs(a) - 1]}^-1" for a in w
-    )
+def word_texts(families, vertices: tuple[str, ...]) -> list[list[str]]:
+    """Each word of each family as its letters, `name` or `name^-1`, separated
+    by spaces; the empty word is `1`."""
+    table: dict[int, str] = {}
+    for k, name in enumerate(vertices, start=1):
+        table[k] = name
+        table[-k] = f"{name}^-1"
+    spell = table.__getitem__
+    return [[" ".join(map(spell, w)) if w else "1" for w in words] for words in families]
 
 
 def _descriptor_json(descriptor) -> Optional[dict]:
@@ -84,23 +87,34 @@ def _descriptor_json(descriptor) -> Optional[dict]:
     return {"free_rank": descriptor.free_rank, "torsion2_rank": descriptor.torsion2_rank}
 
 
+# The bulk rows of the document, as json.dumps(..., indent=2) lays them out at
+# their depth; strings are filled in already quoted.
+_EDGE_ROW = '    {\n      "u": %s,\n      "v": %s,\n      "m": %s\n    }'
+_WORD_ROW = '      {\n        "word": %s,\n        "abelianization_zero": %s\n      }'
+
+
+def _array(rows: list[str], indent: str) -> str:
+    """A JSON array of rendered rows whose closing bracket sits at ``indent``."""
+    if not rows:
+        return "[]"
+    return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
+
+
 def render_json(
     g: CoxeterGraph,
     profile: InvariantProfile,
     summary: HomologySummary,
     omegas: Optional[OmegaSets] = None,
 ) -> str:
-    """The JSON document, keys in a fixed insertion order."""
-    edges = []
-    for (i, j), m in sorted(g.labels.items()):
-        edges.append({
-            "u": g.vertices[i],
-            "v": g.vertices[j],
-            "m": "inf" if m == INFINITY else m,
-        })
-    doc = {
-        "vertices": list(g.vertices),
-        "edges": edges,
+    """The JSON document, keys in a fixed order: the bytes of
+    ``json.dumps(doc, indent=2) + "\\n"``, with the vertex, edge and word rows
+    written from templates and their strings quoted by the C encoder."""
+    names = [_quote(name) for name in g.vertices]
+    edges = [
+        _EDGE_ROW % (names[i], names[j], '"inf"' if m == INFINITY else m)
+        for (i, j), m in sorted(g.labels.items())
+    ]
+    scalars = json.dumps({
         "p": profile.p,
         "q1": profile.q1,
         "q2": profile.q2,
@@ -119,27 +133,28 @@ def render_json(
             "applies": summary.corollary.applies,
         },
         "h2_artin_integral": _descriptor_json(summary.h2_artin_integral),
-    }
-    if omegas is not None:
-        doc["generators"] = {
-            "flavor": omegas.flavor,
-            "omega1": _word_rows(omegas.omega1, g.vertices),
-            "omega2": _word_rows(omegas.omega2, g.vertices),
-            "omega3": _word_rows(omegas.omega3, g.vertices),
-            "counts": {
-                "omega1": len(omegas.omega1),
-                "omega2": len(omegas.omega2),
-                "omega3": len(omegas.omega3),
-                "total": omegas.total,
-                "expected_total": profile.p + profile.q,
-            },
-        }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _word_rows(words, vertices) -> list[dict]:
-    return [
-        {"word": word_to_text(w, vertices), "abelianization_zero": in_commutator_subgroup(w)}
-        for w in words
+    }, indent=2)
+    parts = [
+        '{\n  "vertices": ', _array([f"    {name}" for name in names], "  "),
+        ',\n  "edges": ', _array(edges, "  "),
+        ",\n", scalars[2:-2],  # the fields' lines, without the braces around them
     ]
-
+    if omegas is not None:
+        families = (omegas.omega1, omegas.omega2, omegas.omega3)
+        counts = json.dumps({
+            "omega1": len(omegas.omega1),
+            "omega2": len(omegas.omega2),
+            "omega3": len(omegas.omega3),
+            "total": omegas.total,
+            "expected_total": profile.p + profile.q,
+        }, indent=2)
+        parts += [',\n  "generators": {\n    "flavor": ', _quote(omegas.flavor)]
+        for k, (words, texts) in enumerate(zip(families, word_texts(families, g.vertices)), start=1):
+            rows = [
+                _WORD_ROW % (_quote(text), "true" if in_commutator_subgroup(w) else "false")
+                for w, text in zip(words, texts)
+            ]
+            parts += [f',\n    "omega{k}": ', _array(rows, "    ")]
+        parts += [',\n    "counts": ', counts.replace("\n", "\n    "), "\n  }"]
+    parts.append("\n}\n")
+    return "".join(parts)

@@ -17,6 +17,7 @@ The generator families are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import neg
 from typing import Iterable
 
 from .chains import CycleBasis, fundamental_cycle_basis
@@ -94,8 +95,10 @@ def abelianize(w: tuple[int, ...], rank: int) -> tuple[int, ...]:
 
 
 def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
-    """Exact commutator-subgroup test in a free group: zero abelianization."""
-    return not any(abelianize(w, max((abs(a) for a in w), default=0)))
+    """Exact commutator-subgroup test in a free group: zero abelianization,
+    that is, each letter occurs as often as its inverse, so negating every
+    letter only rearranges the word."""
+    return sorted(w) == sorted(map(neg, w))
 
 
 @dataclass(frozen=True)

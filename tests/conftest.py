@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import json
 import random
 
-from coxhom.graph import CoxeterGraph, build_graph
+from coxhom.graph import INFINITY, CoxeterGraph, build_graph
 from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
-from coxhom.words import free_reduce, inverse
+from coxhom.words import abelianize, free_reduce, inverse
 
 # Label 2 weighted 20: mostly commuting pairs, so graphs split into many pair classes.
 SPARSE_WEIGHTS = (20.0,) + DEFAULT_WEIGHTS[1:]
@@ -28,3 +29,60 @@ def permuted_copy(g: CoxeterGraph, rng: random.Random) -> CoxeterGraph:
 def power(w: tuple[int, ...], e: int) -> tuple[int, ...]:
     """The word w**e in the free group, for any integer exponent."""
     return free_reduce((w if e >= 0 else inverse(w)) * abs(e))
+
+
+def _descriptor(descriptor):
+    if descriptor is None:
+        return None
+    return {"free_rank": descriptor.free_rank, "torsion2_rank": descriptor.torsion2_rank}
+
+
+def _word_row(w, vertices):
+    text = " ".join(vertices[abs(a) - 1] + ("" if a > 0 else "^-1") for a in w) if w else "1"
+    zero = not any(abelianize(w, max((abs(a) for a in w), default=0)))
+    return {"word": text, "abelianization_zero": zero}
+
+
+def reference_json(g, profile, summary, omegas=None) -> str:
+    """The document `io.render_json` must write, built as a dict and encoded by
+    ``json.dumps(indent=2)``; tests compare the two byte for byte."""
+    doc = {
+        "vertices": list(g.vertices),
+        "edges": [
+            {"u": g.vertices[i], "v": g.vertices[j], "m": "inf" if m == INFINITY else m}
+            for (i, j), m in sorted(g.labels.items())
+        ],
+        "p": profile.p,
+        "q1": profile.q1,
+        "q2": profile.q2,
+        "q3": profile.q3,
+        "q": profile.q,
+        "n": {"n1": profile.n1, "n2": profile.n2, "n3": profile.n3, "n4": profile.n4},
+        "howlett_identity": profile.howlett_identity,
+        "h1_artin_free_rank": profile.n4,
+        "h2_orbit": _descriptor(summary.h2_orbit),
+        "h2_coxeter": _descriptor(summary.h2_coxeter),
+        "h2_artin_mod2_rank": summary.h2_artin_mod2_rank,
+        "corollary": {
+            "all_torsion": summary.corollary.all_torsion,
+            "odd_equals_gamma": summary.corollary.odd_equals_gamma,
+            "tree": summary.corollary.tree,
+            "applies": summary.corollary.applies,
+        },
+        "h2_artin_integral": _descriptor(summary.h2_artin_integral),
+    }
+    if omegas is not None:
+        doc["generators"] = {
+            "flavor": omegas.flavor,
+            "omega1": [_word_row(w, g.vertices) for w in omegas.omega1],
+            "omega2": [_word_row(w, g.vertices) for w in omegas.omega2],
+            "omega3": [_word_row(w, g.vertices) for w in omegas.omega3],
+            "counts": {
+                "omega1": len(omegas.omega1),
+                "omega2": len(omegas.omega2),
+                "omega3": len(omegas.omega3),
+                "total": omegas.total,
+                "expected_total": profile.p + profile.q,
+            },
+        }
+    return json.dumps(doc, indent=2) + "\n"

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,18 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_graphs
-from coxhom.cli import main
-from coxhom.errors import CoxhomError, GraphSyntaxError
-from coxhom.graph import INFINITY, MAX_CATALOG_N, build_graph, from_catalog
-from coxhom.invariants import MAX_SCAN_STEPS, homology_summary, invariant_profile
+from conftest import SPARSE_WEIGHTS, corpus_graphs, reference_json
+from coxhom.cli import _build_parser, _UsageError, main
+from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
+from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
+from coxhom.invariants import MAX_SCAN_STEPS, analyze, homology_summary, invariant_profile
 from coxhom.io import (
     parse_graph,
     render_graph,
     render_json,
-    word_to_text,
+    word_texts,
 )
-from coxhom.oracles import catalog_sample
+from coxhom.oracles import DEFAULT_WEIGHTS, catalog_sample, random_coxeter_graph
 from coxhom.words import MAX_SPELLED_LABEL, free_reduce, omega_sets
 
 
@@ -100,8 +101,8 @@ def test_round_trip_catalog_and_corpus():
 
 def test_word_serialization():
     vertices = ("s1", "s2")
-    assert word_to_text((), vertices) == "1"
-    assert word_to_text(free_reduce([1, -2, 1]), vertices) == "s1 s2^-1 s1"
+    families = [[(), free_reduce([1, -2, 1])], [], [(-2,)]]
+    assert word_texts(families, vertices) == [["1", "s1 s2^-1 s1"], [], ["s2^-1"]]
 
 
 def _json_for(name, omegas_flavor=None):
@@ -164,6 +165,56 @@ def test_generators_json_section():
     assert gens["omega1"] == [
         {"word": "s1 s3 s1^-1 s3^-1", "abelianization_zero": True}
     ]
+
+
+def _assert_renders_as_the_reference(g, flavors=(None, "artin", "coxeter")):
+    for flavor in flavors:
+        omegas = omega_sets(g, flavor) if flavor else None
+        analysis = omegas.analysis if omegas else analyze(g)
+        args = (g, analysis.profile, analysis.summary, omegas)
+        assert render_json(*args) == reference_json(*args), (g.vertices, flavor)
+
+
+def test_render_json_bytes_on_catalog_and_corpus():
+    graphs = [from_catalog(name) for name in catalog_sample()] + corpus_graphs(100)
+    for g in graphs + [build_graph([])]:
+        _assert_renders_as_the_reference(g)
+    a1 = from_catalog("A1")
+    text = render_json(a1, invariant_profile(a1), homology_summary(a1), omega_sets(a1, "artin"))
+    assert '"omega1": [],' in text and '"omega3": [],' in text  # a graph with no words
+    # the flag is computed per word, not assumed: a word off the commutator subgroup reads false
+    g = from_catalog("~A2")
+    omegas = dataclasses.replace(omega_sets(g, "artin"), omega2=((1, 2, 1), (1, -2, -1, 2)))
+    args = (g, omegas.analysis.profile, omegas.analysis.summary, omegas)
+    text = render_json(*args)
+    assert text == reference_json(*args)
+    assert text.count('"abelianization_zero": false') == 1
+
+
+def test_render_json_bytes_on_large_graphs_and_labels():
+    huge = [10**(MAX_LABEL_DIGITS - 1) + k for k in range(4)]  # 4300 digits, both parities
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = 62 if seed % 3 == 0 else rng.randint(30, 62)
+        g = random_coxeter_graph(rng, n, SPARSE_WEIGHTS if seed % 2 else DEFAULT_WEIGHTS)
+        assert INFINITY in g.labels.values()
+        _assert_renders_as_the_reference(g, (None, "artin"))
+        labels = dict(g.labels)
+        for pair in rng.sample(sorted(labels), 8):
+            labels[pair] = rng.choice(huge)
+        big = dataclasses.replace(g, labels=labels)
+        _assert_renders_as_the_reference(big, (None,))  # too long to spell as words
+
+
+def test_render_json_bytes_on_odd_vertex_names():
+    names = ["a,", '"b\\', "}", "{x", "]", "é", "ü☃", "x\x01y", "\x7f", "tab\there", "new\nline",
+             "\u2028", "\ud800", "𝔸", "v:1", "1", "null", ""]
+    rng = random.Random(3)
+    for seed in range(10):
+        g = random_coxeter_graph(rng, len(names))
+        order = rng.sample(names, len(names))
+        edges = [(order[i], order[j], m) for (i, j), m in g.labels.items()]
+        _assert_renders_as_the_reference(build_graph(order, edges))
 
 
 # -- command line --------------------------------------------------------------
@@ -357,6 +408,63 @@ def test_cli_refuses_sizes_above_the_limits(argv, code, message, tmp_path, capsy
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert len(captured.err) < 200
+
+
+# A graph file (with the line at fault) or a catalog name, each echoing one user token.
+_ECHOED = {
+    "label": ("vertex a\nvertex b\nedge a b {}\n", 3, "label must be an integer >= 2 or `inf`, got {}"),
+    "unknown vertex": ("vertex a\nedge a {} 3\n", 2, "unknown vertex {}"),
+    "repeated vertex": ("vertex {0}\nvertex a\nvertex {0}\n", 3, "vertex {} declared twice"),
+    "unknown directive": ("vertex a\n{} here\n", 2, "unknown directive {}"),
+    "catalog name": ("{}", None, "unknown catalog name {}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ECHOED))
+def test_cli_errors_cut_long_tokens_short(case, tmp_path, capsys):
+    source, line, message = _ECHOED[case]
+    for length in (1, ECHO_LIMIT, ECHO_LIMIT + 1, 5000):
+        token = "Q" + "c" * (length - 1)
+        if line is None:
+            argv = ["compute", "--type", source.format(token)]
+            where = ""
+        else:
+            path = tmp_path / "echo.graph"
+            path.write_text(source.format(token), encoding="utf-8")
+            argv = ["compute", "--file", str(path)]
+            where = f"line {line}: "
+        shown = repr(token) if length <= ECHO_LIMIT else f"{token[:ECHO_LIMIT]!r}... ({length} characters)"
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {where}{message.format(shown)}\n"
+        assert len(captured.err.encode("utf-8")) < 200
+
+
+def test_cli_reuses_one_parser_and_keeps_its_bytes(capsys):
+    assert _build_parser() is _build_parser()
+    fresh = _build_parser.__wrapped__
+    assert main(["compute", "--type", "A3"]) == 0
+    valid = capsys.readouterr()
+    for argv in (
+        [], ["nonsense"], ["compute"], ["compute", "--type", "A2", "--file", "x"],
+        ["generators", "--type", "A2", "--flavor", "x"], ["stability", "--n-max", "x", "--seed-file", "y"],
+        ["check", "--type", "A3", "extra"], ["catalog", "x"],
+    ):
+        with pytest.raises(_UsageError) as info:
+            fresh().parse_args(argv)
+        for _ in range(2):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr() == ("", f"usage error: {info.value}\n")
+            assert main(["compute", "--type", "A3"]) == 0
+            assert capsys.readouterr() == valid
+    for argv in (["--help"], ["generators", "-h"]):
+        with pytest.raises(SystemExit):
+            fresh().parse_args(argv)
+        expected = capsys.readouterr()
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr() == expected
 
 
 def test_cli_catalog_list(capsys):

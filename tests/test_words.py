@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import corpus_graphs, power
@@ -101,6 +101,19 @@ def test_in_commutator_subgroup():
     assert in_commutator_subgroup(())
     assert not in_commutator_subgroup(generator(0))
     assert not in_commutator_subgroup(relator(0, 1, 5))
+
+
+# Words with every letter's inverse shuffled in: zero abelianization, rarely reduced.
+balanced = letters.flatmap(lambda xs: st.permutations(xs + [-a for a in xs]))
+
+
+@given(st.one_of(letters, balanced), st.booleans())
+@example([1, 2, -1], False)
+@example([1, 2, -2, -1, 1], True)
+@example([1, -2, 2, -1], False)
+def test_in_commutator_subgroup_matches_abelianize(raw, reduce):
+    w = free_reduce(raw) if reduce else tuple(raw)
+    assert in_commutator_subgroup(w) == (not any(abelianize(w, 5)))
 
 
 @given(letters, letters)
