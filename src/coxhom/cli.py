@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CoxhomError
+from .errors import ECHO_LIMIT, CoxhomError, echo
 from .graph import CoxeterGraph, catalog_grammar, from_catalog
 from .invariants import analyze, stability_scan
 from .io import parse_graph, render_json, word_texts
@@ -28,6 +28,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _cut_long_tokens(message: str, argv: list[str]) -> str:
+    """An argparse message with every argument longer than ECHO_LIMIT, or the
+    long value of an ``--option=value``, cut short as ``errors.echo`` cuts it,
+    also where argparse quoted it with repr.  Shorter tokens keep their bytes."""
+    tokens = {part for token in argv for part in (token, token.partition("=")[2]) if len(part) > ECHO_LIMIT}
+    for token in sorted(tokens, key=len, reverse=True):  # a token may hold a shorter one
+        short = echo(token, False)
+        message = message.replace(token, short).replace(repr(token)[1:-1], short)
+    return message
 
 
 @functools.cache  # built at first use and reused: a parse keeps no state in the parser
@@ -195,7 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        message = _cut_long_tokens(str(exc), sys.argv[1:] if argv is None else argv)
+        print(f"usage error: {message}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

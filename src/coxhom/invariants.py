@@ -10,8 +10,9 @@ hyperplane-complement orbit space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator, Optional
 
 from .errors import CoxhomError
 from .graph import (
@@ -28,18 +29,34 @@ from .graph import (
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairPartition:
     """The commuting pairs of a graph, partitioned into equivalence classes.
 
-    Blocks are ordered by their lexicographically smallest member pair and
-    each block is internally sorted; ``torsion_flags[k]`` records whether some
-    pair in block k has a common neighbor with both labels exactly 3.
+    Classes are ordered by their lexicographically smallest pair, ``least[k]``;
+    ``torsion_flags[k]`` records whether some pair of class k has a common
+    neighbour with both labels exactly 3.  The member pairs are listed only
+    when ``classes`` or ``pairs`` is read: ``members`` builds the classes, each
+    internally sorted.  Two partitions are equal when their classes and flags
+    are.
     """
 
-    pairs: tuple[Pair, ...]
-    classes: tuple[tuple[Pair, ...], ...]
+    least: tuple[Pair, ...]
     torsion_flags: tuple[bool, ...]
+    members: Callable[[], tuple[tuple[Pair, ...], ...]] = field(repr=False)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Pair, ...], ...]:
+        return self.members()
+
+    @cached_property
+    def pairs(self) -> tuple[Pair, ...]:
+        return tuple(sorted(pair for block in self.classes for pair in block))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairPartition):
+            return NotImplemented
+        return self.torsion_flags == other.torsion_flags and self.classes == other.classes
 
 
 @dataclass(frozen=True)
@@ -91,12 +108,33 @@ class HomologySummary:
     h2_artin_integral: Optional[AbelianDescriptor]
 
 
-def commuting_pairs(g: CoxeterGraph) -> tuple[Pair, ...]:
-    """All unordered index pairs with label exactly 2, lexicographic."""
-    n = len(g.vertices)
-    return tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if g.label_ix(i, j) == 2
-    )
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _join(parent: list[int], x: int, y: int) -> int:
+    """Merge the sets of x and y; 1 if they were two sets, else 0."""
+    x, y = _root(parent, x), _root(parent, y)
+    parent[x] = y
+    return int(x != y)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _run(inner: int, s: int) -> int:
+    """Mask of the run that starts at s: s and each vertex above it that a
+    bit of ``inner`` links to the one before."""
+    tail = inner >> s
+    return ((1 << (tail ^ (tail + 1)).bit_length()) - 1) << s
 
 
 def pair_classes(g: CoxeterGraph) -> PairPartition:
@@ -104,29 +142,123 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
 
     Pairs {a,x} and {a,y} are related whenever {x,y} is a finite-odd-labeled
     pair; every direct relation of the defining equivalence has this form.
-    The classes are the connected components of the pair graph, which links
-    each such {a,x} and {a,y}.
+
+    So for a fixed vertex a, the pairs {a,x} fall into the components C of the
+    odd edges inside a's row N2(a), the vertices that commute with a: one node
+    (a, C) per component.  A pair {a,x} lies in the node of row a that holds x
+    and in the node of row x that holds a, and the classes are the nodes
+    joined through the pairs they share.  No pair is listed to find them:
+
+    - rows are int bit masks, searched by runs (intervals k..l of row vertices
+      joined by the odd edges {k, k+1}), so a row costs its runs and its other,
+      "cross", odd edges, not its vertices;
+    - a node (x, D) whose least vertex s is below x is joined, as it is made,
+      to the node of row s that holds x;
+    - for each cross edge {v,u} the search of row x crossed, and for each edge
+      {k, k+1} and each x commuting with both, the nodes of the edge's two
+      rows that hold x are joined.  Along x the pair of nodes changes only
+      where a run of row k or k+1 starts, so one join per such start does.
+
+    Every join is between nodes that share a class.  Conversely, for a pair
+    {a,x} with a < x, the node (x, D) holding a has its least vertex s <= a,
+    so it is joined to the node of row s holding x, and the walk from s to a
+    along row x's search joins that to the node of row a holding x.  Shuffled
+    input has short runs and falls back to work per row vertex.
     """
-    pairs = commuting_pairs(g)
     n = len(g.vertices)
-    # pair_id[a][x]: index in ``pairs`` of the commuting pair {a,x}, else -1
-    pair_id = [[-1] * n for _ in range(n)]
-    for k, (s, t) in enumerate(pairs):
-        pair_id[s][t] = pair_id[t][s] = k
-    links = []
-    for (x, y), m in g.labels.items():
-        if is_odd(m):
-            links += [(u, v) for u, v in zip(pair_id[x], pair_id[y]) if u >= 0 and v >= 0]
-    components = connected_components(PlainGraph(pairs, tuple(links)))
-    classes = tuple(tuple(pairs[k] for k in sorted(c)) for c in components)
-    threes: list[set[int]] = [set() for _ in range(n)]
+    noncomm = [1 << v for v in range(n)]  # the x with m(v, x) != 2, v itself included
+    cross = [0] * n  # odd neighbours other than v - 1 and v + 1
+    has_cross = link = 0  # link bit k: an odd edge joins k and k + 1
+    threes = [0] * n
     for (s, t), m in g.labels.items():
-        if m == 3:
-            threes[s].add(t)
-            threes[t].add(s)
-    # torsion: some pair {s,t} of the class has a common neighbour v with m(s,v) = m(t,v) = 3
-    flags = tuple(any(threes[s] & threes[t] for s, t in block) for block in classes)
-    return PairPartition(pairs, classes, flags)
+        noncomm[s] |= 1 << t
+        noncomm[t] |= 1 << s
+        if is_odd(m):
+            if t == s + 1:
+                link |= 1 << s
+            else:
+                cross[s] |= 1 << t
+                cross[t] |= 1 << s
+                has_cross |= 1 << s | 1 << t
+            if m == 3:
+                threes[s] |= 1 << t
+                threes[t] |= 1 << s
+    full = (1 << n) - 1
+    rows = [full & ~c for c in noncomm]
+    starts = [0] * n  # bit x of starts[a]: a run of row a starts at x
+    node_at: dict[int, int] = {}  # a * n + s: the node of row a holding the run from s
+    heads: list[Pair] = []  # node k is (a, C) with least vertex s: heads[k] = (a, s)
+    torsion: list[bool] = []
+    crossed: list[tuple[int, int, int]] = []  # (a, v, u): row a's search went from v to u
+    parent: list[int] = []  # the union-find over the nodes
+
+    def node(a: int, x: int) -> int:
+        """The node of row a that holds x."""
+        k = node_at.get(a * n + x)
+        if k is None:  # x is inside a run: look up the run's start
+            k = node_at[a * n + (starts[a] & ((2 << x) - 1)).bit_length() - 1]
+        return k
+
+    for a, row in enumerate(rows):
+        inner = link & row & (row >> 1)  # the links with both ends in the row
+        st = starts[a] = row & ~(inner << 1)
+        witnessed = 0  # the vertices sharing a 3-neighbour with a
+        if threes[a]:
+            for v in _bits(threes[a]):
+                witnessed |= threes[v]
+        unseen = row
+        while unseen:
+            s = (unseen & -unseen).bit_length() - 1  # a run start
+            k = len(heads)
+            heads.append((a, s))
+            parent.append(node(s, a) if s < a else k)  # row s, searched already, holds a
+            node_at[a * n + s] = k
+            component = _run(inner, s)
+            unseen &= ~component
+            todo = component & has_cross
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
+                reached = cross[v] & unseen
+                while reached:
+                    low = reached & -reached
+                    r = (st & ((low << 1) - 1)).bit_length() - 1  # start of the run reached
+                    node_at[a * n + r] = k
+                    run = _run(inner, r)
+                    unseen &= ~run
+                    reached &= ~run
+                    component |= run
+                    todo |= run & has_cross
+                    crossed.append((a, v, low.bit_length() - 1))
+            torsion.append(bool(component & witnessed))
+
+    for a, v, u in crossed:
+        parent[_root(parent, node(v, a))] = _root(parent, node(u, a))
+    for k in _bits(link):
+        for a in _bits(rows[k] & rows[k + 1] & (starts[k] | starts[k + 1])):
+            parent[_root(parent, node(k, a))] = _root(parent, node(k + 1, a))
+
+    least: dict[int, Pair] = {}  # root -> the least pair of its class
+    torsion_roots = set()
+    for k, (a, s) in enumerate(heads):
+        r = _root(parent, k)
+        pair = (a, s) if a < s else (s, a)
+        if r not in least or pair < least[r]:
+            least[r] = pair
+        if torsion[k]:
+            torsion_roots.add(r)
+    roots = sorted(least, key=least.__getitem__)
+
+    def members() -> tuple[tuple[Pair, ...], ...]:
+        index = {r: i for i, r in enumerate(roots)}
+        blocks: list[list[Pair]] = [[] for _ in roots]
+        for a, row in enumerate(rows):
+            for x in _bits(row & ~((2 << a) - 1)):  # the pairs {a,x} with a < x, in order
+                blocks[index[_root(parent, node(a, x))]].append((a, x))
+        return tuple(map(tuple, blocks))
+
+    return PairPartition(tuple(least[r] for r in roots), tuple(r in torsion_roots for r in roots), members)
 
 
 @dataclass(frozen=True)
@@ -144,7 +276,7 @@ def analyze(g: CoxeterGraph) -> Analysis:
     each computed once."""
     partition = pair_classes(g)
     p = sum(partition.torsion_flags)
-    q1 = len(partition.classes) - p
+    q1 = len(partition.least) - p
     q2 = sum(1 for m in g.labels.values() if is_even(m) and m >= 4)
     pg = odd_subgraph(g)
     components = len(connected_components(pg))
@@ -158,7 +290,7 @@ def analyze(g: CoxeterGraph) -> Analysis:
         q=q1 + q2 + q3,
         n1=len(g.vertices),
         n2=n2,
-        n3=len(partition.classes),
+        n3=len(partition.least),
         n4=components,
     )
     whole = connected_components(PlainGraph(g.vertices, tuple(g.labels)))
@@ -207,20 +339,6 @@ def _slot(x: int, y: int) -> int:
     if x > y:
         x, y = y, x
     return y * (y - 1) // 2 + x
-
-
-def _root(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _join(parent: list[int], x: int, y: int) -> int:
-    """Merge the sets of x and y; 1 if they were two sets, else 0."""
-    x, y = _root(parent, x), _root(parent, y)
-    parent[x] = y
-    return int(x != y)
 
 
 def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:

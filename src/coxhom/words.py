@@ -127,9 +127,7 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     if flavor not in FLAVORS:
         raise CoxhomError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     analysis = analyze(g)
-    omega1 = tuple(
-        commutator(generator(s), generator(t)) for s, t in (block[0] for block in analysis.partition.classes)
-    )
+    omega1 = tuple(commutator(generator(s), generator(t)) for s, t in analysis.partition.least)
     omega2 = tuple(
         relator(i, j, m)
         for (i, j), m in sorted(g.labels.items())

@@ -10,22 +10,21 @@ from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, extend_family, from_catalog, is_even
 from coxhom.invariants import (
     MAX_SCAN_STEPS,
-    commuting_pairs,
     homology_summary,
     invariant_profile,
     pair_classes,
     stability_scan,
 )
-from coxhom.oracles import DEFAULT_WEIGHTS, LABEL_SUPPORT, random_coxeter_graph
+from coxhom.oracles import DEFAULT_WEIGHTS, LABEL_SUPPORT, naive_pair_closure, random_coxeter_graph
 
 TRIANGLE = build_graph(["s1", "s2", "s3"], [("s1", "s2", 3), ("s2", "s3", 3), ("s1", "s3", 3)])
 
 
 def test_commuting_pairs_examples():
-    assert commuting_pairs(from_catalog("A2")) == ()
-    assert commuting_pairs(from_catalog("A3")) == ((0, 2),)
+    assert pair_classes(from_catalog("A2")).pairs == ()
+    assert pair_classes(from_catalog("A3")).pairs == ((0, 2),)
     # ~D4 star: all six leaf pairs commute, none involves the center (index 2)
-    pairs = commuting_pairs(from_catalog("~D4"))
+    pairs = pair_classes(from_catalog("~D4")).pairs
     assert pairs == ((0, 1), (0, 3), (0, 4), (1, 3), (1, 4), (3, 4))
 
 
@@ -52,9 +51,27 @@ def test_pair_classes_affine_d4_six_torsion_singletons():
 def test_pair_classes_blocks_cover_pairs_exactly():
     for g in corpus_graphs(60):
         partition = pair_classes(g)
+        n = len(g.vertices)
+        commuting = [(i, j) for i in range(n) for j in range(i + 1, n) if g.label_ix(i, j) == 2]
         flattened = sorted(pair for block in partition.classes for pair in block)
-        assert flattened == sorted(partition.pairs)
+        assert flattened == list(partition.pairs) == commuting
+        assert all(list(block) == sorted(block) for block in partition.classes)
+        assert partition.least == tuple(block[0] for block in partition.classes)
         assert len(partition.torsion_flags) == len(partition.classes)
+
+
+@pytest.mark.parametrize(
+    "family, expected",
+    [("A", (1, 1)), ("B", (2, 1)), ("D", (2, 2)), ("~A", (1, 1)), ("~B", (3, 2)), ("~C", (4, 1)), ("~D", (3, 3))],
+)
+def test_pair_classes_keep_their_count_along_catalog_families(family, expected):
+    # (classes, torsion classes) at n = 12, confirmed by the closure oracle, and unchanged at n = 3000
+    small = from_catalog(f"{family}12")
+    reference = naive_pair_closure(small)
+    assert (len(reference.classes), sum(reference.torsion_flags)) == expected
+    assert pair_classes(small) == reference
+    large = pair_classes(from_catalog(f"{family}3000"))
+    assert (len(large.least), sum(large.torsion_flags)) == expected
 
 
 def test_invariant_profile_affine_d4():
@@ -159,12 +176,31 @@ def test_howlett_identity_on_corpus():
         assert summary.corollary.tree == _forest_components(len(g.vertices), g.labels)[1]
 
 
+def _classes_by_name(g):
+    """g's pair classes as sets of vertex-name pairs, each with its torsion flag."""
+    partition = pair_classes(g)
+    return {
+        frozenset(frozenset((g.vertices[s], g.vertices[t])) for s, t in block): flag
+        for block, flag in zip(partition.classes, partition.torsion_flags)
+    }
+
+
 def test_invariants_are_isomorphism_invariant():
+    # pair_classes reads runs of consecutive vertex indices, so shuffled
+    # copies of large catalog diagrams and random graphs are covered too
     rng = random.Random(11)
-    for g in corpus_graphs(30):
+    graphs = corpus_graphs(30)
+    sizes = (40, 55, 70, 85, 100, 110, 120)
+    graphs += [from_catalog(f"{family}{n}") for family, n in zip(("A", "B", "D", "~A", "~B", "~C", "~D"), sizes)]
+    graphs += [random_coxeter_graph(rng, rng.randint(40, 60), weights)
+               for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS) for _ in range(3)]
+    for g in graphs:
         reference = invariant_profile(g)
-        for _ in range(3):
-            assert invariant_profile(permuted_copy(g, rng)) == reference
+        classes = _classes_by_name(g)
+        for _ in range(3 if len(g.vertices) < 40 else 2):
+            copy = permuted_copy(g, rng)
+            assert invariant_profile(copy) == reference
+            assert _classes_by_name(copy) == classes
 
 
 def _disjoint_union(g1, g2):

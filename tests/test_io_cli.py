@@ -441,6 +441,38 @@ def test_cli_errors_cut_long_tokens_short(case, tmp_path, capsys):
         assert len(captured.err.encode("utf-8")) < 200
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["generators", "--type", "A2", "--flavor", "x" * 5000], "x" * 5000),
+        (["generators", "--type", "A2", "--flavor=" + "x" * 5000], "x" * 5000),
+        (["stability", "--n-max", "y" * 5000, "--seed-file", "seed.graph"], "y" * 5000),
+        (["check", "--type", "A3", "z" * 5000], "z" * 5000),
+    ],
+    ids=["choice", "choice after =", "int value", "extra argument"],
+)
+def test_cli_usage_errors_cut_long_tokens_short(argv, token, capsys):
+    # argparse writes these messages; main cuts the echoed token as errors.echo does
+    with pytest.raises(_UsageError) as info:
+        _build_parser.__wrapped__().parse_args(argv)
+    assert token in str(info.value)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    shown = f"{token[:ECHO_LIMIT]}... (5000 characters)"
+    assert captured.err == f"usage error: {str(info.value).replace(token, shown)}\n"
+    assert len(captured.err) < 200
+
+
+def test_cli_usage_errors_cut_quoted_tokens_short(capsys):
+    # argparse shows an invalid choice by its repr, which escapes a token holding both quotes
+    token = "x'\"" * 2000
+    assert main(["generators", "--type", "A2", "--flavor", token]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --flavor: invalid choice: ")
+    assert "... (6000 characters)" in err and len(err) < 200
+
+
 def test_cli_reuses_one_parser_and_keeps_its_bytes(capsys):
     assert _build_parser() is _build_parser()
     fresh = _build_parser.__wrapped__

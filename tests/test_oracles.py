@@ -93,6 +93,30 @@ def test_pair_classes_agree_with_naive_closure_above_ten_vertices():
     assert (True, False) in shapes and (True, True) in shapes
 
 
+def _backbone_graph(rng, n):
+    """Odd labels along most of the path v0..v(n-1), sparse random labels elsewhere:
+    pair_classes then sees long runs of consecutive vertices that start at
+    different vertices in different rows."""
+    names = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1:
+                m = rng.choice((3, 3, 3, 5, 4, INFINITY))
+            else:
+                m = rng.choices(LABEL_SUPPORT, weights=(12, 2, 1, 1, 1, 1))[0]
+            edges.append((names[i], names[j], m))
+    return build_graph(names, edges)
+
+
+def test_pair_classes_agree_with_naive_closure_along_odd_paths():
+    # runs of rows k and k+1 start at different vertices, so every link join counts
+    rng = random.Random(21)
+    for _ in range(300):
+        g = _backbone_graph(rng, rng.randint(6, 14))
+        assert pair_classes(g) == naive_pair_closure(g)
+
+
 def test_cycle_rank_oracles_agree():
     for g in corpus_graphs(120, base_seed=60):
         pg = odd_subgraph(g)
