@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import PlainGraph, adjacency
+from .graph import PlainGraph
 
 
 @dataclass(frozen=True)
@@ -53,50 +53,57 @@ def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
     vertex of each component, visiting neighbors in vertex order, so it is
     deterministic.  The rest of the cycle runs back through the forest;
     traversing a tree edge with its orientation contributes +1, against it
-    -1, so the boundary telescopes to zero.
+    -1, so the boundary telescopes to zero.  Each tree vertex keeps its
+    parent edge's term for the climb towards the root, so a cycle's terms
+    are read off while both ends of its edge climb to their common ancestor.
     """
-    edge_id = {edge: k for k, edge in enumerate(pg.edges)}
-    nbrs = adjacency(pg)
-    parent: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    tree_edges: set[int] = set()
-    for root in range(len(pg.vertices)):
-        if root in depth:
+    n = len(pg.vertices)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(pg.edges):
+        incident[i].append((j, k))
+        incident[j].append((i, k))
+    parent = [-1] * n
+    depth = [-1] * n
+    up: list[tuple[int, int]] = [(-1, 0)] * n  # parent edge, +1 if climbing runs along it
+    down: list[tuple[int, int]] = [(-1, 0)] * n  # the same edge, walked from the parent
+    is_tree = bytearray(len(pg.edges))
+    for root in range(n):
+        if depth[root] >= 0:
             continue
         depth[root] = 0
         queue = [root]
         for v in queue:  # the list is the queue: it grows as it is read
-            for w in nbrs[v]:
-                if w not in depth:
+            for w, k in sorted(incident[v]):
+                if depth[w] < 0:
                     depth[w] = depth[v] + 1
                     parent[w] = v
-                    tree_edges.add(edge_id[(min(v, w), max(v, w))])
+                    sign = 1 if w < v else -1
+                    up[w] = (k, sign)
+                    down[w] = (k, -sign)
+                    is_tree[k] = 1
                     queue.append(w)
     basis = []
     generators = []
     for k, (u, v) in enumerate(pg.edges):
-        if k in tree_edges:
+        if is_tree[k]:
             continue
+        # the path runs from v back to u, so v climbs and u descends
         terms = [(k, 1)]
-        path = _forest_path(v, u, parent, depth)
-        for x, y in zip(path, path[1:]):  # a forest path repeats no edge and avoids k
-            terms.append((edge_id[(min(x, y), max(x, y))], 1 if x < y else -1))
-        basis.append(tuple(sorted(terms)))
+        while depth[v] > depth[u]:
+            terms.append(up[v])
+            v = parent[v]
+        while depth[u] > depth[v]:
+            terms.append(down[u])
+            u = parent[u]
+        while u != v:  # a forest path repeats no edge and avoids k
+            terms.append(up[v])
+            terms.append(down[u])
+            v = parent[v]
+            u = parent[u]
+        terms.sort()
+        basis.append(tuple(terms))
         generators.append(k)
     return CycleBasis(tuple(basis), tuple(generators))
-
-
-def _forest_path(a: int, b: int, parent, depth) -> list[int]:
-    """Vertex path from a to b inside the spanning forest."""
-    left, right = [a], [b]
-    while depth[left[-1]] > depth[right[-1]]:
-        left.append(parent[left[-1]])
-    while depth[right[-1]] > depth[left[-1]]:
-        right.append(parent[right[-1]])
-    while left[-1] != right[-1]:
-        left.append(parent[left[-1]])
-        right.append(parent[right[-1]])
-    return left + right[-2::-1]
 
 
 def mod2_reduce(terms: Iterable[tuple[int, int]]) -> int:

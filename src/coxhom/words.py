@@ -48,8 +48,21 @@ def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def _extend_reduced(stack: list[int], part: tuple[int, ...]) -> None:
+    """Append ``part`` to ``stack``, both freely reduced, so that ``stack``
+    becomes the free reduction of their product.
+
+    Letters can cancel only where the two meet, so only the join is reduced.
+    """
+    n = 0
+    while stack and n < len(part) and stack[-1] == -part[n]:
+        stack.pop()
+        n += 1
+    stack.extend(part[n:])
+
+
 def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-a for a in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def generator(index: int) -> tuple[int, ...]:
@@ -64,7 +77,7 @@ def alternating_word(s: int, t: int, m: int) -> tuple[int, ...]:
         raise CoxhomError(f"length must be >= 1, got {m}")
     if m > MAX_SPELLED_LABEL:
         raise CoxhomError(f"label {m} is above the limit {MAX_SPELLED_LABEL} on spelled words")
-    return tuple(letter(s if k % 2 == 0 else t) for k in range(m))
+    return ((letter(s), letter(t)) * ((m + 1) // 2))[:m]
 
 
 def relator(s: int, t: int, m: Label) -> tuple[int, ...]:
@@ -97,8 +110,10 @@ def abelianize(w: tuple[int, ...], rank: int) -> tuple[int, ...]:
 def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
     """Exact commutator-subgroup test in a free group: zero abelianization,
     that is, each letter occurs as often as its inverse, so negating every
-    letter only rearranges the word."""
-    return sorted(w) == sorted(map(neg, w))
+    letter only rearranges the word: the sorted letters equal their own
+    negated reverse."""
+    ordered = sorted(w)
+    return ordered == list(map(neg, reversed(ordered)))
 
 
 @dataclass(frozen=True)
@@ -139,13 +154,13 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     spelled: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     omega3 = []
     for cycle in basis.basis:
-        parts: list[int] = []
+        stack: list[int] = []
         for k, coefficient in cycle:
             if k not in spelled:
                 i, j = pg.edges[k]
                 rel = relator(i, j, g.labels[i, j])
                 spelled[k] = (rel, inverse(rel))
             # a fundamental cycle's coefficients are -1 or 1
-            parts.extend(spelled[k][0 if coefficient > 0 else 1])
-        omega3.append(free_reduce(parts))
+            _extend_reduced(stack, spelled[k][0 if coefficient > 0 else 1])
+        omega3.append(tuple(stack))
     return OmegaSets(flavor, omega1, omega2, tuple(omega3), analysis, basis)

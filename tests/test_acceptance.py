@@ -96,7 +96,7 @@ def test_criterion_06_oracle_equivalence(capsys):
         assert q3 == rational_cycle_rank(pg)
         assert q3 == len(pg.edges) - gf2_rank(mod2_reduce(enumerate(row)) for row in boundary_matrix(pg))
     with capsys.disabled():
-        _report(6, f"pair-graph components vs closure and all three cycle ranks agree on {len(graphs)} graphs")
+        _report(6, f"pair classes vs closure and all three cycle ranks agree on {len(graphs)} graphs")
 
 
 def test_criterion_07_omega_contract(capsys):

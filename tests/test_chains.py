@@ -10,9 +10,9 @@ from coxhom.chains import (
     gf2_rank,
     mod2_reduce,
 )
-from coxhom.graph import PlainGraph, from_catalog, odd_subgraph
+from coxhom.graph import PlainGraph, adjacency, from_catalog, odd_subgraph
 from coxhom.invariants import invariant_profile
-from coxhom.oracles import rational_cycle_rank
+from coxhom.oracles import random_coxeter_graph, rational_cycle_rank
 
 EDGE = PlainGraph(("a", "b"), ((0, 1),))
 TRIANGLE = PlainGraph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2)))
@@ -76,6 +76,66 @@ def test_basis_size_is_cycle_rank():
         q3 = invariant_profile(g).q3
         assert len(basis.basis) == q3
         assert gf2_rank(mod2_reduce(cycle) for cycle in basis.basis) == q3
+
+
+def _path_walk_cycle_basis(pg):
+    """Independent cycle basis: the same breadth-first forest, with each path
+    edge found by its (min, max) ends in an edge table."""
+    edge_id = {edge: k for k, edge in enumerate(pg.edges)}
+    nbrs = adjacency(pg)
+    parent, depth, tree = {}, {}, set()
+    for root in range(len(pg.vertices)):
+        if root in depth:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in depth:
+                    depth[w] = depth[v] + 1
+                    parent[w] = v
+                    tree.add(edge_id[(min(v, w), max(v, w))])
+                    queue.append(w)
+    basis, generators = [], []
+    for k, (u, v) in enumerate(pg.edges):
+        if k in tree:
+            continue
+        left, right = [v], [u]
+        while depth[left[-1]] > depth[right[-1]]:
+            left.append(parent[left[-1]])
+        while depth[right[-1]] > depth[left[-1]]:
+            right.append(parent[right[-1]])
+        while left[-1] != right[-1]:
+            left.append(parent[left[-1]])
+            right.append(parent[right[-1]])
+        path = left + right[-2::-1]
+        terms = [(k, 1)]
+        for x, y in zip(path, path[1:]):
+            terms.append((edge_id[(min(x, y), max(x, y))], 1 if x < y else -1))
+        basis.append(tuple(sorted(terms)))
+        generators.append(k)
+    return tuple(basis), tuple(generators)
+
+
+def _random_plain_graph(rng, n):
+    density = rng.choice([1.5 / n, 3.0 / n, 0.05, 0.3])
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density)
+    return PlainGraph(tuple(f"v{i}" for i in range(n)), edges)
+
+
+def test_fundamental_basis_matches_path_walk_oracle():
+    rng = random.Random(41)
+    graphs = [_random_plain_graph(rng, rng.randint(1, 200)) for _ in range(60)]
+    graphs += [odd_subgraph(random_coxeter_graph(rng, n)) for n in (80, 140, 200)]
+    cycles = 0
+    for pg in graphs:
+        basis = fundamental_cycle_basis(pg)
+        assert (basis.basis, basis.nontree_edges) == _path_walk_cycle_basis(pg)
+        for k, cycle in zip(basis.nontree_edges, basis.basis):
+            assert not any(boundary(pg, cycle))
+            assert (k, 1) in cycle
+        cycles += len(basis.basis)
+    assert cycles > 10000
 
 
 def test_mod2_reduce_triangle_is_all_ones():

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import corpus_graphs, power
+from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy, power
 from coxhom.chains import fundamental_cycle_basis
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import invariant_profile
-from coxhom.oracles import random_coxeter_graph
+from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 from coxhom.words import (
     MAX_SPELLED_LABEL,
+    _extend_reduced,
     abelianize,
     alternating_word,
     commutator,
@@ -99,8 +100,16 @@ def test_relator_abelianization_by_parity(m):
 
 def test_in_commutator_subgroup():
     assert in_commutator_subgroup(())
+    assert in_commutator_subgroup((1, 2, -1, -2))
     assert not in_commutator_subgroup(generator(0))
     assert not in_commutator_subgroup(relator(0, 1, 5))
+    # unbalanced words that a partial comparison lets through: only half the
+    # sorted letters, only the negative letters, only the sign counts or only
+    # the set of letters
+    assert not in_commutator_subgroup((1, 1, -2, -2))
+    assert not in_commutator_subgroup((1, -1, 2))
+    assert not in_commutator_subgroup((3,))
+    assert not in_commutator_subgroup((1, 1, -1))
 
 
 # Words with every letter's inverse shuffled in: zero abelianization, rarely reduced.
@@ -119,6 +128,28 @@ def test_in_commutator_subgroup_matches_abelianize(raw, reduce):
 @given(letters, letters)
 def test_commutators_abelianize_to_zero(a, b):
     assert in_commutator_subgroup(commutator(free_reduce(a), free_reduce(b)))
+
+
+@given(letters, letters)
+def test_extend_reduced_is_free_reduction_of_the_product(a, b):
+    stack = list(free_reduce(a))
+    part = free_reduce(b)
+    _extend_reduced(stack, part)
+    assert tuple(stack) == free_reduce(tuple(free_reduce(a)) + part)
+
+
+def test_extend_reduced_cancels_a_whole_relator():
+    rel = relator(0, 1, 3)
+    stack = list(generator(2) + rel)
+    _extend_reduced(stack, inverse(rel))
+    assert stack == [3]
+    # the whole stack cancels and the rest of the part is kept
+    stack = list(rel)
+    _extend_reduced(stack, inverse(rel) + generator(2))
+    assert stack == [3]
+    stack = list(rel)
+    _extend_reduced(stack, inverse(rel))
+    assert stack == []
 
 
 def test_word_power_and_inverse():
@@ -174,6 +205,32 @@ def test_omega_exponent_recovery_on_corpus():
                     i, j = pg.edges[k]
                     parts.extend(power(relator(i, j, g.label_ix(i, j)), coefficient))
                 assert word == free_reduce(parts)
+
+
+def _omega3_by_full_reduction(g):
+    """Each omega3 word as free_reduce of its cycle's concatenated relator powers."""
+    pg = odd_subgraph(g)
+    words = []
+    for cycle in fundamental_cycle_basis(pg).basis:
+        parts = []
+        for k, coefficient in cycle:
+            i, j = pg.edges[k]
+            parts.extend(power(relator(i, j, g.label_ix(i, j)), coefficient))
+        words.append(free_reduce(parts))
+    return tuple(words)
+
+
+@pytest.mark.parametrize("weights", [DEFAULT_WEIGHTS, SPARSE_WEIGHTS], ids=["default", "sparse"])
+def test_omega3_join_reduction_equals_full_reduction_on_large_graphs(weights):
+    rng = random.Random(61)
+    graphs = [random_coxeter_graph(rng, rng.randint(30, 62), weights) for _ in range(40)]
+    graphs += [permuted_copy(from_catalog(name), rng) for name in ("~A40", "~C40")]
+    cycles = 0
+    for g in graphs:
+        expected = _omega3_by_full_reduction(g)
+        assert omega_sets(g, "artin").omega3 == expected
+        cycles += len(expected)
+    assert cycles > 1000
 
 
 def test_omega_sets_memory_stays_near_the_output_size():
