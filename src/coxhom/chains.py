@@ -27,15 +27,6 @@ class CycleBasis:
     nontree_edges: tuple[int, ...]
 
 
-def boundary_matrix(pg: PlainGraph) -> list[list[int]]:
-    """Vertex-by-edge incidence matrix: column of edge (i, j) is +1 at j, -1 at i."""
-    matrix = [[0] * len(pg.edges) for _ in pg.vertices]
-    for column, (i, j) in enumerate(pg.edges):
-        matrix[i][column] = -1
-        matrix[j][column] = 1
-    return matrix
-
-
 def boundary(pg: PlainGraph, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Integer 0-chain of the boundary: one coefficient per vertex."""
     out = [0] * len(pg.vertices)

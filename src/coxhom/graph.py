@@ -41,26 +41,30 @@ def is_even(m: Label) -> bool:
 MAX_LABEL_DIGITS = 4300
 
 
+# int() would also take "1_000", surrounding spaces and non-ASCII digits.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def read_label(token: str) -> Label:
-    """The label a token spells, `inf` or a decimal integer, not yet range-checked."""
+    """The label a token spells, `inf` or an optional sign and ASCII digits,
+    not yet range-checked."""
     if token == "inf":
         return INFINITY
-    digits = token[1:] if token[:1] in ("+", "-") else token
-    if len(digits) > MAX_LABEL_DIGITS and digits.isdecimal():
+    if not _INTEGER_RE.fullmatch(token):
+        raise CoxhomError(f"label must be an integer >= 2 or `inf`, got {echo(token)}")
+    digits = token.lstrip("+-")
+    if len(digits) > MAX_LABEL_DIGITS:
         raise CoxhomError(f"label has {len(digits)} digits, above the limit of {MAX_LABEL_DIGITS}")
-    try:
-        return int(token)
-    except ValueError:
-        raise CoxhomError(f"label must be an integer >= 2 or `inf`, got {echo(token)}") from None
+    return int(token)
 
 
 def _check_label(m: Label) -> Label:
     if m == INFINITY:
         return INFINITY
     if isinstance(m, bool) or not isinstance(m, int):
-        raise CoxhomError(f"label must be an integer >= 2 or INFINITY, got {m!r}")
+        raise CoxhomError(f"label must be an integer >= 2 or INFINITY, got {echo(repr(m), False)}")
     if m < 2:
-        raise CoxhomError(f"label must be >= 2, got {m}")
+        raise CoxhomError(f"label must be >= 2, got {echo(str(m), False)}")
     return m
 
 
@@ -68,8 +72,9 @@ def _check_label(m: Label) -> Label:
 class CoxeterGraph:
     """Sparse Coxeter graph over an ordered vertex sequence.
 
-    ``labels`` maps index pairs (i, j) with i < j to their label; pairs with
-    m = 2 are never stored.  Instances are treated as immutable.
+    ``labels`` maps index pairs (i, j) with i < j to their label, in
+    increasing pair order; pairs with m = 2 are never stored.  Instances are
+    treated as immutable.
     """
 
     vertices: tuple[str, ...]
@@ -136,24 +141,18 @@ def build_graph(
 
 def odd_subgraph(g: CoxeterGraph) -> PlainGraph:
     """Subgraph keeping all vertices and exactly the finite-odd-labeled edges."""
-    edges = tuple(pair for pair, m in sorted(g.labels.items()) if is_odd(m))
+    edges = tuple(pair for pair, m in g.labels.items() if is_odd(m))
     return PlainGraph(g.vertices, edges)
 
 
-def adjacency(pg: PlainGraph) -> list[list[int]]:
-    """Neighbor lists in increasing vertex order."""
+def connected_components(pg: PlainGraph) -> tuple[tuple[int, ...], ...]:
+    """Components as vertex-index tuples, by breadth-first search in vertex order."""
     nbrs: list[list[int]] = [[] for _ in pg.vertices]
     for i, j in pg.edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
     for lst in nbrs:
         lst.sort()
-    return nbrs
-
-
-def connected_components(pg: PlainGraph) -> tuple[tuple[int, ...], ...]:
-    """Components as vertex-index tuples, by breadth-first search in vertex order."""
-    nbrs = adjacency(pg)
     seen = [False] * len(pg.vertices)
     components = []
     for root in range(len(pg.vertices)):
@@ -184,7 +183,7 @@ def extend_family(g: CoxeterGraph) -> CoxeterGraph:
         k += 1
     vertices = g.vertices + (f"s{k}",)
     labels = dict(g.labels)
-    labels[(len(g.vertices) - 1, len(g.vertices))] = 3
+    labels[(len(g.vertices) - 1, len(g.vertices))] = 3  # the largest pair, so it goes last
     return CoxeterGraph(vertices, labels)
 
 
@@ -261,7 +260,7 @@ def _affine_e(n: int) -> CoxeterGraph:
     g = _type_e(n)
     names = _names(n + 1)
     attach = {6: names[1], 7: names[0], 8: names[n - 1]}[n]
-    edges = [(names[i], names[j], m) for (i, j), m in sorted(g.labels.items())]
+    edges = [(names[i], names[j], m) for (i, j), m in g.labels.items()]
     edges.append((names[n], attach, 3))
     return build_graph(names, edges)
 
@@ -286,8 +285,8 @@ _I2_MIN = 3
 # closure grows as about n**4.4 and is not bounded by this limit.
 MAX_CATALOG_N = 3000
 
-_I2_RE = re.compile(r"^I2\((\d+|inf)\)$")
-_FAMILY_RE = re.compile(r"^(~?[A-Z])(\d+)$")
+_I2_RE = re.compile(r"I2\(([0-9]+|inf)\)")
+_FAMILY_RE = re.compile(r"(~?[A-Z])([0-9]+)")
 
 
 def _constraint(lo: int, hi: int | None) -> str:
@@ -301,13 +300,13 @@ def _constraint(lo: int, hi: int | None) -> str:
 def from_catalog(name: str) -> CoxeterGraph:
     """Standard diagram by name: A<n>, B<n>, D<n>, E6..E8, F4, H3, H4,
     I2(<m>|inf), ~A<n>, ~B<n>, ~C<n>, ~D<n>, ~E6..~E8."""
-    m = _I2_RE.match(name)
+    m = _I2_RE.fullmatch(name)
     if m:
         value = read_label(m.group(1))
         if value < _I2_MIN:
             raise CoxhomError(f"I2 requires m >= {_I2_MIN} or inf, got {value}")
         return _type_i2(value)
-    m = _FAMILY_RE.match(name)
+    m = _FAMILY_RE.fullmatch(name)
     if not m:
         raise CoxhomError(f"unknown catalog name {echo(name)}")
     family, digits = m.group(1), m.group(2).lstrip("0") or "0"

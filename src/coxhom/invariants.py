@@ -101,6 +101,10 @@ class CorollaryConditions:
 
 @dataclass(frozen=True)
 class HomologySummary:
+    """Rank descriptors for H2 of the orbit space, the Coxeter group, and the
+    Artin group (mod 2 always; integrally only when the corollary conditions
+    hold: every class torsion, every label odd, underlying graph acyclic)."""
+
     h2_orbit: AbelianDescriptor
     h2_coxeter: AbelianDescriptor
     h2_artin_mod2_rank: int
@@ -308,17 +312,6 @@ def analyze(g: CoxeterGraph) -> Analysis:
         h2_artin_integral=integral,
     )
     return Analysis(partition, pg, profile, summary)
-
-
-def invariant_profile(g: CoxeterGraph) -> InvariantProfile:
-    return analyze(g).profile
-
-
-def homology_summary(g: CoxeterGraph) -> HomologySummary:
-    """Rank descriptors for H2 of the orbit space, the Coxeter group, and the
-    Artin group (mod 2 always; integrally only when the corollary conditions
-    hold: every class torsion, every label odd, underlying graph acyclic)."""
-    return analyze(g).summary
 
 
 @dataclass(frozen=True)

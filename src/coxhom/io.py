@@ -22,7 +22,10 @@ def parse_graph(text: str) -> CoxeterGraph:
     """Graph of a file-format text; every error names its 1-based line."""
     vertices: list[tuple[int, str]] = []
     edges: list[tuple[int, tuple[str, str, Label]]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n, \r\n or \r only; str.splitlines() would also end them
+    # at characters such as \f and \u2028, which str.split() reads as spaces
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -34,7 +37,11 @@ def parse_graph(text: str) -> CoxeterGraph:
         elif tokens[0] == "edge":
             if len(tokens) != 4:
                 raise GraphSyntaxError("expected `edge <u> <v> <m>`", number)
-            edges.append((number, (tokens[1], tokens[2], _parse_label(tokens[3], number))))
+            try:
+                label = read_label(tokens[3])
+            except CoxhomError as exc:
+                raise GraphSyntaxError(str(exc), number) from None
+            edges.append((number, (tokens[1], tokens[2], label)))
         else:
             raise GraphSyntaxError(f"unknown directive {echo(tokens[0])}", number)
     current = 0
@@ -51,20 +58,10 @@ def parse_graph(text: str) -> CoxeterGraph:
         raise GraphSyntaxError(str(exc), current) from None
 
 
-def _parse_label(token: str, line: int) -> Label:
-    try:
-        value = read_label(token)
-    except CoxhomError as exc:
-        raise GraphSyntaxError(str(exc), line) from None
-    if value < 2:
-        raise GraphSyntaxError(f"label must be >= 2, got {echo(str(value), False)}", line)
-    return value
-
-
 def render_graph(g: CoxeterGraph) -> str:
     """Canonical file-format text; parsing it reproduces the graph exactly."""
     lines = [f"vertex {name}" for name in g.vertices]
-    for (i, j), m in sorted(g.labels.items()):
+    for (i, j), m in g.labels.items():
         value = "inf" if m == INFINITY else m
         lines.append(f"edge {g.vertices[i]} {g.vertices[j]} {value}")
     return "\n".join(lines) + "\n"
@@ -112,7 +109,7 @@ def render_json(
     names = [_quote(name) for name in g.vertices]
     edges = [
         _EDGE_ROW % (names[i], names[j], '"inf"' if m == INFINITY else m)
-        for (i, j), m in sorted(g.labels.items())
+        for (i, j), m in g.labels.items()
     ]
     scalars = json.dumps({
         "p": profile.p,

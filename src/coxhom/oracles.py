@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .chains import boundary, boundary_matrix, gf2_rank, mod2_reduce
+from .chains import boundary, gf2_rank, mod2_reduce
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, build_graph, is_odd
 from .invariants import PairPartition, Pair
@@ -164,7 +164,11 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     agree = analysis.partition == naive_pair_closure(g)
     rows.append(("pair_classes_vs_naive_closure", agree, f"{profile.n3} classes"))
     rational = rational_cycle_rank(pg)
-    gf2_dim = len(pg.edges) - gf2_rank(mod2_reduce(enumerate(row)) for row in boundary_matrix(pg))
+    incidence = [0] * len(pg.vertices)  # bit k of vertex v: edge k ends at v
+    for k, (i, j) in enumerate(pg.edges):
+        incidence[i] |= 1 << k
+        incidence[j] |= 1 << k
+    gf2_dim = len(pg.edges) - gf2_rank(incidence)
     rows.append((
         "cycle_rank_oracles",
         profile.q3 == rational == gf2_dim == len(basis.basis),

@@ -145,7 +145,7 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     omega1 = tuple(commutator(generator(s), generator(t)) for s, t in analysis.partition.least)
     omega2 = tuple(
         relator(i, j, m)
-        for (i, j), m in sorted(g.labels.items())
+        for (i, j), m in g.labels.items()
         if is_even(m) and m >= 4
     )
     pg = analysis.odd

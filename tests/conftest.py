@@ -26,6 +26,11 @@ def permuted_copy(g: CoxeterGraph, rng: random.Random) -> CoxeterGraph:
     return build_graph(names, edges)
 
 
+def incidence_masks(pg) -> list[int]:
+    """One GF(2) row per vertex of a plain graph: bit k set when edge k ends there."""
+    return [sum(1 << k for k, edge in enumerate(pg.edges) if v in edge) for v in range(len(pg.vertices))]
+
+
 def power(w: tuple[int, ...], e: int) -> tuple[int, ...]:
     """The word w**e in the free group, for any integer exponent."""
     return free_reduce((w if e >= 0 else inverse(w)) * abs(e))

@@ -6,11 +6,11 @@ from __future__ import annotations
 import json
 import random
 
-from conftest import corpus_graphs, permuted_copy, power
-from coxhom.chains import boundary, boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
+from conftest import corpus_graphs, incidence_masks, permuted_copy, power
+from coxhom.chains import boundary, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
-from coxhom.invariants import invariant_profile, pair_classes, stability_scan
+from coxhom.invariants import analyze, pair_classes, stability_scan
 from coxhom.oracles import (
     catalog_sample,
     dihedral_h2_reference,
@@ -40,24 +40,20 @@ def test_criterion_01_affine_d4(capsys):
 def test_criterion_02_affine_d_family(capsys):
     for n in range(5, 13):
         g = from_catalog(f"~D{n}")
-        profile = invariant_profile(g)
+        profile = analyze(g).profile
         assert (profile.p, profile.q) == (3, 0)
-        from coxhom.invariants import homology_summary
-
-        integral = homology_summary(g).h2_artin_integral
+        integral = analyze(g).summary.h2_artin_integral
         assert (integral.free_rank, integral.torsion2_rank) == (0, 3)
     with capsys.disabled():
         _report(2, "~Dn for n=5..12 gives p=3, q=0, integral H2(A) = Z2^3")
 
 
 def test_criterion_03_affine_e_family(capsys):
-    from coxhom.invariants import homology_summary
-
     for i in (6, 7, 8):
         g = from_catalog(f"~E{i}")
-        profile = invariant_profile(g)
+        profile = analyze(g).profile
         assert (profile.p, profile.q) == (1, 0)
-        integral = homology_summary(g).h2_artin_integral
+        integral = analyze(g).summary.h2_artin_integral
         assert (integral.free_rank, integral.torsion2_rank) == (0, 1)
     with capsys.disabled():
         _report(3, "~E6, ~E7, ~E8 give p=1, q=0, integral H2(A) = Z2")
@@ -66,7 +62,7 @@ def test_criterion_03_affine_e_family(capsys):
 def test_criterion_04_dihedral_sweep(capsys):
     for m in list(range(2, 21)) + [INFINITY]:
         g = build_graph(["s1", "s2"], [("s1", "s2", m)])
-        profile = invariant_profile(g)
+        profile = analyze(g).profile
         assert profile.p + profile.q == dihedral_h2_reference(m), f"m = {m}"
     with capsys.disabled():
         _report(4, "I2(m) rank matches the dihedral reference for m = 2..20 and inf")
@@ -81,7 +77,7 @@ def _corpus_with_catalog():
 def test_criterion_05_howlett_identity(capsys):
     graphs = _corpus_with_catalog()
     for g in graphs:
-        profile = invariant_profile(g)
+        profile = analyze(g).profile
         assert -profile.n1 + profile.n2 + profile.n3 + profile.n4 == profile.p + profile.q
     with capsys.disabled():
         _report(5, f"Howlett identity holds on {len(graphs)} corpus + catalog graphs")
@@ -92,9 +88,9 @@ def test_criterion_06_oracle_equivalence(capsys):
     for g in graphs:
         assert pair_classes(g) == naive_pair_closure(g)
         pg = odd_subgraph(g)
-        q3 = invariant_profile(g).q3
+        q3 = analyze(g).profile.q3
         assert q3 == rational_cycle_rank(pg)
-        assert q3 == len(pg.edges) - gf2_rank(mod2_reduce(enumerate(row)) for row in boundary_matrix(pg))
+        assert q3 == len(pg.edges) - gf2_rank(incidence_masks(pg))
     with capsys.disabled():
         _report(6, f"pair classes vs closure and all three cycle ranks agree on {len(graphs)} graphs")
 
@@ -102,7 +98,7 @@ def test_criterion_06_oracle_equivalence(capsys):
 def test_criterion_07_omega_contract(capsys):
     graphs = _corpus_with_catalog()
     for g in graphs:
-        profile = invariant_profile(g)
+        profile = analyze(g).profile
         rank = len(g.vertices)
         artin = omega_sets(g, "artin")
         coxeter = omega_sets(g, "coxeter")
@@ -189,9 +185,9 @@ def test_criterion_09_stability(capsys):
 def test_criterion_10_isomorphism_invariance(capsys):
     rng = random.Random(77)
     for g in corpus_graphs(100, base_seed=7000):
-        reference = invariant_profile(g)
+        reference = analyze(g).profile
         for _ in range(5):
-            assert invariant_profile(permuted_copy(g, rng)) == reference
+            assert analyze(permuted_copy(g, rng)).profile == reference
     with capsys.disabled():
         _report(10, "p, q1..q3, n1..n4 unchanged under 5 permutations of 100 graphs")
 

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import random
 import re
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import corpus_graphs
+from conftest import SPARSE_WEIGHTS, corpus_graphs
 from coxhom.cli import main
-from coxhom.errors import CoxhomError
+from coxhom.errors import ECHO_LIMIT, CoxhomError
 from coxhom.graph import (
     INFINITY,
     MAX_CATALOG_N,
@@ -16,6 +20,8 @@ from coxhom.graph import (
     from_catalog,
     odd_subgraph,
 )
+from coxhom.io import parse_graph
+from coxhom.oracles import LABEL_SUPPORT, catalog_sample, random_coxeter_graph
 
 
 def test_build_graph_stores_labels():
@@ -47,6 +53,59 @@ def test_build_graph_errors_name_the_offender():
         build_graph(["a"], [("a", "b", 3)])
     with pytest.raises(CoxhomError, match="self-loop at 'a'"):
         build_graph(["a"], [("a", "a", 3)])
+
+
+def test_build_graph_label_errors_cut_long_values_short():
+    with pytest.raises(CoxhomError) as info:
+        build_graph(["a", "b"], [("a", "b", -10**200)])
+    digits = str(-10**200)
+    assert str(info.value) == f"label must be >= 2, got {digits[:ECHO_LIMIT]}... ({len(digits)} characters)"
+    label = "x" * 300
+    with pytest.raises(CoxhomError) as info:
+        build_graph(["a", "b"], [("a", "b", label)])
+    shown = f"{repr(label)[:ECHO_LIMIT]}... ({len(label) + 2} characters)"
+    assert str(info.value) == f"label must be an integer >= 2 or INFINITY, got {shown}"
+    with pytest.raises(CoxhomError, match="^label must be >= 2, got 1$"):
+        build_graph(["a", "b"], [("a", "b", 1)])
+
+
+def _assert_in_pair_order(g):
+    """The CoxeterGraph contract: pairs (i, j) with i < j, increasing, no label 2."""
+    assert list(g.labels) == sorted(g.labels)
+    assert all(0 <= i < j < len(g.vertices) for i, j in g.labels)
+    assert 2 not in g.labels.values()
+
+
+@given(st.integers(1, 8), st.lists(st.sampled_from(LABEL_SUPPORT), min_size=28, max_size=28),
+       st.randoms(use_true_random=False))
+def test_build_graph_stores_labels_in_pair_order(n, draws, rng):
+    names = [f"v{i}" for i in range(n)]
+    drawn = list(zip(combinations(range(n), 2), draws))
+    edges = [(names[j], names[i], m) if rng.random() < 0.5 else (names[i], names[j], m)
+             for (i, j), m in drawn]
+    rng.shuffle(edges)
+    g = build_graph(names, edges)
+    _assert_in_pair_order(g)
+    assert g.labels == {pair: m for pair, m in drawn if m != 2}
+
+
+def test_every_graph_source_stores_labels_in_pair_order():
+    rng = random.Random(13)
+    graphs = [from_catalog(name) for name in catalog_sample()]
+    graphs += corpus_graphs(40) + [random_coxeter_graph(rng, 30, SPARSE_WEIGHTS)]
+    for g in graphs[-6:] + [from_catalog("I2(4)"), build_graph(["b", "a"], [("a", "b", 5)])]:
+        for _ in range(5):
+            g = extend_family(g)
+            graphs.append(g)
+    for g in corpus_graphs(20, base_seed=300):
+        lines = [f"vertex {name}" for name in g.vertices]
+        lines += [f"edge {g.vertices[j]} {g.vertices[i]} {'inf' if m == INFINITY else m}"
+                  for (i, j), m in reversed(g.labels.items())]
+        parsed = parse_graph("\n".join(lines))
+        assert parsed == g
+        graphs.append(parsed)
+    for g in graphs:
+        _assert_in_pair_order(g)
 
 
 def test_label_ix_diagonal_and_defaults():
@@ -96,6 +155,15 @@ def test_catalog_parameter_errors():
     for unknown in ["X5", "~H3", "A", "I2()", "I2(x)", "foo", "~F4"]:
         with pytest.raises(CoxhomError, match="unknown catalog"):
             from_catalog(unknown)
+
+
+@pytest.mark.parametrize("name", ["A3\n", "~D4\n", "I2(5)\n", "A\u0663", "I2(\u0665)"])
+def test_catalog_names_are_ascii_and_whole(name, capsys):
+    with pytest.raises(CoxhomError) as info:
+        from_catalog(name)
+    assert str(info.value) == f"unknown catalog name {name!r}"
+    assert main(["compute", "--type", name]) == 2
+    assert capsys.readouterr() == ("", f"error: unknown catalog name {name!r}\n")
 
 
 def test_catalog_parameter_limit():

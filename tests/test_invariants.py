@@ -10,8 +10,7 @@ from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, extend_family, from_catalog, is_even
 from coxhom.invariants import (
     MAX_SCAN_STEPS,
-    homology_summary,
-    invariant_profile,
+    analyze,
     pair_classes,
     stability_scan,
 )
@@ -75,46 +74,46 @@ def test_pair_classes_keep_their_count_along_catalog_families(family, expected):
 
 
 def test_invariant_profile_affine_d4():
-    profile = invariant_profile(from_catalog("~D4"))
+    profile = analyze(from_catalog("~D4")).profile
     assert (profile.p, profile.q1, profile.q2, profile.q3, profile.q) == (6, 0, 0, 0, 0)
 
 
 def test_invariant_profile_i24():
-    profile = invariant_profile(from_catalog("I2(4)"))
+    profile = analyze(from_catalog("I2(4)")).profile
     assert (profile.p, profile.q1, profile.q2, profile.q3) == (0, 0, 1, 0)
     assert profile.p + profile.q == 1
 
 
 def test_invariant_profile_triangle_cycle_rank():
-    profile = invariant_profile(TRIANGLE)
+    profile = analyze(TRIANGLE).profile
     assert (profile.p, profile.q1, profile.q2, profile.q3) == (0, 0, 0, 1)
 
 
 def test_invariant_profile_empty_graph():
-    profile = invariant_profile(build_graph([]))
-    assert profile == invariant_profile(build_graph([]))
+    profile = analyze(build_graph([])).profile
+    assert profile == analyze(build_graph([])).profile
     assert profile.p == profile.q == profile.n1 == profile.n4 == 0
 
 
 def test_h1_rank_counts_odd_components():
     # B3: the 4-edge splits s1 from the odd component {s2, s3}
-    assert invariant_profile(from_catalog("B3")).n4 == 2
-    assert invariant_profile(from_catalog("A5")).n4 == 1
+    assert analyze(from_catalog("B3")).profile.n4 == 2
+    assert analyze(from_catalog("A5")).profile.n4 == 1
 
 
 def test_homology_summary_affine_e6():
-    summary = homology_summary(from_catalog("~E6"))
+    summary = analyze(from_catalog("~E6")).summary
     assert summary.corollary.applies
     assert (summary.h2_artin_integral.free_rank, summary.h2_artin_integral.torsion2_rank) == (0, 1)
 
 
 def test_homology_summary_affine_d5():
-    summary = homology_summary(from_catalog("~D5"))
+    summary = analyze(from_catalog("~D5")).summary
     assert (summary.h2_artin_integral.free_rank, summary.h2_artin_integral.torsion2_rank) == (0, 3)
 
 
 def test_homology_summary_i24_undetermined_integrally():
-    summary = homology_summary(from_catalog("I2(4)"))
+    summary = analyze(from_catalog("I2(4)")).summary
     assert not summary.corollary.odd_equals_gamma
     assert not summary.corollary.applies
     assert summary.h2_artin_mod2_rank == 1
@@ -123,7 +122,7 @@ def test_homology_summary_i24_undetermined_integrally():
 
 def test_homology_summary_rank_identities():
     for g in corpus_graphs(60):
-        summary = homology_summary(g)
+        summary = analyze(g).summary
         assert (
             summary.h2_artin_mod2_rank
             == summary.h2_orbit.free_rank + summary.h2_orbit.torsion2_rank
@@ -138,9 +137,9 @@ def test_corollary_tree_condition_is_on_whole_graph():
         ["a", "b", "c"],
         [("a", "b", 3), ("b", "c", 3), ("a", "c", 4)],
     )
-    summary = homology_summary(g)
+    summary = analyze(g).summary
     assert not summary.corollary.tree
-    assert invariant_profile(g).q3 == 0
+    assert analyze(g).profile.q3 == 0
 
 
 def _forest_components(n, edges):
@@ -165,8 +164,8 @@ def _forest_components(n, edges):
 
 def test_howlett_identity_on_corpus():
     for g in corpus_graphs(120):
-        profile = invariant_profile(g)
-        summary = homology_summary(g)
+        profile = analyze(g).profile
+        summary = analyze(g).summary
         odd_edges = [pair for pair, m in g.labels.items() if m != INFINITY and m % 2]
         assert profile.howlett_identity
         assert profile.n3 == profile.p + profile.q1
@@ -195,11 +194,11 @@ def test_invariants_are_isomorphism_invariant():
     graphs += [random_coxeter_graph(rng, rng.randint(40, 60), weights)
                for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS) for _ in range(3)]
     for g in graphs:
-        reference = invariant_profile(g)
+        reference = analyze(g).profile
         classes = _classes_by_name(g)
         for _ in range(3 if len(g.vertices) < 40 else 2):
             copy = permuted_copy(g, rng)
-            assert invariant_profile(copy) == reference
+            assert analyze(copy).profile == reference
             assert _classes_by_name(copy) == classes
 
 
@@ -224,8 +223,8 @@ def test_kunneth_law_for_disjoint_unions():
     names = ("~D12", "A20", "B15", "~A14", "E8", "H4", "I2(6)")
     pairs += [(from_catalog(a), from_catalog(b)) for a in names for b in names if a <= b]
     for g1, g2 in pairs:
-        p1, p2 = invariant_profile(g1), invariant_profile(g2)
-        union = invariant_profile(_disjoint_union(g1, g2))
+        p1, p2 = analyze(g1).profile, analyze(g2).profile
+        union = analyze(_disjoint_union(g1, g2)).profile
         assert union.mod2_rank == p1.mod2_rank + p2.mod2_rank + p1.n4 * p2.n4
         assert union.n4 == p1.n4 + p2.n4
 
@@ -253,12 +252,12 @@ def test_stability_scan_preconditions():
 
 
 def _per_step_ranks(seed, n_max, extend):
-    """The trajectory from a full invariant_profile of every graph of the family."""
+    """The trajectory from a full analysis of every graph of the family."""
     g, ranks = seed, []
     for step in range(1, n_max + 1):
         if step > 1:
             g = extend(g)
-        ranks.append((step, invariant_profile(g).mod2_rank))
+        ranks.append((step, analyze(g).profile.mod2_rank))
     return tuple(ranks)
 
 

@@ -17,7 +17,7 @@ from conftest import SPARSE_WEIGHTS, corpus_graphs, reference_json
 from coxhom.cli import _build_parser, _UsageError, main
 from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
-from coxhom.invariants import MAX_SCAN_STEPS, analyze, homology_summary, invariant_profile
+from coxhom.invariants import MAX_SCAN_STEPS, analyze
 from coxhom.io import (
     parse_graph,
     render_graph,
@@ -60,6 +60,10 @@ def test_parse_bad_labels():
     assert info.value.line == 3
     with pytest.raises(GraphSyntaxError, match="^line 3: label must be an integer >= 2 or `inf`, got 'x'$"):
         parse_graph("vertex a\nvertex b\nedge a b x\n")
+    for token in ("1_000", "\u0667", "3.0", "0x10"):  # int() would take the first two
+        with pytest.raises(GraphSyntaxError) as info:
+            parse_graph(f"vertex a\nvertex b\nedge a b {token}\n")
+        assert str(info.value) == f"line 3: label must be an integer >= 2 or `inf`, got {token!r}"
 
 
 def test_parse_structural_errors():
@@ -77,6 +81,9 @@ def test_build_errors_carry_the_line():
         ("vertex a\nedge a b 3\nvertex b\nedge a c 3\n", "unknown vertex 'c'", 4),
         ("edge a a 3\nvertex a\n", "self-loop at 'a'", 1),
         ("vertex a\nvertex b\nedge a b 3\n\nedge b a 4\n", "pair ('b', 'a') listed with labels 3 and 4", 5),
+        # a label below 2 is found when its edge is built, so an earlier line's fault comes first
+        ("vertex a\nedge a b 3\nedge a a 1\n", "unknown vertex 'b'", 2),
+        ("vertex a\nvertex b\nedge a b 3\nedge a b -7\n", "label must be >= 2, got -7", 4),
     ):
         with pytest.raises(GraphSyntaxError) as info:
             parse_graph(text)
@@ -84,6 +91,19 @@ def test_build_errors_carry_the_line():
         assert info.value.line == line
     with pytest.raises(CoxhomError, match="^vertex 'a' declared twice$"):
         build_graph(["a", "a"])
+
+
+def test_parse_ends_lines_only_at_newlines():
+    # \f and \u2028 end a line for str.splitlines(), not for an editor
+    g = parse_graph("# c\fmore\nvertex a\nvertex b\nedge a b 3\n")
+    assert g == build_graph(["a", "b"], [("a", "b", 3)])
+    with pytest.raises(GraphSyntaxError, match="^line 1: expected `vertex <name>`$"):
+        parse_graph("vertex a\u2028vertex b\n")
+    for end in ("\r\n", "\r"):
+        with pytest.raises(GraphSyntaxError, match="^line 4: unknown vertex 'b'$"):
+            parse_graph(end.join(["# c\fmore", "vertex a", "", "edge a b 3", ""]))
+        g = parse_graph(end.join(["vertex b", "# c\fmore", "vertex a", "", "edge a b 3", ""]))
+        assert g == build_graph(["b", "a"], [("a", "b", 3)])
 
 
 def test_cli_build_error_names_the_line(tmp_path, capsys):
@@ -108,7 +128,7 @@ def test_word_serialization():
 def _json_for(name, omegas_flavor=None):
     g = from_catalog(name)
     omegas = omega_sets(g, omegas_flavor) if omegas_flavor else None
-    return json.loads(render_json(g, invariant_profile(g), homology_summary(g), omegas))
+    return json.loads(render_json(g, analyze(g).profile, analyze(g).summary, omegas))
 
 
 def test_render_json_affine_e6():
@@ -128,7 +148,7 @@ def test_render_json_i24_integral_unknown():
 
 def test_render_json_empty_graph():
     g = build_graph([])
-    doc = json.loads(render_json(g, invariant_profile(g), homology_summary(g)))
+    doc = json.loads(render_json(g, analyze(g).profile, analyze(g).summary))
     assert doc["p"] == doc["q"] == doc["h2_artin_mod2_rank"] == 0
     assert doc["vertices"] == [] and doc["edges"] == []
 
@@ -137,8 +157,8 @@ def test_render_json_key_order_fixed():
     doc = json.loads(
         render_json(
             from_catalog("A3"),
-            invariant_profile(from_catalog("A3")),
-            homology_summary(from_catalog("A3")),
+            analyze(from_catalog("A3")).profile,
+            analyze(from_catalog("A3")).summary,
         )
     )
     assert list(doc) == [
@@ -180,7 +200,7 @@ def test_render_json_bytes_on_catalog_and_corpus():
     for g in graphs + [build_graph([])]:
         _assert_renders_as_the_reference(g)
     a1 = from_catalog("A1")
-    text = render_json(a1, invariant_profile(a1), homology_summary(a1), omega_sets(a1, "artin"))
+    text = render_json(a1, analyze(a1).profile, analyze(a1).summary, omega_sets(a1, "artin"))
     assert '"omega1": [],' in text and '"omega3": [],' in text  # a graph with no words
     # the flag is computed per word, not assumed: a word off the commutator subgroup reads false
     g = from_catalog("~A2")

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs
-from coxhom.chains import boundary_matrix, fundamental_cycle_basis, gf2_rank, mod2_reduce
+from conftest import SPARSE_WEIGHTS, corpus_graphs, incidence_masks
+from coxhom.chains import fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
-from coxhom.invariants import analyze, invariant_profile, pair_classes
+from coxhom.invariants import analyze, pair_classes
 from coxhom.oracles import (
+    DEFAULT_WEIGHTS,
     LABEL_SUPPORT,
+    consistency_report,
     dihedral_h2_reference,
     naive_pair_closure,
     random_coxeter_graph,
@@ -120,7 +122,18 @@ def test_pair_classes_agree_with_naive_closure_along_odd_paths():
 def test_cycle_rank_oracles_agree():
     for g in corpus_graphs(120, base_seed=60):
         pg = odd_subgraph(g)
-        q3 = invariant_profile(g).q3
+        q3 = analyze(g).profile.q3
         assert q3 == rational_cycle_rank(pg)
-        assert q3 == len(pg.edges) - gf2_rank(mod2_reduce(enumerate(row)) for row in boundary_matrix(pg))
+        assert q3 == len(pg.edges) - gf2_rank(incidence_masks(pg))
         assert q3 == gf2_rank(mod2_reduce(cycle) for cycle in fundamental_cycle_basis(pg).basis)
+
+
+def test_consistency_report_gf2_row_on_random_graphs():
+    # small graphs split into several odd components; the largest is the size `check` is timed at
+    rng = random.Random(31)
+    graphs = [random_coxeter_graph(rng, n, weights)
+              for n in range(1, 13) for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS)]
+    graphs += [random_coxeter_graph(rng, n) for n in (40, 80, 200)]
+    for g in graphs:
+        (row,) = [row for row in consistency_report(g) if row[0] == "cycle_rank_oracles"]
+        assert row[1], (len(g.vertices), row[2])

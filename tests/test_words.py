@@ -11,7 +11,7 @@ from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy, power
 from coxhom.chains import fundamental_cycle_basis
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
-from coxhom.invariants import invariant_profile
+from coxhom.invariants import analyze
 from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 from coxhom.words import (
     MAX_SPELLED_LABEL,
@@ -247,7 +247,7 @@ def test_omega_sets_memory_stays_near_the_output_size():
 
 def test_omega_counts_and_abelianization_on_corpus():
     for g in corpus_graphs(60, base_seed=100):
-        profile = invariant_profile(g)
+        profile = analyze(g).profile
         for flavor in ("artin", "coxeter"):
             om = omega_sets(g, flavor)
             assert len(om.omega1) == profile.p + profile.q1
