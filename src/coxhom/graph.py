@@ -37,8 +37,10 @@ def is_even(m: Label) -> bool:
     return m != INFINITY and m % 2 == 0
 
 
-# Python's int() refuses a decimal string of more digits than this.
+# Python's int() refuses a decimal string of more digits than this, and str()
+# an int of more digits.
 MAX_LABEL_DIGITS = 4300
+_LABEL_BOUND = 10**MAX_LABEL_DIGITS  # the least int of more digits
 
 
 # int() would also take "1_000", surrounding spaces and non-ASCII digits.
@@ -63,6 +65,8 @@ def _check_label(m: Label) -> Label:
         return INFINITY
     if isinstance(m, bool) or not isinstance(m, int):
         raise CoxhomError(f"label must be an integer >= 2 or INFINITY, got {echo(repr(m), False)}")
+    if abs(m) >= _LABEL_BOUND:  # before any str(m), which would raise ValueError
+        raise CoxhomError(f"label has more than {MAX_LABEL_DIGITS} digits, above the limit")
     if m < 2:
         raise CoxhomError(f"label must be >= 2, got {echo(str(m), False)}")
     return m
@@ -94,8 +98,7 @@ class PlainGraph:
     """Unlabeled graph whose edges join vertex indices.
 
     ``vertices`` holds one name per vertex.  Chains orient an edge (i, j)
-    with i < j, boundary j - i, as ``odd_subgraph`` lists them; a components
-    search reads edges in either orientation.
+    with i < j, boundary j - i, as ``odd_subgraph`` lists them.
     """
 
     vertices: tuple[str, ...]
@@ -143,30 +146,6 @@ def odd_subgraph(g: CoxeterGraph) -> PlainGraph:
     """Subgraph keeping all vertices and exactly the finite-odd-labeled edges."""
     edges = tuple(pair for pair, m in g.labels.items() if is_odd(m))
     return PlainGraph(g.vertices, edges)
-
-
-def connected_components(pg: PlainGraph) -> tuple[tuple[int, ...], ...]:
-    """Components as vertex-index tuples, by breadth-first search in vertex order."""
-    nbrs: list[list[int]] = [[] for _ in pg.vertices]
-    for i, j in pg.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    for lst in nbrs:
-        lst.sort()
-    seen = [False] * len(pg.vertices)
-    components = []
-    for root in range(len(pg.vertices)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        component = [root]
-        for v in component:  # the list is the queue: it grows as it is read
-            for w in nbrs[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    component.append(w)
-        components.append(tuple(component))
-    return tuple(components)
 
 
 def extend_family(g: CoxeterGraph) -> CoxeterGraph:

@@ -18,7 +18,6 @@ from .errors import CoxhomError
 from .graph import (
     CoxeterGraph,
     PlainGraph,
-    connected_components,
     extend_family,
     is_even,
     is_finite,
@@ -238,10 +237,10 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
             torsion.append(bool(component & witnessed))
 
     for a, v, u in crossed:
-        parent[_root(parent, node(v, a))] = _root(parent, node(u, a))
+        _join(parent, node(v, a), node(u, a))
     for k in _bits(link):
         for a in _bits(rows[k] & rows[k + 1] & (starts[k] | starts[k + 1])):
-            parent[_root(parent, node(k, a))] = _root(parent, node(k + 1, a))
+            _join(parent, node(k, a), node(k + 1, a))
 
     least: dict[int, Pair] = {}  # root -> the least pair of its class
     torsion_roots = set()
@@ -283,8 +282,10 @@ def analyze(g: CoxeterGraph) -> Analysis:
     q1 = len(partition.least) - p
     q2 = sum(1 for m in g.labels.values() if is_even(m) and m >= 4)
     pg = odd_subgraph(g)
-    components = len(connected_components(pg))
-    q3 = len(pg.edges) - len(pg.vertices) + components
+    n = len(g.vertices)
+    parent = list(range(n))
+    components = n - sum(_join(parent, i, j) for i, j in pg.edges)
+    q3 = len(pg.edges) - n + components
     n2 = sum(1 for m in g.labels.values() if is_finite(m))
     profile = InvariantProfile(
         p=p,
@@ -292,16 +293,16 @@ def analyze(g: CoxeterGraph) -> Analysis:
         q2=q2,
         q3=q3,
         q=q1 + q2 + q3,
-        n1=len(g.vertices),
+        n1=n,
         n2=n2,
         n3=len(partition.least),
         n4=components,
     )
-    whole = connected_components(PlainGraph(g.vertices, tuple(g.labels)))
+    parent = list(range(n))
     conditions = CorollaryConditions(
         all_torsion=q1 == 0,
         odd_equals_gamma=all(is_odd(m) for m in g.labels.values()),
-        tree=len(g.labels) == len(g.vertices) - len(whole),
+        tree=all(_join(parent, i, j) for i, j in g.labels),  # no edge closes a cycle
     )
     integral = AbelianDescriptor(0, p) if conditions.applies else None
     summary = HomologySummary(
@@ -323,7 +324,8 @@ class StabilityReport:
 
 
 # Largest n_max a stability scan accepts.  Its pair union-find holds a slot
-# for every pair of the last graph, about n_max**2 / 2 of them.
+# for every pair of the last graph, of (seed vertices + n_max - 1) vertices,
+# so a scan's time and memory follow that graph, not n_max alone.
 MAX_SCAN_STEPS = 2000
 
 

@@ -65,10 +65,6 @@ def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, reversed(w)))
 
 
-def generator(index: int) -> tuple[int, ...]:
-    return (letter(index),)
-
-
 def alternating_word(s: int, t: int, m: int) -> tuple[int, ...]:
     """The length-m word s t s t ... over vertex indices s, t."""
     if s == t:
@@ -93,10 +89,6 @@ def relator(s: int, t: int, m: Label) -> tuple[int, ...]:
         raise CoxhomError(f"relator requires m >= 2, got {m}")
     # the halves meet at letters of different vertices, so nothing cancels
     return alternating_word(s, t, m) + inverse(alternating_word(t, s, m))
-
-
-def commutator(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    return free_reduce(x + y + inverse(x) + inverse(y))
 
 
 def abelianize(w: tuple[int, ...], rank: int) -> tuple[int, ...]:
@@ -142,7 +134,8 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     if flavor not in FLAVORS:
         raise CoxhomError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     analysis = analyze(g)
-    omega1 = tuple(commutator(generator(s), generator(t)) for s, t in analysis.partition.least)
+    # a least pair has s < t, and the relator of label 2 is the commutator [s, t]
+    omega1 = tuple(relator(s, t, 2) for s, t in analysis.partition.least)
     omega2 = tuple(
         relator(i, j, m)
         for (i, j), m in g.labels.items()

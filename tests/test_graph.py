@@ -14,13 +14,14 @@ from coxhom.errors import ECHO_LIMIT, CoxhomError
 from coxhom.graph import (
     INFINITY,
     MAX_CATALOG_N,
+    MAX_LABEL_DIGITS,
     build_graph,
     catalog_grammar,
     extend_family,
     from_catalog,
     odd_subgraph,
 )
-from coxhom.io import parse_graph
+from coxhom.io import parse_graph, render_graph
 from coxhom.oracles import LABEL_SUPPORT, catalog_sample, random_coxeter_graph
 
 
@@ -67,6 +68,18 @@ def test_build_graph_label_errors_cut_long_values_short():
     assert str(info.value) == f"label must be an integer >= 2 or INFINITY, got {shown}"
     with pytest.raises(CoxhomError, match="^label must be >= 2, got 1$"):
         build_graph(["a", "b"], [("a", "b", 1)])
+
+
+def test_build_graph_refuses_labels_of_too_many_digits():
+    # str() of an int of more than MAX_LABEL_DIGITS digits raises ValueError,
+    # so such a label must be refused before any message or rendering spells it
+    huge = 10**5000
+    limit = f"^label has more than {MAX_LABEL_DIGITS} digits, above the limit$"
+    for edges in ([("a", "b", -huge)], [("a", "b", 3), ("b", "a", huge)], [("a", "b", huge)]):
+        with pytest.raises(CoxhomError, match=limit):
+            build_graph(["a", "b"], edges)
+    widest = 10**MAX_LABEL_DIGITS - 1
+    assert render_graph(build_graph(["a", "b"], [("a", "b", widest)])).endswith(f"edge a b {widest}\n")
 
 
 def _assert_in_pair_order(g):

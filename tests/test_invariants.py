@@ -163,9 +163,14 @@ def _forest_components(n, edges):
 
 
 def test_howlett_identity_on_corpus():
-    for g in corpus_graphs(120):
-        profile = analyze(g).profile
-        summary = analyze(g).summary
+    # catalog diagrams in their own vertex order are long runs of odd edges,
+    # shuffled copies scatter them; ~A3000's last label closes its cycle
+    rng = random.Random(5)
+    graphs = corpus_graphs(120) + [from_catalog(name) for name in ("A3000", "~A3000", "~D3000")]
+    graphs += [permuted_copy(from_catalog(name), rng) for name in ("D70", "~A85")]
+    for g in graphs:
+        analysis = analyze(g)
+        profile, summary = analysis.profile, analysis.summary
         odd_edges = [pair for pair, m in g.labels.items() if m != INFINITY and m % 2]
         assert profile.howlett_identity
         assert profile.n3 == profile.p + profile.q1

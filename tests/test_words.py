@@ -18,9 +18,7 @@ from coxhom.words import (
     _extend_reduced,
     abelianize,
     alternating_word,
-    commutator,
     free_reduce,
-    generator,
     in_commutator_subgroup,
     inverse,
     omega_sets,
@@ -55,7 +53,11 @@ def test_relator_shapes():
 
 
 def test_relator_equals_commutator_for_label_two():
-    assert relator(0, 1, 2) == commutator(generator(0), generator(1))
+    # omega1 spells [s, t] = s t s^-1 t^-1 for the least pair (s, t) of each class
+    for g in corpus_graphs(60):
+        om = omega_sets(g, "coxeter")
+        least = om.analysis.partition.least
+        assert om.omega1 == tuple((s + 1, t + 1, -(s + 1), -(t + 1)) for s, t in least)
 
 
 def test_free_reduce_examples():
@@ -80,10 +82,8 @@ def test_abelianize_survives_reduction(raw):
 
 
 def test_commutator_examples():
-    assert commutator(generator(0), generator(1)) == (1, 2, -1, -2)
-    assert commutator(generator(0), generator(0)) == ()
-    w = commutator(free_reduce([1, 2]), generator(0))
-    assert w == (1, 2, 1, -2, -1, -1)
+    w = (1, 2, 1, -2, -1, -1)  # [s1 s2, s1], freely reduced
+    assert free_reduce(w) == w
     assert in_commutator_subgroup(w)
 
 
@@ -101,7 +101,7 @@ def test_relator_abelianization_by_parity(m):
 def test_in_commutator_subgroup():
     assert in_commutator_subgroup(())
     assert in_commutator_subgroup((1, 2, -1, -2))
-    assert not in_commutator_subgroup(generator(0))
+    assert not in_commutator_subgroup((1,))
     assert not in_commutator_subgroup(relator(0, 1, 5))
     # unbalanced words that a partial comparison lets through: only half the
     # sorted letters, only the negative letters, only the sign counts or only
@@ -127,7 +127,8 @@ def test_in_commutator_subgroup_matches_abelianize(raw, reduce):
 
 @given(letters, letters)
 def test_commutators_abelianize_to_zero(a, b):
-    assert in_commutator_subgroup(commutator(free_reduce(a), free_reduce(b)))
+    x, y = free_reduce(a), free_reduce(b)
+    assert in_commutator_subgroup(free_reduce(x + y + inverse(x) + inverse(y)))
 
 
 @given(letters, letters)
@@ -140,12 +141,12 @@ def test_extend_reduced_is_free_reduction_of_the_product(a, b):
 
 def test_extend_reduced_cancels_a_whole_relator():
     rel = relator(0, 1, 3)
-    stack = list(generator(2) + rel)
+    stack = list((3,) + rel)
     _extend_reduced(stack, inverse(rel))
     assert stack == [3]
     # the whole stack cancels and the rest of the part is kept
     stack = list(rel)
-    _extend_reduced(stack, inverse(rel) + generator(2))
+    _extend_reduced(stack, inverse(rel) + (3,))
     assert stack == [3]
     stack = list(rel)
     _extend_reduced(stack, inverse(rel))
@@ -161,7 +162,7 @@ def test_word_power_and_inverse():
 
 def test_omega_sets_a3():
     om = omega_sets(from_catalog("A3"), "artin")
-    assert om.omega1 == (commutator(generator(0), generator(2)),)
+    assert om.omega1 == ((1, 3, -1, -3),)
     assert om.omega2 == ()
     assert om.omega3 == ()
 
