@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from .errors import ECHO_LIMIT, CoxhomError, echo
 from .graph import CoxeterGraph, catalog_grammar, from_catalog
 from .invariants import analyze, stability_scan
-from .io import parse_graph, render_json, word_texts
+from .io import parse_graph, render_json, render_stability, word_texts
 from .oracles import consistency_report
 from .words import FLAVORS, in_commutator_subgroup, omega_sets
 
@@ -173,11 +172,7 @@ def _cmd_stability(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        doc = {
-            "trajectory": [{"n": n, "rank": rank} for n, rank in report.trajectory],
-            "verdict": report.stable,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(render_stability(report))
         return 0
     for n, rank in report.trajectory:
         print(f"n = {n:2d}  p+q = {rank}")

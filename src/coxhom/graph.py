@@ -122,15 +122,24 @@ def build_graph(
             raise CoxhomError(f"vertex {echo(name)} declared twice")
         index[name] = len(index)
     labels: dict[tuple[int, int], Label] = {}
+    checked: dict[tuple[type, Label], Label] = {}  # typed, as 3.0 == 3 and True == 1 are refused
     for u, v, m in edges:
-        if u not in index:
+        i = index.get(u)
+        if i is None:
             raise CoxhomError(f"unknown vertex {echo(u)}")
-        if v not in index:
+        j = index.get(v)
+        if j is None:
             raise CoxhomError(f"unknown vertex {echo(v)}")
-        if u == v:
+        if i == j:
             raise CoxhomError(f"self-loop at {echo(u)}")
-        m = _check_label(m)
-        i, j = sorted((index[u], index[v]))
+        key = type(m), m
+        try:
+            m = checked[key]
+        except KeyError:
+            m = checked[key] = _check_label(m)
+        except TypeError:  # an unhashable label is checked without the memo
+            m = _check_label(m)
+        i, j = (i, j) if i < j else (j, i)
         seen = labels.get((i, j))
         if seen is not None and seen != m:
             raise CoxhomError(

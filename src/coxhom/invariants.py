@@ -192,7 +192,7 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
     node_at: dict[int, int] = {}  # a * n + s: the node of row a holding the run from s
     heads: list[Pair] = []  # node k is (a, C) with least vertex s: heads[k] = (a, s)
     torsion: list[bool] = []
-    crossed: list[tuple[int, int, int]] = []  # (a, v, u): row a's search went from v to u
+    joins: list[tuple[int, int, int]] = []  # (a, v, u): join the nodes of rows v and u holding a
     parent: list[int] = []  # the union-find over the nodes
 
     def node(a: int, x: int) -> int:
@@ -233,14 +233,24 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
                     reached &= ~run
                     component |= run
                     todo |= run & has_cross
-                    crossed.append((a, v, low.bit_length() - 1))
+                    joins.append((a, v, low.bit_length() - 1))  # row a's search crossed {v,u}
             torsion.append(bool(component & witnessed))
 
-    for a, v, u in crossed:
-        _join(parent, node(v, a), node(u, a))
     for k in _bits(link):
-        for a in _bits(rows[k] & rows[k + 1] & (starts[k] | starts[k + 1])):
-            _join(parent, node(k, a), node(k + 1, a))
+        joins += [(a, k, k + 1) for a in _bits(rows[k] & rows[k + 1] & (starts[k] | starts[k + 1]))]
+    get = node_at.get  # _join(parent, node(v, a), node(u, a)), inline: no call per union
+    for a, v, u in joins:
+        x = get(v * n + a)
+        if x is None:
+            x = node_at[v * n + (starts[v] & ((2 << a) - 1)).bit_length() - 1]
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        y = get(u * n + a)
+        if y is None:
+            y = node_at[u * n + (starts[u] & ((2 << a) - 1)).bit_length() - 1]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[x] = y
 
     least: dict[int, Pair] = {}  # root -> the least pair of its class
     torsion_roots = set()
@@ -323,9 +333,10 @@ class StabilityReport:
     stable: bool
 
 
-# Largest n_max a stability scan accepts.  Its pair union-find holds a slot
-# for every pair of the last graph, of (seed vertices + n_max - 1) vertices,
-# so a scan's time and memory follow that graph, not n_max alone.
+# Largest n_max a stability scan accepts, and the most vertices its last
+# graph, of seed vertices + n_max - 1, may have.  Its pair union-find holds a
+# slot for every pair of that graph, so a scan's time and memory follow the
+# last graph, not n_max alone.
 MAX_SCAN_STEPS = 2000
 
 
@@ -354,6 +365,9 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
         raise CoxhomError(f"n_max must be >= 4, got {n_max}")
     if n_max > MAX_SCAN_STEPS:
         raise CoxhomError(f"n_max must be <= {MAX_SCAN_STEPS}, got {n_max}")
+    if len(seed.vertices) + n_max - 1 > MAX_SCAN_STEPS:
+        last = f"{len(seed.vertices)} + {n_max} - 1"
+        raise CoxhomError(f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got {last}")
     classes = q2 = components = 0
     pair_parent: list[int] = []  # slots of non-commuting pairs stay unused
     vertex_parent: list[int] = []

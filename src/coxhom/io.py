@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import CoxhomError, GraphSyntaxError, echo
 from .graph import INFINITY, CoxeterGraph, Label, build_graph, read_label
-from .invariants import HomologySummary, InvariantProfile
+from .invariants import HomologySummary, InvariantProfile, StabilityReport
 from .words import OmegaSets, in_commutator_subgroup
 
 
@@ -25,23 +25,25 @@ def parse_graph(text: str) -> CoxeterGraph:
     # lines end at \n, \r\n or \r only; str.splitlines() would also end them
     # at characters such as \f and \u2028, which str.split() reads as spaces
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    read: dict[str, Label] = {}  # each distinct label token is read once
     for number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
-        if tokens[0] == "vertex":
+        if tokens[0] == "edge":
+            if len(tokens) != 4:
+                raise GraphSyntaxError("expected `edge <u> <v> <m>`", number)
+            label = read.get(tokens[3])
+            if label is None:
+                try:
+                    label = read[tokens[3]] = read_label(tokens[3])
+                except CoxhomError as exc:
+                    raise GraphSyntaxError(str(exc), number) from None
+            edges.append((number, (tokens[1], tokens[2], label)))
+        elif tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphSyntaxError("expected `vertex <name>`", number)
             vertices.append((number, tokens[1]))
-        elif tokens[0] == "edge":
-            if len(tokens) != 4:
-                raise GraphSyntaxError("expected `edge <u> <v> <m>`", number)
-            try:
-                label = read_label(tokens[3])
-            except CoxhomError as exc:
-                raise GraphSyntaxError(str(exc), number) from None
-            edges.append((number, (tokens[1], tokens[2], label)))
         else:
             raise GraphSyntaxError(f"unknown directive {echo(tokens[0])}", number)
     current = 0
@@ -78,16 +80,34 @@ def word_texts(families, vertices: tuple[str, ...]) -> list[list[str]]:
     return [[" ".join(map(spell, w)) if w else "1" for w in words] for words in families]
 
 
-def _descriptor_json(descriptor) -> Optional[dict]:
-    if descriptor is None:
-        return None
-    return {"free_rank": descriptor.free_rank, "torsion2_rank": descriptor.torsion2_rank}
+def _descriptor(d) -> str:
+    return "null" if d is None else _DESCRIPTOR % (d.free_rank, d.torsion2_rank)
 
 
-# The bulk rows of the document, as json.dumps(..., indent=2) lays them out at
-# their depth; strings are filled in already quoted.
-_EDGE_ROW = '    {\n      "u": %s,\n      "v": %s,\n      "m": %s\n    }'
-_WORD_ROW = '      {\n        "word": %s,\n        "abelianization_zero": %s\n      }'
+def _template(doc: dict, depth: int) -> str:
+    """``json.dumps(doc, indent=2)`` laid out at nesting ``depth``, with every
+    "%s" value left as a slot to fill in with already rendered JSON."""
+    return json.dumps(doc, indent=2).replace('"%s"', "%s").replace("\n", "\n" + "  " * depth)
+
+
+def _slots(*keys: str) -> dict:
+    return dict.fromkeys(keys, "%s")
+
+
+# The rows and blocks of the documents, each at its depth.
+_FLAG = {True: "true", False: "false"}
+_EDGE_ROW = "    " + _template(_slots("u", "v", "m"), 2)
+_WORD_ROW = "      " + _template(_slots("word", "abelianization_zero"), 3)
+_TRAJECTORY_ROW = "    " + _template(_slots("n", "rank"), 2)
+_DESCRIPTOR = _template(_slots("free_rank", "torsion2_rank"), 1)
+_COUNTS = _template(_slots("omega1", "omega2", "omega3", "total", "expected_total"), 2)
+_SCALARS = _template({  # the fields' lines, without the braces around them
+    **_slots("p", "q1", "q2", "q3", "q"),
+    "n": _slots("n1", "n2", "n3", "n4"),
+    **_slots("howlett_identity", "h1_artin_free_rank", "h2_orbit", "h2_coxeter", "h2_artin_mod2_rank"),
+    "corollary": _slots("all_torsion", "odd_equals_gamma", "tree", "applies"),
+    "h2_artin_integral": "%s",
+}, 0)[2:-2]
 
 
 def _array(rows: list[str], indent: str) -> str:
@@ -104,54 +124,43 @@ def render_json(
     omegas: Optional[OmegaSets] = None,
 ) -> str:
     """The JSON document, keys in a fixed order: the bytes of
-    ``json.dumps(doc, indent=2) + "\\n"``, with the vertex, edge and word rows
-    written from templates and their strings quoted by the C encoder."""
+    ``json.dumps(doc, indent=2) + "\\n"``, with every row and block written
+    from templates and their strings quoted by the C encoder."""
     names = [_quote(name) for name in g.vertices]
     edges = [
         _EDGE_ROW % (names[i], names[j], '"inf"' if m == INFINITY else m)
         for (i, j), m in g.labels.items()
     ]
-    scalars = json.dumps({
-        "p": profile.p,
-        "q1": profile.q1,
-        "q2": profile.q2,
-        "q3": profile.q3,
-        "q": profile.q,
-        "n": {"n1": profile.n1, "n2": profile.n2, "n3": profile.n3, "n4": profile.n4},
-        "howlett_identity": profile.howlett_identity,
-        "h1_artin_free_rank": profile.n4,
-        "h2_orbit": _descriptor_json(summary.h2_orbit),
-        "h2_coxeter": _descriptor_json(summary.h2_coxeter),
-        "h2_artin_mod2_rank": summary.h2_artin_mod2_rank,
-        "corollary": {
-            "all_torsion": summary.corollary.all_torsion,
-            "odd_equals_gamma": summary.corollary.odd_equals_gamma,
-            "tree": summary.corollary.tree,
-            "applies": summary.corollary.applies,
-        },
-        "h2_artin_integral": _descriptor_json(summary.h2_artin_integral),
-    }, indent=2)
+    c = summary.corollary
+    scalars = _SCALARS % (
+        profile.p, profile.q1, profile.q2, profile.q3, profile.q,
+        profile.n1, profile.n2, profile.n3, profile.n4,
+        _FLAG[profile.howlett_identity], profile.n4,
+        _descriptor(summary.h2_orbit), _descriptor(summary.h2_coxeter), summary.h2_artin_mod2_rank,
+        _FLAG[c.all_torsion], _FLAG[c.odd_equals_gamma], _FLAG[c.tree], _FLAG[c.applies],
+        _descriptor(summary.h2_artin_integral),
+    )
     parts = [
         '{\n  "vertices": ', _array([f"    {name}" for name in names], "  "),
         ',\n  "edges": ', _array(edges, "  "),
-        ",\n", scalars[2:-2],  # the fields' lines, without the braces around them
+        ",\n", scalars,
     ]
     if omegas is not None:
         families = (omegas.omega1, omegas.omega2, omegas.omega3)
-        counts = json.dumps({
-            "omega1": len(omegas.omega1),
-            "omega2": len(omegas.omega2),
-            "omega3": len(omegas.omega3),
-            "total": omegas.total,
-            "expected_total": profile.p + profile.q,
-        }, indent=2)
         parts += [',\n  "generators": {\n    "flavor": ', _quote(omegas.flavor)]
         for k, (words, texts) in enumerate(zip(families, word_texts(families, g.vertices)), start=1):
             rows = [
-                _WORD_ROW % (_quote(text), "true" if in_commutator_subgroup(w) else "false")
+                _WORD_ROW % (_quote(text), _FLAG[in_commutator_subgroup(w)])
                 for w, text in zip(words, texts)
             ]
             parts += [f',\n    "omega{k}": ', _array(rows, "    ")]
-        parts += [',\n    "counts": ', counts.replace("\n", "\n    "), "\n  }"]
+        parts += [',\n    "counts": ', _COUNTS % (*map(len, families), omegas.total, profile.p + profile.q), "\n  }"]
     parts.append("\n}\n")
     return "".join(parts)
+
+
+def render_stability(report: StabilityReport) -> str:
+    """The ``stability --json`` document: the bytes of
+    ``json.dumps(doc, indent=2) + "\\n"``, its rows written from a template."""
+    rows = [_TRAJECTORY_ROW % row for row in report.trajectory]
+    return '{\n  "trajectory": ' + _array(rows, "  ") + ',\n  "verdict": ' + _FLAG[report.stable] + "\n}\n"

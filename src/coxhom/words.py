@@ -87,8 +87,16 @@ def relator(s: int, t: int, m: Label) -> tuple[int, ...]:
         raise CoxhomError(f"relator requires s < t in vertex order, got ({s}, {t})")
     if m < 2:
         raise CoxhomError(f"relator requires m >= 2, got {m}")
-    # the halves meet at letters of different vertices, so nothing cancels
-    return alternating_word(s, t, m) + inverse(alternating_word(t, s, m))
+    if m > MAX_SPELLED_LABEL:
+        raise CoxhomError(f"label {m} is above the limit {MAX_SPELLED_LABEL} on spelled words")
+    return _spell(letter(s), letter(t), m)
+
+
+def _spell(a: int, b: int, m: int) -> tuple[int, ...]:
+    """(ab)_m ((ba)_m)^-1 for letters of two vertices, sliced from repeated
+    pairs; the halves meet at different vertices, and _spell(b, a, m) is the inverse."""
+    k = (m + 1) // 2
+    return ((a, b) * k)[:m] + ((-b, -a) * k)[:m] if m % 2 else (a, b) * k + (-a, -b) * k
 
 
 def abelianize(w: tuple[int, ...], rank: int) -> tuple[int, ...]:
@@ -151,8 +159,7 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
         for k, coefficient in cycle:
             if k not in spelled:
                 i, j = pg.edges[k]
-                rel = relator(i, j, g.labels[i, j])
-                spelled[k] = (rel, inverse(rel))
+                spelled[k] = (relator(i, j, g.labels[i, j]), _spell(letter(j), letter(i), g.labels[i, j]))
             # a fundamental cycle's coefficients are -1 or 1
             _extend_reduced(stack, spelled[k][0 if coefficient > 0 else 1])
         omega3.append(tuple(stack))

@@ -70,6 +70,18 @@ def test_build_graph_label_errors_cut_long_values_short():
         build_graph(["a", "b"], [("a", "b", 1)])
 
 
+def test_build_graph_checks_labels_by_type_and_value():
+    # 3.0 == 3 and True == 1 hash alike; a label seen valid once must not let them through
+    for valid, refused in ((3, 3.0), (2, True), (3, True), (INFINITY, 10**4301)):
+        with pytest.raises(CoxhomError, match="^label "):
+            build_graph(["a", "b", "c"], [("a", "b", valid), ("b", "c", refused)])
+    with pytest.raises(CoxhomError, match="^label must be an integer >= 2 or INFINITY, got \\[3\\]$"):
+        build_graph(["a", "b", "c"], [("a", "b", 3), ("b", "c", [3])])
+    g = build_graph(["a", "b", "c"], [("a", "b", 3), ("b", "c", 3), ("c", "a", 3)])
+    assert g.labels == {(0, 1): 3, (0, 2): 3, (1, 2): 3}
+    assert all(type(m) is int for m in g.labels.values())
+
+
 def test_build_graph_refuses_labels_of_too_many_digits():
     # str() of an int of more than MAX_LABEL_DIGITS digits raises ValueError,
     # so such a label must be refused before any message or rendering spells it

@@ -256,6 +256,19 @@ def test_stability_scan_preconditions():
         stability_scan(from_catalog("A1"), MAX_SCAN_STEPS + 1)
 
 
+def test_stability_scan_is_bounded_by_its_last_graph():
+    # the last graph has seed vertices + n_max - 1 vertices; one above the
+    # limit is refused before any table is built
+    with pytest.raises(CoxhomError, match=f"must be <= {MAX_SCAN_STEPS}, got 3 \\+ {MAX_SCAN_STEPS - 1} - 1$"):
+        stability_scan(from_catalog("A3"), MAX_SCAN_STEPS - 1)
+    with pytest.raises(CoxhomError, match=f"must be <= {MAX_SCAN_STEPS}, got {MAX_SCAN_STEPS} \\+ 4 - 1$"):
+        stability_scan(from_catalog(f"A{MAX_SCAN_STEPS}"), 4)
+    # n_max is checked first, whatever the seed
+    with pytest.raises(CoxhomError, match=f"n_max must be <= {MAX_SCAN_STEPS}, got {MAX_SCAN_STEPS + 1}"):
+        stability_scan(from_catalog(f"A{MAX_SCAN_STEPS}"), MAX_SCAN_STEPS + 1)
+    assert stability_scan(from_catalog("A3"), 8).trajectory[-1][0] == 8
+
+
 def _per_step_ranks(seed, n_max, extend):
     """The trajectory from a full analysis of every graph of the family."""
     g, ranks = seed, []

@@ -17,11 +17,12 @@ from conftest import SPARSE_WEIGHTS, corpus_graphs, reference_json
 from coxhom.cli import _build_parser, _UsageError, main
 from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
-from coxhom.invariants import MAX_SCAN_STEPS, analyze
+from coxhom.invariants import MAX_SCAN_STEPS, StabilityReport, analyze, stability_scan
 from coxhom.io import (
     parse_graph,
     render_graph,
     render_json,
+    render_stability,
     word_texts,
 )
 from coxhom.oracles import DEFAULT_WEIGHTS, catalog_sample, random_coxeter_graph
@@ -64,6 +65,19 @@ def test_parse_bad_labels():
         with pytest.raises(GraphSyntaxError) as info:
             parse_graph(f"vertex a\nvertex b\nedge a b {token}\n")
         assert str(info.value) == f"line 3: label must be an integer >= 2 or `inf`, got {token!r}"
+
+
+def test_parse_reports_the_first_line_of_a_repeated_bad_label():
+    # a label token is read once per file, and its fault stays with its first line
+    for token, message in (("x", "label must be an integer >= 2 or `inf`, got 'x'"), ("1", "label must be >= 2, got 1")):
+        text = f"vertex a\nvertex b\nedge a b {token}\nvertex c\nedge a c {token}\n"
+        with pytest.raises(GraphSyntaxError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line 3: {message}"
+    with pytest.raises(GraphSyntaxError, match="^line 5: label must be >= 2, got 1$"):
+        parse_graph("vertex a\nvertex b\nedge a b 3\nvertex c\nedge a c 1\nedge b c 3\n")
+    g = parse_graph("vertex a\nvertex b\nvertex c\nedge a b 3\nedge b c 3\nedge a c inf\n")
+    assert g.labels == {(0, 1): 3, (0, 2): INFINITY, (1, 2): 3}
 
 
 def test_parse_structural_errors():
@@ -400,13 +414,29 @@ def test_cli_stability(tmp_path, capsys):
     assert main(["stability", "--seed-file", str(seed), "--n-max", "3"]) == 1
 
 
+def test_stability_json_bytes_match_json_dumps(tmp_path, capsys):
+    def dumped(report):
+        doc = {"trajectory": [{"n": n, "rank": rank} for n, rank in report.trajectory], "verdict": report.stable}
+        return json.dumps(doc, indent=2) + "\n"
+
+    for text in ("vertex s1\n", "vertex a\nvertex b\nvertex c\nedge a b 4\nedge b c 3\nedge a c inf\n"):
+        seed = tmp_path / "seed.graph"
+        seed.write_text(text, encoding="utf-8")
+        assert main(["stability", "--seed-file", str(seed), "--n-max", "9", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == dumped(stability_scan(parse_graph(text), 9))
+    for report in (StabilityReport((), True), StabilityReport(((1, 0), (2, 10**30)), False)):
+        assert render_stability(report) == dumped(report)
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["stability", "--n-max", str(10**9)], 1, f"n_max must be <= {MAX_SCAN_STEPS}, got {10**9}"),
     (["compute", "--type", "A999999999999"], 2, f"A999999999999: parameter above the limit n <= {MAX_CATALOG_N}"),
     (["generators", "--type", "~D100000000000"], 2,
      f"~D100000000000: parameter above the limit n <= {MAX_CATALOG_N}"),
     (["compute", "--type", f"I2({'9' * 5000})"], 2, "label has 5000 digits, above the limit of 4300"),
-    (["compute", "--file"], 2, "line 3: label has 5000 digits, above the limit of 4300"),
+    (["compute", "--file"], 2, "line 3: label has 5000 digits, above the limit of 4300"),    (["stability", "--n-max", str(MAX_SCAN_STEPS - 1)], 1,
+     f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got 3 + {MAX_SCAN_STEPS - 1} - 1"),
 ])
 def test_cli_refuses_sizes_above_the_limits(argv, code, message, tmp_path, capsys):
     if argv[0] == "stability":

@@ -16,11 +16,13 @@ from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 from coxhom.words import (
     MAX_SPELLED_LABEL,
     _extend_reduced,
+    _spell,
     abelianize,
     alternating_word,
     free_reduce,
     in_commutator_subgroup,
     inverse,
+    letter,
     omega_sets,
     relator,
 )
@@ -50,6 +52,42 @@ def test_relator_shapes():
         relator(0, 1, INFINITY)
     with pytest.raises(CoxhomError, match="requires s < t"):
         relator(1, 0, 3)
+
+
+@given(st.integers(0, 30), st.integers(1, 30), st.integers(2, 60))
+def test_relator_closed_form_matches_its_definition(s, gap, m):
+    t = s + gap
+    rel = relator(s, t, m)
+    assert rel == alternating_word(s, t, m) + inverse(alternating_word(t, s, m))
+    assert len(rel) == 2 * m and free_reduce(rel) == rel
+    # omega3 caches each relator's inverse as the same closed form with s and t swapped
+    assert _spell(letter(t), letter(s), m) == inverse(rel)
+    if m % 2:  # a triangle whose cycle takes one odd-m relator with exponent -1
+        g = build_graph(["a", "b", "c"], [("a", "b", m), ("b", "c", 3), ("a", "c", m)])
+        om = omega_sets(g, "artin")
+        (cycle,) = om.basis.basis
+        assert -1 in dict(cycle).values()
+        parts = []
+        for k, coefficient in cycle:
+            i, j = om.analysis.odd.edges[k]
+            parts.extend(power(relator(i, j, g.labels[i, j]), coefficient))
+        assert om.omega3 == (free_reduce(parts),)
+
+
+def test_relator_refusals_keep_their_messages():
+    cases = (
+        ((0, 1, INFINITY), "no relator for the infinite label on (0, 1)"),
+        ((1, 0, 3), "relator requires s < t in vertex order, got (1, 0)"),
+        ((2, 2, 3), "relator requires s < t in vertex order, got (2, 2)"),
+        ((0, 1, 1), "relator requires m >= 2, got 1"),
+        ((0, 1, -5), "relator requires m >= 2, got -5"),
+        ((0, 1, MAX_SPELLED_LABEL + 1), f"label {MAX_SPELLED_LABEL + 1} is above the limit {MAX_SPELLED_LABEL} on spelled words"),
+    )
+    for args, message in cases:
+        with pytest.raises(CoxhomError) as info:
+            relator(*args)
+        assert str(info.value) == message
+    assert len(relator(0, 1, MAX_SPELLED_LABEL)) == 2 * MAX_SPELLED_LABEL
 
 
 def test_relator_equals_commutator_for_label_two():
