@@ -100,30 +100,28 @@ def _group_text(descriptor) -> str:
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
-    analysis = analyze(g)
-    profile, summary = analysis.profile, analysis.summary
+    profile = analyze(g).profile
     if not profile.howlett_identity:
         print("internal error: Howlett identity violated", file=sys.stderr)
         return 3
     if args.json:
-        sys.stdout.write(render_json(g, profile, summary))
+        sys.stdout.write(render_json(g, profile))
         return 0
-    corollary = summary.corollary
     print(f"graph: {len(g.vertices)} vertices, {len(g.labels)} edges")
     print(f"p  = {profile.p}")
     print(f"q1 = {profile.q1}  q2 = {profile.q2}  q3 = {profile.q3}  q = {profile.q}")
     print(f"n1..n4 = {profile.n1} {profile.n2} {profile.n3} {profile.n4}  (howlett identity: ok)")
     print(f"H1(A; Z) free rank = {profile.n4}")
-    print(f"H2(N; Z)  = {_group_text(summary.h2_orbit)}")
-    print(f"H2(W; Z)  = {_group_text(summary.h2_coxeter)}")
-    print(f"H2(A; Z2) rank = {summary.h2_artin_mod2_rank}")
+    print(f"H2(N; Z)  = {_group_text(profile.h2_orbit)}")
+    print(f"H2(W; Z)  = {_group_text(profile.h2_coxeter)}")
+    print(f"H2(A; Z2) rank = {profile.mod2_rank}")
     print(
         "corollary conditions: "
-        f"all_torsion={_yn(corollary.all_torsion)} "
-        f"odd_equals_gamma={_yn(corollary.odd_equals_gamma)} "
-        f"tree={_yn(corollary.tree)} -> applies={_yn(corollary.applies)}"
+        f"all_torsion={_yn(profile.all_torsion)} "
+        f"odd_equals_gamma={_yn(profile.odd_equals_gamma)} "
+        f"tree={_yn(profile.tree)} -> applies={_yn(profile.corollary_applies)}"
     )
-    print(f"H2(A; Z)  = {_group_text(summary.h2_artin_integral)}")
+    print(f"H2(A; Z)  = {_group_text(profile.h2_artin_integral)}")
     return 0
 
 
@@ -134,12 +132,12 @@ def _yn(flag: bool) -> str:
 def _cmd_generators(args) -> int:
     g = _load_graph(args)
     omegas = omega_sets(g, args.flavor)
-    profile, summary = omegas.analysis.profile, omegas.analysis.summary
-    if omegas.total != profile.p + profile.q:
+    profile = omegas.analysis.profile
+    if omegas.total != profile.mod2_rank:
         print("internal error: generator count != p+q", file=sys.stderr)
         return 3
     if args.json:
-        sys.stdout.write(render_json(g, profile, summary, omegas))
+        sys.stdout.write(render_json(g, profile, omegas))
         return 0
     print(f"flavor: {omegas.flavor}")
     families = (omegas.omega1, omegas.omega2, omegas.omega3)
@@ -148,7 +146,7 @@ def _cmd_generators(args) -> int:
         for w, text in zip(words, texts):
             zero = "yes" if in_commutator_subgroup(w) else "NO"
             print(f"  {text}   (abelianization zero: {zero})")
-    print(f"total = {omegas.total} = p+q = {profile.p + profile.q}")
+    print(f"total = {omegas.total} = p+q = {profile.mod2_rank}")
     return 0
 
 

@@ -157,24 +157,6 @@ def odd_subgraph(g: CoxeterGraph) -> PlainGraph:
     return PlainGraph(g.vertices, edges)
 
 
-def extend_family(g: CoxeterGraph) -> CoxeterGraph:
-    """Append a fresh vertex joined to the current last vertex by a 3-edge.
-
-    This is one step of the stability family: all other new pairs default
-    to label 2.  The fresh vertex takes the first free name s<k>.
-    """
-    if not g.vertices:
-        raise CoxhomError("cannot extend the empty graph")
-    k = len(g.vertices) + 1
-    names = set(g.vertices)
-    while f"s{k}" in names:
-        k += 1
-    vertices = g.vertices + (f"s{k}",)
-    labels = dict(g.labels)
-    labels[(len(g.vertices) - 1, len(g.vertices))] = 3  # the largest pair, so it goes last
-    return CoxeterGraph(vertices, labels)
-
-
 # -- catalog ------------------------------------------------------------------
 
 def _names(n: int) -> list[str]:

@@ -15,15 +15,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from .errors import CoxhomError
-from .graph import (
-    CoxeterGraph,
-    PlainGraph,
-    extend_family,
-    is_even,
-    is_finite,
-    is_odd,
-    odd_subgraph,
-)
+from .graph import CoxeterGraph, PlainGraph, is_even, is_finite, is_odd, odd_subgraph
 
 Pair = tuple[int, int]
 
@@ -59,27 +51,6 @@ class PairPartition:
 
 
 @dataclass(frozen=True)
-class InvariantProfile:
-    p: int
-    q1: int
-    q2: int
-    q3: int
-    q: int
-    n1: int
-    n2: int
-    n3: int
-    n4: int
-
-    @property
-    def howlett_identity(self) -> bool:
-        return -self.n1 + self.n2 + self.n3 + self.n4 == self.p + self.q
-
-    @property
-    def mod2_rank(self) -> int:
-        return self.p + self.q
-
-
-@dataclass(frozen=True)
 class AbelianDescriptor:
     """Finitely generated abelian group of shape Z^free_rank + Z2^torsion2_rank."""
 
@@ -88,27 +59,52 @@ class AbelianDescriptor:
 
 
 @dataclass(frozen=True)
-class CorollaryConditions:
-    all_torsion: bool
+class InvariantProfile:
+    """The counts p, q1..q3 and Howlett's n1..n4 of one graph, the two graph
+    facts its corollary adds to q1 = 0, and every descriptor they determine."""
+
+    p: int
+    q1: int
+    q2: int
+    q3: int
+    n1: int
+    n2: int
+    n3: int
+    n4: int
     odd_equals_gamma: bool
     tree: bool
 
     @property
-    def applies(self) -> bool:
+    def q(self) -> int:
+        return self.q1 + self.q2 + self.q3
+
+    @property
+    def mod2_rank(self) -> int:
+        return self.p + self.q
+
+    @property
+    def howlett_identity(self) -> bool:
+        return -self.n1 + self.n2 + self.n3 + self.n4 == self.mod2_rank
+
+    @property
+    def all_torsion(self) -> bool:
+        return self.q1 == 0
+
+    @property
+    def corollary_applies(self) -> bool:
         return self.all_torsion and self.odd_equals_gamma and self.tree
 
+    @property
+    def h2_orbit(self) -> AbelianDescriptor:
+        return AbelianDescriptor(self.q, self.p)
 
-@dataclass(frozen=True)
-class HomologySummary:
-    """Rank descriptors for H2 of the orbit space, the Coxeter group, and the
-    Artin group (mod 2 always; integrally only when the corollary conditions
-    hold: every class torsion, every label odd, underlying graph acyclic)."""
+    @property
+    def h2_coxeter(self) -> AbelianDescriptor:
+        return AbelianDescriptor(0, self.mod2_rank)
 
-    h2_orbit: AbelianDescriptor
-    h2_coxeter: AbelianDescriptor
-    h2_artin_mod2_rank: int
-    corollary: CorollaryConditions
-    h2_artin_integral: Optional[AbelianDescriptor]
+    @property
+    def h2_artin_integral(self) -> Optional[AbelianDescriptor]:
+        return AbelianDescriptor(0, self.p) if self.corollary_applies else None
 
 
 def _root(parent: list[int], x: int) -> int:
@@ -281,48 +277,31 @@ class Analysis:
     partition: PairPartition
     odd: PlainGraph
     profile: InvariantProfile
-    summary: HomologySummary
 
 
 def analyze(g: CoxeterGraph) -> Analysis:
-    """Pair partition, odd subgraph, rank profile and homology summary of g,
-    each computed once."""
+    """Pair partition, odd subgraph and rank profile of g, each computed once."""
     partition = pair_classes(g)
-    p = sum(partition.torsion_flags)
-    q1 = len(partition.least) - p
-    q2 = sum(1 for m in g.labels.values() if is_even(m) and m >= 4)
     pg = odd_subgraph(g)
     n = len(g.vertices)
     parent = list(range(n))
     components = n - sum(_join(parent, i, j) for i, j in pg.edges)
-    q3 = len(pg.edges) - n + components
-    n2 = sum(1 for m in g.labels.values() if is_finite(m))
+    n3 = len(partition.least)
+    p = sum(partition.torsion_flags)
+    parent = list(range(n))
     profile = InvariantProfile(
         p=p,
-        q1=q1,
-        q2=q2,
-        q3=q3,
-        q=q1 + q2 + q3,
+        q1=n3 - p,
+        q2=sum(1 for m in g.labels.values() if is_even(m) and m >= 4),
+        q3=len(pg.edges) - n + components,
         n1=n,
-        n2=n2,
-        n3=len(partition.least),
+        n2=sum(1 for m in g.labels.values() if is_finite(m)),
+        n3=n3,
         n4=components,
-    )
-    parent = list(range(n))
-    conditions = CorollaryConditions(
-        all_torsion=q1 == 0,
-        odd_equals_gamma=all(is_odd(m) for m in g.labels.values()),
+        odd_equals_gamma=len(pg.edges) == len(g.labels),  # every stored label is odd
         tree=all(_join(parent, i, j) for i, j in g.labels),  # no edge closes a cycle
     )
-    integral = AbelianDescriptor(0, p) if conditions.applies else None
-    summary = HomologySummary(
-        h2_orbit=AbelianDescriptor(profile.q, p),
-        h2_coxeter=AbelianDescriptor(0, profile.mod2_rank),
-        h2_artin_mod2_rank=profile.mod2_rank,
-        corollary=conditions,
-        h2_artin_integral=integral,
-    )
-    return Analysis(partition, pg, profile, summary)
+    return Analysis(partition, pg, profile)
 
 
 @dataclass(frozen=True)
@@ -355,7 +334,8 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
 
     The scan starts from empty union-finds, one over commuting pairs and one
     over the odd components, and updates them with what each vertex adds: the
-    seed's vertices in order, then each appended vertex.  It never calls
+    seed's vertices in order, then each appended vertex, whose one 3-edge it
+    adds to its copy of the seed's labels.  It builds no graph and never calls
     ``analyze``.  The rank is n3 + q2 + q3 (p + q1 = n3), so no torsion is
     tracked.
     """
@@ -373,14 +353,16 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     vertex_parent: list[int] = []
     odd_edges: list[Pair] = []
     trajectory = []
-    g = seed
+    labels = dict(seed.labels)  # the labels of the current step's graph
+    n = len(seed.vertices)
     for step in range(1, n_max + 1):
         if step > 1:
-            g = extend_family(g)
-        for v in range(len(vertex_parent), len(g.vertices)):
+            labels[(n - 1, n)] = 3  # a new vertex n, joined to the last one by a 3-edge
+            n += 1
+        for v in range(len(vertex_parent), n):
             commuting, odd = [], []
             for x in range(v):
-                m = g.labels.get((x, v), 2)
+                m = labels.get((x, v), 2)
                 if m == 2:
                     commuting.append(x)
                 elif is_odd(m):
@@ -398,14 +380,14 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
             # {a,x} ~ {a,v} for each new odd edge {x,v} and each a commuting with both
             for x in odd:
                 for a in commuting:
-                    if g.label_ix(a, x) == 2:
+                    if labels.get((a, x) if a < x else (x, a), 2) == 2:
                         classes -= _join(pair_parent, _slot(a, x), row + a)
             vertex_parent.append(v)
             components += 1
             for x in odd:
                 components -= _join(vertex_parent, x, v)
                 odd_edges.append((x, v))
-        q3 = len(odd_edges) - len(g.vertices) + components
+        q3 = len(odd_edges) - n + components
         trajectory.append((step, classes + q2 + q3))
     tail = [rank for step, rank in trajectory if step >= 3]
     return StabilityReport(tuple(trajectory), all(r == tail[0] for r in tail))

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import CoxhomError, GraphSyntaxError, echo
 from .graph import INFINITY, CoxeterGraph, Label, build_graph, read_label
-from .invariants import HomologySummary, InvariantProfile, StabilityReport
+from .invariants import InvariantProfile, StabilityReport
 from .words import OmegaSets, in_commutator_subgroup
 
 
@@ -61,7 +61,11 @@ def parse_graph(text: str) -> CoxeterGraph:
 
 
 def render_graph(g: CoxeterGraph) -> str:
-    """Canonical file-format text; parsing it reproduces the graph exactly."""
+    """Canonical file-format text; parsing it reproduces the graph exactly, so
+    a vertex name that is empty or holds whitespace is refused."""
+    for name in g.vertices:
+        if name.split() != [name]:
+            raise CoxhomError(f"vertex {echo(name)} is empty or holds whitespace; the file format cannot spell it")
     lines = [f"vertex {name}" for name in g.vertices]
     for (i, j), m in g.labels.items():
         value = "inf" if m == INFINITY else m
@@ -117,12 +121,7 @@ def _array(rows: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(rows) + "\n" + indent + "]"
 
 
-def render_json(
-    g: CoxeterGraph,
-    profile: InvariantProfile,
-    summary: HomologySummary,
-    omegas: Optional[OmegaSets] = None,
-) -> str:
+def render_json(g: CoxeterGraph, profile: InvariantProfile, omegas: Optional[OmegaSets] = None) -> str:
     """The JSON document, keys in a fixed order: the bytes of
     ``json.dumps(doc, indent=2) + "\\n"``, with every row and block written
     from templates and their strings quoted by the C encoder."""
@@ -131,14 +130,13 @@ def render_json(
         _EDGE_ROW % (names[i], names[j], '"inf"' if m == INFINITY else m)
         for (i, j), m in g.labels.items()
     ]
-    c = summary.corollary
     scalars = _SCALARS % (
         profile.p, profile.q1, profile.q2, profile.q3, profile.q,
         profile.n1, profile.n2, profile.n3, profile.n4,
         _FLAG[profile.howlett_identity], profile.n4,
-        _descriptor(summary.h2_orbit), _descriptor(summary.h2_coxeter), summary.h2_artin_mod2_rank,
-        _FLAG[c.all_torsion], _FLAG[c.odd_equals_gamma], _FLAG[c.tree], _FLAG[c.applies],
-        _descriptor(summary.h2_artin_integral),
+        _descriptor(profile.h2_orbit), _descriptor(profile.h2_coxeter), profile.mod2_rank,
+        _FLAG[profile.all_torsion], _FLAG[profile.odd_equals_gamma], _FLAG[profile.tree],
+        _FLAG[profile.corollary_applies], _descriptor(profile.h2_artin_integral),
     )
     parts = [
         '{\n  "vertices": ', _array([f"    {name}" for name in names], "  "),
@@ -154,7 +152,7 @@ def render_json(
                 for w, text in zip(words, texts)
             ]
             parts += [f',\n    "omega{k}": ', _array(rows, "    ")]
-        parts += [',\n    "counts": ', _COUNTS % (*map(len, families), omegas.total, profile.p + profile.q), "\n  }"]
+        parts += [',\n    "counts": ', _COUNTS % (*map(len, families), omegas.total, profile.mod2_rank), "\n  }"]
     parts.append("\n}\n")
     return "".join(parts)
 

@@ -152,7 +152,7 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     rows.append((
         "howlett_identity",
         profile.howlett_identity,
-        f"-n1+n2+n3+n4 = {-profile.n1 + profile.n2 + profile.n3 + profile.n4}, p+q = {profile.p + profile.q}",
+        f"-n1+n2+n3+n4 = {-profile.n1 + profile.n2 + profile.n3 + profile.n4}, p+q = {profile.mod2_rank}",
     ))
     rows.append((
         "howlett_term_identities",
@@ -185,7 +185,7 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
         len(omegas.omega1) == profile.p + profile.q1
         and len(omegas.omega2) == profile.q2
         and len(omegas.omega3) == profile.q3
-        and omegas.total == profile.p + profile.q,
+        and omegas.total == profile.mod2_rank,
         f"|1|,|2|,|3| = {len(omegas.omega1)},{len(omegas.omega2)},{len(omegas.omega3)}",
     ))
     rows.append((

@@ -48,7 +48,7 @@ def _word_row(w, vertices):
     return {"word": text, "abelianization_zero": zero}
 
 
-def reference_json(g, profile, summary, omegas=None) -> str:
+def reference_json(g, profile, omegas=None) -> str:
     """The document `io.render_json` must write, built as a dict and encoded by
     ``json.dumps(indent=2)``; tests compare the two byte for byte."""
     doc = {
@@ -65,16 +65,16 @@ def reference_json(g, profile, summary, omegas=None) -> str:
         "n": {"n1": profile.n1, "n2": profile.n2, "n3": profile.n3, "n4": profile.n4},
         "howlett_identity": profile.howlett_identity,
         "h1_artin_free_rank": profile.n4,
-        "h2_orbit": _descriptor(summary.h2_orbit),
-        "h2_coxeter": _descriptor(summary.h2_coxeter),
-        "h2_artin_mod2_rank": summary.h2_artin_mod2_rank,
+        "h2_orbit": _descriptor(profile.h2_orbit),
+        "h2_coxeter": _descriptor(profile.h2_coxeter),
+        "h2_artin_mod2_rank": profile.mod2_rank,
         "corollary": {
-            "all_torsion": summary.corollary.all_torsion,
-            "odd_equals_gamma": summary.corollary.odd_equals_gamma,
-            "tree": summary.corollary.tree,
-            "applies": summary.corollary.applies,
+            "all_torsion": profile.all_torsion,
+            "odd_equals_gamma": profile.odd_equals_gamma,
+            "tree": profile.tree,
+            "applies": profile.corollary_applies,
         },
-        "h2_artin_integral": _descriptor(summary.h2_artin_integral),
+        "h2_artin_integral": _descriptor(profile.h2_artin_integral),
     }
     if omegas is not None:
         doc["generators"] = {

@@ -42,7 +42,7 @@ def test_criterion_02_affine_d_family(capsys):
         g = from_catalog(f"~D{n}")
         profile = analyze(g).profile
         assert (profile.p, profile.q) == (3, 0)
-        integral = analyze(g).summary.h2_artin_integral
+        integral = profile.h2_artin_integral
         assert (integral.free_rank, integral.torsion2_rank) == (0, 3)
     with capsys.disabled():
         _report(2, "~Dn for n=5..12 gives p=3, q=0, integral H2(A) = Z2^3")
@@ -53,7 +53,7 @@ def test_criterion_03_affine_e_family(capsys):
         g = from_catalog(f"~E{i}")
         profile = analyze(g).profile
         assert (profile.p, profile.q) == (1, 0)
-        integral = analyze(g).summary.h2_artin_integral
+        integral = profile.h2_artin_integral
         assert (integral.free_rank, integral.torsion2_rank) == (0, 1)
     with capsys.disabled():
         _report(3, "~E6, ~E7, ~E8 give p=1, q=0, integral H2(A) = Z2")

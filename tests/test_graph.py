@@ -17,7 +17,6 @@ from coxhom.graph import (
     MAX_LABEL_DIGITS,
     build_graph,
     catalog_grammar,
-    extend_family,
     from_catalog,
     odd_subgraph,
 )
@@ -118,10 +117,6 @@ def test_every_graph_source_stores_labels_in_pair_order():
     rng = random.Random(13)
     graphs = [from_catalog(name) for name in catalog_sample()]
     graphs += corpus_graphs(40) + [random_coxeter_graph(rng, 30, SPARSE_WEIGHTS)]
-    for g in graphs[-6:] + [from_catalog("I2(4)"), build_graph(["b", "a"], [("a", "b", 5)])]:
-        for _ in range(5):
-            g = extend_family(g)
-            graphs.append(g)
     for g in corpus_graphs(20, base_seed=300):
         lines = [f"vertex {name}" for name in g.vertices]
         lines += [f"edge {g.vertices[j]} {g.vertices[i]} {'inf' if m == INFINITY else m}"
@@ -218,26 +213,6 @@ def test_catalog_is_deterministic():
     for name in ["A4", "~D5", "E7", "I2(6)"]:
         assert from_catalog(name) == from_catalog(name)
         assert from_catalog(name).vertices == from_catalog(name).vertices
-
-
-def test_extend_family_steps():
-    assert extend_family(from_catalog("A1")) == from_catalog("A2")
-    assert extend_family(from_catalog("A2")) == from_catalog("A3")
-    g = extend_family(from_catalog("I2(4)"))
-    assert g.labels == {(0, 1): 4, (1, 2): 3}
-    assert extend_family(build_graph(["s3", "x"])).vertices == ("s3", "x", "s4")
-
-
-def test_extend_family_rejects_empty_graph():
-    with pytest.raises(CoxhomError, match="cannot extend the empty graph"):
-        extend_family(build_graph([]))
-
-
-def test_extend_family_reaches_every_a_type():
-    g = from_catalog("A1")
-    for n in range(2, 8):
-        g = extend_family(g)
-        assert g == from_catalog(f"A{n}")
 
 
 def test_label_symmetry_on_corpus():

@@ -7,14 +7,15 @@ import pytest
 from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy
 import coxhom.invariants
 from coxhom.errors import CoxhomError
-from coxhom.graph import INFINITY, build_graph, extend_family, from_catalog, is_even
+from coxhom.graph import INFINITY, build_graph, from_catalog, is_even, is_odd
 from coxhom.invariants import (
     MAX_SCAN_STEPS,
+    AbelianDescriptor,
     analyze,
     pair_classes,
     stability_scan,
 )
-from coxhom.oracles import DEFAULT_WEIGHTS, LABEL_SUPPORT, naive_pair_closure, random_coxeter_graph
+from coxhom.oracles import DEFAULT_WEIGHTS, naive_pair_closure, random_coxeter_graph
 
 TRIANGLE = build_graph(["s1", "s2", "s3"], [("s1", "s2", 3), ("s2", "s3", 3), ("s1", "s3", 3)])
 
@@ -102,33 +103,36 @@ def test_h1_rank_counts_odd_components():
 
 
 def test_homology_summary_affine_e6():
-    summary = analyze(from_catalog("~E6")).summary
-    assert summary.corollary.applies
-    assert (summary.h2_artin_integral.free_rank, summary.h2_artin_integral.torsion2_rank) == (0, 1)
+    profile = analyze(from_catalog("~E6")).profile
+    assert profile.corollary_applies
+    assert profile.h2_artin_integral == AbelianDescriptor(0, 1)
 
 
 def test_homology_summary_affine_d5():
-    summary = analyze(from_catalog("~D5")).summary
-    assert (summary.h2_artin_integral.free_rank, summary.h2_artin_integral.torsion2_rank) == (0, 3)
+    profile = analyze(from_catalog("~D5")).profile
+    assert profile.h2_artin_integral == AbelianDescriptor(0, 3)
 
 
 def test_homology_summary_i24_undetermined_integrally():
-    summary = analyze(from_catalog("I2(4)")).summary
-    assert not summary.corollary.odd_equals_gamma
-    assert not summary.corollary.applies
-    assert summary.h2_artin_mod2_rank == 1
-    assert summary.h2_artin_integral is None
+    profile = analyze(from_catalog("I2(4)")).profile
+    assert not profile.odd_equals_gamma
+    assert not profile.corollary_applies
+    assert profile.mod2_rank == 1
+    assert profile.h2_artin_integral is None
 
 
 def test_homology_summary_rank_identities():
     for g in corpus_graphs(60):
-        summary = analyze(g).summary
+        profile = analyze(g).profile
+        assert profile.q == profile.q1 + profile.q2 + profile.q3
         assert (
-            summary.h2_artin_mod2_rank
-            == summary.h2_orbit.free_rank + summary.h2_orbit.torsion2_rank
-            == summary.h2_coxeter.torsion2_rank
+            profile.mod2_rank
+            == profile.h2_orbit.free_rank + profile.h2_orbit.torsion2_rank
+            == profile.h2_coxeter.torsion2_rank
         )
-        assert (summary.h2_artin_integral is not None) == summary.corollary.applies
+        assert profile.h2_orbit == AbelianDescriptor(profile.q, profile.p)
+        assert (profile.h2_artin_integral is not None) == profile.corollary_applies
+        assert profile.odd_equals_gamma == all(is_odd(m) for m in g.labels.values())
 
 
 def test_corollary_tree_condition_is_on_whole_graph():
@@ -137,9 +141,9 @@ def test_corollary_tree_condition_is_on_whole_graph():
         ["a", "b", "c"],
         [("a", "b", 3), ("b", "c", 3), ("a", "c", 4)],
     )
-    summary = analyze(g).summary
-    assert not summary.corollary.tree
-    assert analyze(g).profile.q3 == 0
+    profile = analyze(g).profile
+    assert not profile.tree
+    assert profile.q3 == 0
 
 
 def _forest_components(n, edges):
@@ -170,14 +174,14 @@ def test_howlett_identity_on_corpus():
     graphs += [permuted_copy(from_catalog(name), rng) for name in ("D70", "~A85")]
     for g in graphs:
         analysis = analyze(g)
-        profile, summary = analysis.profile, analysis.summary
+        profile = analysis.profile
         odd_edges = [pair for pair, m in g.labels.items() if m != INFINITY and m % 2]
         assert profile.howlett_identity
         assert profile.n3 == profile.p + profile.q1
         assert profile.n1 == len(g.vertices)
         assert profile.n4 == _forest_components(len(g.vertices), odd_edges)[0]
-        assert summary.corollary.all_torsion == all(pair_classes(g).torsion_flags)
-        assert summary.corollary.tree == _forest_components(len(g.vertices), g.labels)[1]
+        assert profile.all_torsion == all(pair_classes(g).torsion_flags)
+        assert profile.tree == _forest_components(len(g.vertices), g.labels)[1]
 
 
 def _classes_by_name(g):
@@ -269,12 +273,28 @@ def test_stability_scan_is_bounded_by_its_last_graph():
     assert stability_scan(from_catalog("A3"), 8).trajectory[-1][0] == 8
 
 
-def _per_step_ranks(seed, n_max, extend):
+def _extend(g):
+    """The next graph of the stability family, through build_graph: g with a
+    vertex s<k+1> appended and joined to g's last vertex by a 3-edge."""
+    names = g.vertices + (f"s{len(g.vertices) + 1}",)
+    edges = [(names[i], names[j], m) for (i, j), m in g.labels.items()]
+    return build_graph(names, edges + [(names[-2], names[-1], 3)])
+
+
+def test_family_extender_reaches_every_a_type():
+    g = from_catalog("A1")
+    for n in range(2, 8):
+        g = _extend(g)
+        assert g == from_catalog(f"A{n}")
+    assert _extend(from_catalog("I2(4)")).labels == {(0, 1): 4, (1, 2): 3}
+
+
+def _per_step_ranks(seed, n_max):
     """The trajectory from a full analysis of every graph of the family."""
     g, ranks = seed, []
     for step in range(1, n_max + 1):
         if step > 1:
-            g = extend(g)
+            g = _extend(g)
         ranks.append((step, analyze(g).profile.mod2_rank))
     return tuple(ranks)
 
@@ -293,26 +313,23 @@ def _scan_seeds():
 def test_stability_scan_matches_the_per_step_profile():
     for seed in _scan_seeds():
         n_max = 16 + len(seed.vertices) % 5
-        assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max, extend_family)
+        assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max)
 
 
-def test_stability_scan_updates_for_any_appended_vertex(monkeypatch):
-    # The scan reads the new vertex's labels from the extended graph, so its
-    # update rules must hold for a step that adds even, inf and several odd
-    # labels at once, not only for extend_family's single 3-edge.
+def test_stability_scan_updates_for_any_appended_vertex():
+    # Step 1 grows the seed vertex by vertex with the update every appended
+    # vertex takes, so it must equal analyze on each vertex prefix of a graph
+    # whose vertices add even, inf and several odd labels at once, not only
+    # the family's single 3-edge.
     rng = random.Random(9)
-    drawn = [rng.choices(LABEL_SUPPORT, weights=SPARSE_WEIGHTS, k=k) for k in range(48)]
-
-    def extend(g):
-        k = len(g.vertices)
-        names = g.vertices + (f"x{k}",)
-        edges = [(names[i], names[j], m) for (i, j), m in g.labels.items()]
-        edges += [(names[i], names[k], m) for i, m in enumerate(drawn[k])]
-        return build_graph(names, edges)
-
-    monkeypatch.setattr(coxhom.invariants, "extend_family", extend)
-    for seed in _scan_seeds():
-        assert stability_scan(seed, 16).trajectory == _per_step_ranks(seed, 16, extend)
+    for weights in (SPARSE_WEIGHTS, DEFAULT_WEIGHTS, SPARSE_WEIGHTS):
+        g = random_coxeter_graph(rng, 40, weights)
+        assert {INFINITY, 3, 4, 5, 6} <= set(g.labels.values())
+        assert any(sum(1 for (_, j), m in g.labels.items() if j == v and is_odd(m)) > 1 for v in range(40))
+        for k in range(1, len(g.vertices) + 1):
+            prefix = build_graph(g.vertices[:k], [(g.vertices[i], g.vertices[j], m)
+                                                   for (i, j), m in g.labels.items() if j < k])
+            assert stability_scan(prefix, 4).trajectory[0] == (1, analyze(prefix).profile.mod2_rank)
 
 
 def test_stability_scan_never_analyses_a_graph(monkeypatch):

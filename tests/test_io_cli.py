@@ -129,8 +129,20 @@ def test_cli_build_error_names_the_line(tmp_path, capsys):
 
 def test_round_trip_catalog_and_corpus():
     graphs = [from_catalog(n) for n in catalog_sample()] + corpus_graphs(100) + corpus_graphs(30, base_seed=70)
+    # names of one token, odd characters included
+    graphs.append(build_graph(["a", "é\x01", "#x", "vertex"], [("a", "#x", 5), ("é\x01", "vertex", INFINITY)]))
     for g in graphs:
         assert parse_graph(render_graph(g)) == g
+
+
+@pytest.mark.parametrize("name", ["", "a b", "x\u2028y", "\x1c"])
+def test_render_graph_refuses_names_the_format_cannot_spell(name):
+    # parse_graph reads a name as one str.split() token, so these names
+    # would render to a file it refuses or reads as another graph
+    g = build_graph(["a", name], [("a", name, 3)])
+    with pytest.raises(CoxhomError) as info:
+        render_graph(g)
+    assert str(info.value) == f"vertex {name!r} is empty or holds whitespace; the file format cannot spell it"
 
 
 def test_word_serialization():
@@ -142,7 +154,7 @@ def test_word_serialization():
 def _json_for(name, omegas_flavor=None):
     g = from_catalog(name)
     omegas = omega_sets(g, omegas_flavor) if omegas_flavor else None
-    return json.loads(render_json(g, analyze(g).profile, analyze(g).summary, omegas))
+    return json.loads(render_json(g, analyze(g).profile, omegas))
 
 
 def test_render_json_affine_e6():
@@ -162,19 +174,13 @@ def test_render_json_i24_integral_unknown():
 
 def test_render_json_empty_graph():
     g = build_graph([])
-    doc = json.loads(render_json(g, analyze(g).profile, analyze(g).summary))
+    doc = json.loads(render_json(g, analyze(g).profile))
     assert doc["p"] == doc["q"] == doc["h2_artin_mod2_rank"] == 0
     assert doc["vertices"] == [] and doc["edges"] == []
 
 
 def test_render_json_key_order_fixed():
-    doc = json.loads(
-        render_json(
-            from_catalog("A3"),
-            analyze(from_catalog("A3")).profile,
-            analyze(from_catalog("A3")).summary,
-        )
-    )
+    doc = json.loads(render_json(from_catalog("A3"), analyze(from_catalog("A3")).profile))
     assert list(doc) == [
         "vertices", "edges", "p", "q1", "q2", "q3", "q", "n",
         "howlett_identity", "h1_artin_free_rank", "h2_orbit", "h2_coxeter",
@@ -205,7 +211,7 @@ def _assert_renders_as_the_reference(g, flavors=(None, "artin", "coxeter")):
     for flavor in flavors:
         omegas = omega_sets(g, flavor) if flavor else None
         analysis = omegas.analysis if omegas else analyze(g)
-        args = (g, analysis.profile, analysis.summary, omegas)
+        args = (g, analysis.profile, omegas)
         assert render_json(*args) == reference_json(*args), (g.vertices, flavor)
 
 
@@ -214,12 +220,12 @@ def test_render_json_bytes_on_catalog_and_corpus():
     for g in graphs + [build_graph([])]:
         _assert_renders_as_the_reference(g)
     a1 = from_catalog("A1")
-    text = render_json(a1, analyze(a1).profile, analyze(a1).summary, omega_sets(a1, "artin"))
+    text = render_json(a1, analyze(a1).profile, omega_sets(a1, "artin"))
     assert '"omega1": [],' in text and '"omega3": [],' in text  # a graph with no words
     # the flag is computed per word, not assumed: a word off the commutator subgroup reads false
     g = from_catalog("~A2")
     omegas = dataclasses.replace(omega_sets(g, "artin"), omega2=((1, 2, 1), (1, -2, -1, 2)))
-    args = (g, omegas.analysis.profile, omegas.analysis.summary, omegas)
+    args = (g, omegas.analysis.profile, omegas)
     text = render_json(*args)
     assert text == reference_json(*args)
     assert text.count('"abelianization_zero": false') == 1
@@ -264,6 +270,95 @@ def test_cli_compute_text(capsys):
     out = capsys.readouterr().out
     assert "q1 = 1  q2 = 1" in out
     assert "howlett identity: ok" in out
+
+
+_COMPUTE_TEXT = {
+    # every descriptor text: Z2, Z, Z2^k, Z^k + Z2, and "not determined here"
+    # on each failing corollary condition
+    "~E6": """\
+graph: 7 vertices, 6 edges
+p  = 1
+q1 = 0  q2 = 0  q3 = 0  q = 0
+n1..n4 = 7 6 1 1  (howlett identity: ok)
+H1(A; Z) free rank = 1
+H2(N; Z)  = Z2
+H2(W; Z)  = Z2
+H2(A; Z2) rank = 1
+corollary conditions: all_torsion=yes odd_equals_gamma=yes tree=yes -> applies=yes
+H2(A; Z)  = Z2
+""",
+    "I2(4)": """\
+graph: 2 vertices, 1 edges
+p  = 0
+q1 = 0  q2 = 1  q3 = 0  q = 1
+n1..n4 = 2 1 0 2  (howlett identity: ok)
+H1(A; Z) free rank = 2
+H2(N; Z)  = Z
+H2(W; Z)  = Z2
+H2(A; Z2) rank = 1
+corollary conditions: all_torsion=yes odd_equals_gamma=no tree=yes -> applies=no
+H2(A; Z)  = not determined here
+""",
+    "~A2": """\
+graph: 3 vertices, 3 edges
+p  = 0
+q1 = 0  q2 = 0  q3 = 1  q = 1
+n1..n4 = 3 3 0 1  (howlett identity: ok)
+H1(A; Z) free rank = 1
+H2(N; Z)  = Z
+H2(W; Z)  = Z2
+H2(A; Z2) rank = 1
+corollary conditions: all_torsion=yes odd_equals_gamma=yes tree=no -> applies=no
+H2(A; Z)  = not determined here
+""",
+    "~D4": """\
+graph: 5 vertices, 4 edges
+p  = 6
+q1 = 0  q2 = 0  q3 = 0  q = 0
+n1..n4 = 5 4 6 1  (howlett identity: ok)
+H1(A; Z) free rank = 1
+H2(N; Z)  = Z2^6
+H2(W; Z)  = Z2^6
+H2(A; Z2) rank = 6
+corollary conditions: all_torsion=yes odd_equals_gamma=yes tree=yes -> applies=yes
+H2(A; Z)  = Z2^6
+""",
+    "B4": """\
+graph: 4 vertices, 3 edges
+p  = 1
+q1 = 1  q2 = 1  q3 = 0  q = 2
+n1..n4 = 4 3 2 2  (howlett identity: ok)
+H1(A; Z) free rank = 2
+H2(N; Z)  = Z^2 + Z2
+H2(W; Z)  = Z2^3
+H2(A; Z2) rank = 3
+corollary conditions: all_torsion=no odd_equals_gamma=no tree=yes -> applies=no
+H2(A; Z)  = not determined here
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COMPUTE_TEXT))
+def test_cli_compute_text_bytes(name, capsys):
+    assert main(["compute", "--type", name]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (_COMPUTE_TEXT[name], "")
+
+
+def test_cli_stability_text_bytes(tmp_path, capsys):
+    seed = tmp_path / "seed.graph"
+    seed.write_text("vertex a\nvertex b\nedge a b 4\n", encoding="utf-8")
+    assert main(["stability", "--seed-file", str(seed), "--n-max", "6"]) == 0
+    assert capsys.readouterr() == (
+        "n =  1  p+q = 1\n"
+        "n =  2  p+q = 2\n"
+        "n =  3  p+q = 3\n"
+        "n =  4  p+q = 3\n"
+        "n =  5  p+q = 3\n"
+        "n =  6  p+q = 3\n"
+        "stable for n >= 3: yes\n",
+        "",
+    )
 
 
 def test_cli_usage_errors(capsys):

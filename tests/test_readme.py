@@ -17,8 +17,8 @@ def test_readme_library_example():
     assert "# p=6, q1=q2=q3=0" in block and "# h2_artin_integral = Z2^6" in block
     namespace: dict = {}
     exec(block, namespace)
-    profile, summary, words = namespace["profile"], namespace["summary"], namespace["words"]
+    profile, integral, words = namespace["profile"], namespace["integral"], namespace["words"]
     assert (profile.p, profile.q1, profile.q2, profile.q3) == (6, 0, 0, 0)
-    assert summary.h2_artin_integral == AbelianDescriptor(free_rank=0, torsion2_rank=6)
+    assert integral == profile.h2_artin_integral == AbelianDescriptor(free_rank=0, torsion2_rank=6)
     assert len(words.omega1) == 6 and not words.omega2 and not words.omega3
     assert namespace["analysis"].profile is profile
