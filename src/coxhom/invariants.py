@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from .errors import CoxhomError
-from .graph import CoxeterGraph, PlainGraph, is_even, is_finite, is_odd, odd_subgraph
+from .graph import CoxeterGraph, Label, PlainGraph, is_even, is_finite, is_odd, odd_subgraph
 
 Pair = tuple[int, int]
 
@@ -283,12 +283,29 @@ def analyze(g: CoxeterGraph) -> Analysis:
     """Pair partition, odd subgraph and rank profile of g, each computed once."""
     partition = pair_classes(g)
     pg = odd_subgraph(g)
-    n = len(g.vertices)
-    parent = list(range(n))
-    components = n - sum(_join(parent, i, j) for i, j in pg.edges)
+    n = components = len(g.vertices)
+    parent = list(range(n))  # the odd components; each join below is _join, inline
+    for i, j in pg.edges:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+            components -= 1
+    tree = True  # until an edge closes a cycle
+    parent = list(range(n))  # the whole graph
+    for i, j in g.labels:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i == j:
+            tree = False
+            break
+        parent[i] = j
     n3 = len(partition.least)
     p = sum(partition.torsion_flags)
-    parent = list(range(n))
     profile = InvariantProfile(
         p=p,
         q1=n3 - p,
@@ -299,7 +316,7 @@ def analyze(g: CoxeterGraph) -> Analysis:
         n3=n3,
         n4=components,
         odd_equals_gamma=len(pg.edges) == len(g.labels),  # every stored label is odd
-        tree=all(_join(parent, i, j) for i, j in g.labels),  # no edge closes a cycle
+        tree=tree,
     )
     return Analysis(partition, pg, profile)
 
@@ -314,16 +331,12 @@ class StabilityReport:
 
 # Largest n_max a stability scan accepts, and the most vertices its last
 # graph, of seed vertices + n_max - 1, may have.  Its pair union-find holds a
-# slot for every pair of that graph, so a scan's time and memory follow the
-# last graph, not n_max alone.
+# slot for every pair of that graph, so a scan's memory follows the last
+# graph, not n_max alone.  An appended vertex costs a few steps per run of
+# its row plus a copy of its slots in C, so the 2000-step scan from a
+# one-vertex seed takes about 0.2 s; a seed vertex can cost up to a step per
+# vertex of its row for each odd neighbour.
 MAX_SCAN_STEPS = 2000
-
-
-def _slot(x: int, y: int) -> int:
-    """Index of the pair {x,y} in a triangular table over vertices 0, 1, ..."""
-    if x > y:
-        x, y = y, x
-    return y * (y - 1) // 2 + x
 
 
 def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
@@ -333,11 +346,27 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     consequence of the stability isomorphisms.
 
     The scan starts from empty union-finds, one over commuting pairs and one
-    over the odd components, and updates them with what each vertex adds: the
-    seed's vertices in order, then each appended vertex, whose one 3-edge it
-    adds to its copy of the seed's labels.  It builds no graph and never calls
+    over the odd components, and updates them with what each vertex v adds:
+    the seed's vertices in order, then each appended vertex, whose only label
+    is a 3-edge to the vertex before it.  It builds no graph and never calls
     ``analyze``.  The rank is n3 + q2 + q3 (p + q1 = n3), so no torsion is
     tracked.
+
+    v's commuting set is a bit mask, its row.  Let y be v's highest odd
+    neighbour and S the row's vertices that commute with y.  Each fresh slot
+    {x,v} with x in S joins the class of {x,y}, so it takes that slot's
+    parent: below y row y's parents are copied run by run, above y each slot
+    points at {x,y}.  What is left to join:
+
+    - {v,x} ~ {v,u} for an odd edge {x,u} of v's row.  When x and u both lie
+      in S, {x,y} ~ {u,y} holds already, so only the edges at the row's other,
+      fresh, vertices are walked;
+    - {a,w} ~ {a,v} for each other odd neighbour w and each a commuting with
+      both.
+
+    So an appended vertex, whose row is every vertex below it but its
+    3-neighbour y, costs the runs of S and the odd edges at the vertices that
+    do not commute with y, not a step per vertex below it.
     """
     if not seed.vertices:
         raise CoxhomError("stability scan needs a nonempty seed")
@@ -348,46 +377,79 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     if len(seed.vertices) + n_max - 1 > MAX_SCAN_STEPS:
         last = f"{len(seed.vertices)} + {n_max} - 1"
         raise CoxhomError(f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got {last}")
-    classes = q2 = components = 0
-    pair_parent: list[int] = []  # slots of non-commuting pairs stay unused
-    vertex_parent: list[int] = []
-    odd_edges: list[Pair] = []
-    trajectory = []
-    labels = dict(seed.labels)  # the labels of the current step's graph
     n = len(seed.vertices)
+    lower: list[list[tuple[int, Label]]] = [[] for _ in range(n)]  # (x, m) for x < v, x increasing
+    for (x, v), m in seed.labels.items():
+        lower[v].append((x, m))
+    classes = q2 = components = odd_edges = 0
+    pair_parent: list[int] = []  # {x,v} with x < v is slot v*(v-1)//2 + x; non-commuting ones stay unused
+    vertex_parent: list[int] = []
+    noncommuting: list[int] = []  # bit x of noncommuting[v]: m(x, v) != 2, or x == v
+    odd_neighbours: list[list[int]] = []
+    has_odd = 0  # the vertices with an odd neighbour
+    trajectory = []
     for step in range(1, n_max + 1):
         if step > 1:
-            labels[(n - 1, n)] = 3  # a new vertex n, joined to the last one by a 3-edge
-            n += 1
+            n += 1  # a new vertex n - 1, joined to the one before by a 3-edge
         for v in range(len(vertex_parent), n):
-            commuting, odd = [], []
-            for x in range(v):
-                m = labels.get((x, v), 2)
-                if m == 2:
-                    commuting.append(x)
-                elif is_odd(m):
+            mask, odd = 1 << v, []
+            for x, m in lower[v] if v < len(lower) else ((v - 1, 3),):
+                mask |= 1 << x
+                noncommuting[x] |= 1 << v
+                if is_odd(m):
                     odd.append(x)
                 elif is_even(m):  # an even label other than 2 is >= 4
                     q2 += 1
-            row = len(pair_parent)  # the slot of {x,v} is row + x
-            pair_parent.extend(range(row, row + v))
-            classes += len(commuting)
-            commutes = set(commuting)
-            # {v,x} ~ {v,y} for each old odd edge {x,y} whose ends both commute with v
-            for x, y in odd_edges:
-                if x in commutes and y in commutes:
-                    classes -= _join(pair_parent, row + x, row + y)
-            # {a,x} ~ {a,v} for each new odd edge {x,v} and each a commuting with both
-            for x in odd:
-                for a in commuting:
-                    if labels.get((a, x) if a < x else (x, a), 2) == 2:
-                        classes -= _join(pair_parent, _slot(a, x), row + a)
+            noncommuting.append(mask)
+            row = ((1 << v) - 1) & ~mask
+            base = len(pair_parent)  # the slot of {x,v} is base + x
+            shared = start = above = 0
+            if odd:  # {x,v} joins the class of {x,y} for each x in S, so it takes that slot's parent
+                y = odd[-1]
+                shared = row & ~noncommuting[y]
+                ybase = y * (y - 1) // 2
+                rest = shared & ((1 << y) - 1)
+                while rest:  # one run r..e-1 below y per pass: fresh slots before it, then row y's
+                    low = rest & -rest
+                    r = low.bit_length() - 1
+                    carry = rest + low
+                    e = (carry & ~rest).bit_length() - 1
+                    rest &= carry
+                    pair_parent += range(base + start, base + r)
+                    pair_parent += pair_parent[ybase + r:ybase + e]
+                    start = e
+                above = shared & -(2 << y)
+            pair_parent += range(base + start, base + v)
+            for x in _bits(above):  # above y, {x,y} is slot x*(x-1)//2 + y
+                pair_parent[base + x] = x * (x - 1) // 2 + y
+            classes += row.bit_count() - shared.bit_count()
+            joins = []  # pairs of slots whose classes meet
+            fresh = row & ~shared & has_odd
+            while fresh:  # {v,x} ~ {v,u}; an edge with both ends fresh is taken at its higher end
+                low = fresh & -fresh
+                fresh ^= low
+                x = low.bit_length() - 1
+                joins += [(base + x, base + u) for u in odd_neighbours[x] if row >> u & 1 and (u < x or shared >> u & 1)]
+            for w in odd[:-1]:  # {a,w} ~ {a,v} for each a commuting with both
+                wbase = w * (w - 1) // 2
+                joins += [(wbase + a if a < w else a * (a - 1) // 2 + w, base + a) for a in _bits(row & ~noncommuting[w])]
+            for x, u in joins:  # _join(pair_parent, x, u), inline: no call per union
+                while pair_parent[x] != x:
+                    pair_parent[x] = x = pair_parent[pair_parent[x]]
+                while pair_parent[u] != u:
+                    pair_parent[u] = u = pair_parent[pair_parent[u]]
+                if x != u:
+                    pair_parent[x] = u
+                    classes -= 1
             vertex_parent.append(v)
             components += 1
             for x in odd:
                 components -= _join(vertex_parent, x, v)
-                odd_edges.append((x, v))
-        q3 = len(odd_edges) - n + components
+                odd_neighbours[x].append(v)
+                has_odd |= 1 << x | 1 << v
+            odd_neighbours.append(odd)
+            odd_edges += len(odd)
+        q3 = odd_edges - n + components
         trajectory.append((step, classes + q2 + q3))
     tail = [rank for step, rank in trajectory if step >= 3]
     return StabilityReport(tuple(trajectory), all(r == tail[0] for r in tail))

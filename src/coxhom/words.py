@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import neg
-from typing import Iterable
 
 from .chains import CycleBasis, fundamental_cycle_basis
 from .errors import CoxhomError
@@ -37,17 +36,6 @@ def letter(index: int) -> int:
     return index + 1
 
 
-def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    """Cancel adjacent inverse letters until none remain."""
-    stack: list[int] = []
-    for a in letters:
-        if stack and stack[-1] == -a:
-            stack.pop()
-        else:
-            stack.append(a)
-    return tuple(stack)
-
-
 def _extend_reduced(stack: list[int], part: tuple[int, ...]) -> None:
     """Append ``part`` to ``stack``, both freely reduced, so that ``stack``
     becomes the free reduction of their product.
@@ -59,21 +47,6 @@ def _extend_reduced(stack: list[int], part: tuple[int, ...]) -> None:
         stack.pop()
         n += 1
     stack.extend(part[n:])
-
-
-def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(neg, reversed(w)))
-
-
-def alternating_word(s: int, t: int, m: int) -> tuple[int, ...]:
-    """The length-m word s t s t ... over vertex indices s, t."""
-    if s == t:
-        raise CoxhomError(f"alternating word needs distinct vertices, got {s}")
-    if m < 1:
-        raise CoxhomError(f"length must be >= 1, got {m}")
-    if m > MAX_SPELLED_LABEL:
-        raise CoxhomError(f"label {m} is above the limit {MAX_SPELLED_LABEL} on spelled words")
-    return ((letter(s), letter(t)) * ((m + 1) // 2))[:m]
 
 
 def relator(s: int, t: int, m: Label) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ import random
 
 from coxhom.graph import INFINITY, CoxeterGraph, build_graph
 from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
-from coxhom.words import abelianize, free_reduce, inverse
+from coxhom.words import abelianize, letter
 
 # Label 2 weighted 20: mostly commuting pairs, so graphs split into many pair classes.
 SPARSE_WEIGHTS = (20.0,) + DEFAULT_WEIGHTS[1:]
@@ -29,6 +29,28 @@ def permuted_copy(g: CoxeterGraph, rng: random.Random) -> CoxeterGraph:
 def incidence_masks(pg) -> list[int]:
     """One GF(2) row per vertex of a plain graph: bit k set when edge k ends there."""
     return [sum(1 << k for k, edge in enumerate(pg.edges) if v in edge) for v in range(len(pg.vertices))]
+
+
+def free_reduce(letters) -> tuple[int, ...]:
+    """Cancel adjacent inverse letters until none remain: the reference for
+    the join-only reduction that omega3 uses."""
+    stack: list[int] = []
+    for a in letters:
+        if stack and stack[-1] == -a:
+            stack.pop()
+        else:
+            stack.append(a)
+    return tuple(stack)
+
+
+def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-a for a in reversed(w))
+
+
+def alternating_word(s: int, t: int, m: int) -> tuple[int, ...]:
+    """The length-m word s t s t ... over vertex indices s != t: the
+    reference for relator's closed form."""
+    return ((letter(s), letter(t)) * ((m + 1) // 2))[:m]
 
 
 def power(w: tuple[int, ...], e: int) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import random
 
-from conftest import corpus_graphs, incidence_masks, permuted_copy, power
+from conftest import corpus_graphs, free_reduce, incidence_masks, permuted_copy, power
 from coxhom.chains import boundary, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
@@ -130,7 +130,7 @@ def _relator_exponents(g, word):
     pg = odd_subgraph(g)
     basis = fundamental_cycle_basis(pg)
     for cycle in basis.basis:
-        from coxhom.words import free_reduce, relator
+        from coxhom.words import relator
 
         parts = []
         exponents = [0] * len(pg.edges)

@@ -316,6 +316,68 @@ def test_stability_scan_matches_the_per_step_profile():
         assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max)
 
 
+def _scan_shapes(g):
+    """Which shapes of the scan's per-vertex update a seed takes, with y a
+    vertex v's highest odd neighbour below it and S the vertices below y
+    commuting with both: two or more odd neighbours below v, S in several
+    runs, and vertices between y and v that commute with v."""
+    n = len(g.vertices)
+    noncommuting = [1 << v for v in range(n)]
+    odd = [[] for _ in range(n)]
+    for (x, v), m in g.labels.items():
+        noncommuting[x] |= 1 << v
+        noncommuting[v] |= 1 << x
+        if is_odd(m):
+            odd[v].append(x)
+    shapes = set()
+    for v in range(n):
+        if odd[v]:
+            y = max(odd[v])
+            row = ((1 << v) - 1) & ~noncommuting[v]
+            shared = row & ~noncommuting[y] & ((1 << y) - 1)
+            if len(odd[v]) > 1:
+                shapes.add("odd neighbours")
+            if (shared & ~(shared << 1)).bit_count() > 1:  # more than one run start
+                shapes.add("runs")
+            if row >> (y + 1):
+                shapes.add("between")
+    return shapes
+
+
+def _named(n, edges):
+    names = [f"v{i}" for i in range(n)]
+    return build_graph(names, [(names[i], names[j], m) for i, j, m in edges])
+
+
+def test_stability_scan_matches_the_per_step_profile_on_each_update_shape():
+    # v9's 3-neighbour v8 does not commute with v1, v3 or v5, so S splits
+    # into four runs, and odd edges join vertices inside and across them.
+    runs = _named(10, [(1, 8, 4), (3, 8, INFINITY), (5, 8, 6), (8, 9, 3),
+                       (0, 2, 3), (2, 4, 5), (4, 6, 3), (1, 3, 3), (6, 7, 5), (3, 6, 3)])
+    # v9's highest odd neighbour is v3: v4..v8 lie between, with odd edges
+    # among them and to the vertices below; v0 and v2 are two more odd
+    # neighbours, and v5 commutes with v9 but not with v3.
+    between = _named(10, [(0, 9, 5), (2, 9, 3), (3, 9, 3), (3, 5, 4), (4, 6, 3), (6, 8, 3),
+                          (5, 7, 5), (1, 4, 3), (2, 7, 3), (0, 1, 3), (1, 2, 6), (8, 9, INFINITY)])
+    assert "runs" in _scan_shapes(runs)
+    assert {"odd neighbours", "between"} <= _scan_shapes(between)
+    rng = random.Random(11)
+    odd_heavy = (6.0, 4.0, 1.0, 3.0, 1.0, 1.0)
+    drawn = [random_coxeter_graph(rng, rng.randint(8, 14), odd_heavy) for _ in range(40)]
+    drawn = [g for g in drawn if _scan_shapes(g) == {"odd neighbours", "runs", "between"}]
+    assert len(drawn) >= 10
+    for seed in [runs, between] + drawn:
+        for n_max in (4, 9):
+            assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max)
+
+
+def test_stability_scan_matches_the_per_step_profile_on_large_seeds():
+    rng = random.Random(12)
+    for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS, (1.0,) * 6):
+        seed = random_coxeter_graph(rng, rng.randint(60, 120), weights)
+        assert stability_scan(seed, 6).trajectory == _per_step_ranks(seed, 6)
+
+
 def test_stability_scan_updates_for_any_appended_vertex():
     # Step 1 grows the seed vertex by vertex with the update every appended
     # vertex takes, so it must equal analyze on each vertex prefix of a graph

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, reference_json
+from conftest import SPARSE_WEIGHTS, corpus_graphs, free_reduce, reference_json
 from coxhom.cli import _build_parser, _UsageError, main
 from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
@@ -26,7 +26,7 @@ from coxhom.io import (
     word_texts,
 )
 from coxhom.oracles import DEFAULT_WEIGHTS, catalog_sample, random_coxeter_graph
-from coxhom.words import MAX_SPELLED_LABEL, free_reduce, omega_sets
+from coxhom.words import MAX_SPELLED_LABEL, omega_sets
 
 
 def test_parse_simple_graph():
