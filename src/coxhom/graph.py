@@ -159,100 +159,39 @@ def odd_subgraph(g: CoxeterGraph) -> PlainGraph:
 
 # -- catalog ------------------------------------------------------------------
 
-def _names(n: int) -> list[str]:
-    return [f"s{i}" for i in range(1, n + 1)]
+def _path(labels: Sequence[Label], start: int = 0) -> list[tuple[int, int, Label]]:
+    """0-based edges of a path from vertex ``start``, one per label."""
+    return [(start + k, start + k + 1, m) for k, m in enumerate(labels)]
 
 
-def _path(n: int, labels: Sequence[Label]) -> CoxeterGraph:
-    names = _names(n)
-    return build_graph(names, [(names[i], names[i + 1], labels[i]) for i in range(n - 1)])
-
-
-def _type_a(n: int) -> CoxeterGraph:
-    return _path(n, [3] * (n - 1))
-
-
-def _type_b(n: int) -> CoxeterGraph:
-    return _path(n, [4] + [3] * (n - 2))
-
-
-def _type_d(n: int) -> CoxeterGraph:
-    # fork s1, sn at s2; path s2..s_{n-1}
-    names = _names(n)
-    edges = [(names[0], names[1], 3), (names[n - 1], names[1], 3)]
-    edges += [(names[i], names[i + 1], 3) for i in range(1, n - 2)]
-    return build_graph(names, edges)
-
-
-def _type_e(n: int) -> CoxeterGraph:
+def _e(n: int) -> list[tuple[int, int, Label]]:
     # path s1 s3 s4 ... sn with s2 attached to s4
-    names = _names(n)
-    chain = [names[0]] + names[2:]
-    edges = [(chain[i], chain[i + 1], 3) for i in range(len(chain) - 1)]
-    edges.append((names[1], names[3], 3))
-    return build_graph(names, edges)
+    return [(0, 2, 3), (1, 3, 3), *_path([3] * (n - 3), start=2)]
 
 
-def _type_i2(m: Label) -> CoxeterGraph:
-    return build_graph(["s1", "s2"], [("s1", "s2", m)])
-
-
-def _affine_a(n: int) -> CoxeterGraph:
-    names = _names(n + 1)
-    edges = [(names[i], names[i + 1], 3) for i in range(n)]
-    edges.append((names[0], names[n], 3))
-    return build_graph(names, edges)
-
-
-def _affine_b(n: int) -> CoxeterGraph:
-    # fork s1, s2 at s3; path s3..sn; final edge sn - s_{n+1} labeled 4
-    names = _names(n + 1)
-    edges = [(names[0], names[2], 3), (names[1], names[2], 3)]
-    edges += [(names[i], names[i + 1], 3) for i in range(2, n - 1)]
-    edges.append((names[n - 1], names[n], 4))
-    return build_graph(names, edges)
-
-
-def _affine_c(n: int) -> CoxeterGraph:
-    return _path(n + 1, [4] + [3] * (n - 2) + [4])
-
-
-def _affine_d(n: int) -> CoxeterGraph:
-    # forks s1, s2 at s3 and sn, s_{n+1} at s_{n-1}; path s3..s_{n-1}
-    names = _names(n + 1)
-    edges = [(names[0], names[2], 3), (names[1], names[2], 3)]
-    edges += [(names[i], names[i + 1], 3) for i in range(2, n - 2)]
-    edges += [(names[n - 1], names[n - 2], 3), (names[n], names[n - 2], 3)]
-    return build_graph(names, edges)
-
-
-def _affine_e(n: int) -> CoxeterGraph:
-    g = _type_e(n)
-    names = _names(n + 1)
-    attach = {6: names[1], 7: names[0], 8: names[n - 1]}[n]
-    edges = [(names[i], names[j], m) for (i, j), m in g.labels.items()]
-    edges.append((names[n], attach, 3))
-    return build_graph(names, edges)
-
-
-# family key -> ((least n, greatest n or None), builder, description for `catalog list`)
+# family key -> ((least n, greatest n or None), 0-based edges of the n-th
+# diagram, description for `catalog list`); a `~` family has n + 1 vertices
 _CATALOG = {
-    "A": ((1, None), _type_a, "path of n vertices, all edges 3"),
-    "B": ((2, None), _type_b, "path, first edge 4, rest 3"),
-    "D": ((4, None), _type_d, "path with a fork of two 3-edges at one end"),
-    "E": ((6, 8), _type_e, "path with one branch vertex"),
-    "F": ((4, 4), lambda n: _path(4, [3, 4, 3]), "path, edges 3,4,3"),
-    "H": ((3, 4), lambda n: _path(n, [5] + [3] * (n - 2)), "path, first edge 5, rest 3"),
-    "~A": ((2, None), _affine_a, "cycle of n+1 vertices, all edges 3"),
-    "~B": ((3, None), _affine_b, "forked path ending in a 4-edge"),
-    "~C": ((2, None), _affine_c, "path with both end edges 4"),
-    "~D": ((4, None), _affine_d, "path with a fork of two 3-edges at each end"),
-    "~E": ((6, 8), _affine_e, "extended E diagram"),
+    "A": ((1, None), lambda n: _path([3] * (n - 1)), "path of n vertices, all edges 3"),
+    "B": ((2, None), lambda n: _path([4] + [3] * (n - 2)), "path, first edge 4, rest 3"),
+    "D": ((4, None), lambda n: [(1, n - 1, 3), *_path([3] * (n - 2))], "path with a fork of two 3-edges at one end"),
+    "E": ((6, 8), _e, "path with one branch vertex"),
+    "F": ((4, 4), lambda n: _path([3, 4, 3]), "path, edges 3,4,3"),
+    "H": ((3, 4), lambda n: _path([5] + [3] * (n - 2)), "path, first edge 5, rest 3"),
+    "~A": ((2, None), lambda n: [(0, n, 3), *_path([3] * n)], "cycle of n+1 vertices, all edges 3"),
+    "~B": ((3, None), lambda n: [(0, 2, 3), *_path([3] * (n - 2) + [4], start=1)], "forked path ending in a 4-edge"),
+    "~C": ((2, None), lambda n: _path([4] + [3] * (n - 2) + [4]), "path with both end edges 4"),
+    "~D": ((4, None), lambda n: [(0, 2, 3), (n - 2, n, 3), *_path([3] * (n - 2), start=1)],
+           "path with a fork of two 3-edges at each end"),
+    "~E": ((6, 8), lambda n: [({6: 1, 7: 0, 8: n - 1}[n], n, 3), *_e(n)], "extended E diagram"),
 }
 _I2_MIN = 3
 # Largest catalog parameter n.  At n = 3000, compute and generators --json
 # take about 0.3 s and 25 MB on every family; check's brute-force pair
-# closure grows as about n**4.4 and is not bounded by this limit.
+# closure grows as about n**4.4 and is not bounded by this limit.  A graph
+# file may have MAX_CATALOG_N + 1 vertices, as ~A<MAX_CATALOG_N> has; its
+# worst case, an edgeless file of that size, takes compute --json about 54 s
+# and 2.6 GB (one whole-process run, shared 2-vCPU host, Python 3.11.7).
 MAX_CATALOG_N = 3000
 
 _I2_RE = re.compile(r"I2\(([0-9]+|inf)\)")
@@ -275,7 +214,7 @@ def from_catalog(name: str) -> CoxeterGraph:
         value = read_label(m.group(1))
         if value < _I2_MIN:
             raise CoxhomError(f"I2 requires m >= {_I2_MIN} or inf, got {value}")
-        return _type_i2(value)
+        return build_graph(["s1", "s2"], [("s1", "s2", value)])
     m = _FAMILY_RE.fullmatch(name)
     if not m:
         raise CoxhomError(f"unknown catalog name {echo(name)}")
@@ -286,10 +225,11 @@ def from_catalog(name: str) -> CoxeterGraph:
     if len(digits) > len(str(MAX_CATALOG_N)) or int(digits) > MAX_CATALOG_N:
         raise CoxhomError(f"{echo(name, False)}: parameter above the limit n <= {MAX_CATALOG_N}")
     n = int(digits)
-    (lo, hi), builder, _ = _CATALOG[family]
+    (lo, hi), edges, _ = _CATALOG[family]
     if n < lo or (hi is not None and n > hi):
         raise CoxhomError(f"{family}{n}: parameter out of range ({_constraint(lo, hi)})")
-    return builder(n)
+    names = [f"s{k}" for k in range(1, n + 1 + family.startswith("~"))]
+    return build_graph(names, [(names[i], names[j], m) for i, j, m in edges(n)])
 
 
 def catalog_grammar() -> list[tuple[str, str, str]]:

@@ -13,13 +13,15 @@ from json.encoder import encode_basestring_ascii as _quote  # how json.dumps quo
 from typing import Optional
 
 from .errors import CoxhomError, GraphSyntaxError, echo
-from .graph import INFINITY, CoxeterGraph, Label, build_graph, read_label
+from .graph import INFINITY, MAX_CATALOG_N, CoxeterGraph, Label, build_graph, read_label
 from .invariants import InvariantProfile, StabilityReport
 from .words import OmegaSets, in_commutator_subgroup
 
 
 def parse_graph(text: str) -> CoxeterGraph:
-    """Graph of a file-format text; every error names its 1-based line."""
+    """Graph of a file-format text; every error names its 1-based line.  A
+    graph may have MAX_CATALOG_N + 1 vertices, as the largest catalog diagram
+    does, and the first vertex line past them is refused."""
     vertices: list[tuple[int, str]] = []
     edges: list[tuple[int, tuple[str, str, Label]]] = []
     # lines end at \n, \r\n or \r only; str.splitlines() would also end them
@@ -43,6 +45,9 @@ def parse_graph(text: str) -> CoxeterGraph:
         elif tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphSyntaxError("expected `vertex <name>`", number)
+            if len(vertices) > MAX_CATALOG_N:
+                limit = MAX_CATALOG_N + 1
+                raise GraphSyntaxError(f"vertex {limit + 1} is above the limit of {limit} vertices", number)
             vertices.append((number, tokens[1]))
         else:
             raise GraphSyntaxError(f"unknown directive {echo(tokens[0])}", number)

@@ -168,6 +168,57 @@ def test_catalog_affine_d4_is_the_star():
     assert degrees[center] == 4
 
 
+# Each family at its least n and least n + 1, the unbounded ones also at
+# n = 12, and every member of the bounded ones: vertex count and labels.
+_CATALOG_SHAPES = [
+    ("A1", 1, {}),
+    ("A2", 2, {(0, 1): 3}),
+    ("A12", 12, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3,
+        (7, 8): 3, (8, 9): 3, (9, 10): 3, (10, 11): 3}),
+    ("B2", 2, {(0, 1): 4}),
+    ("B3", 3, {(0, 1): 4, (1, 2): 3}),
+    ("B12", 12, {(0, 1): 4, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3,
+        (7, 8): 3, (8, 9): 3, (9, 10): 3, (10, 11): 3}),
+    ("D4", 4, {(0, 1): 3, (1, 2): 3, (1, 3): 3}),
+    ("D5", 5, {(0, 1): 3, (1, 2): 3, (1, 4): 3, (2, 3): 3}),
+    ("D12", 12, {(0, 1): 3, (1, 2): 3, (1, 11): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3,
+        (6, 7): 3, (7, 8): 3, (8, 9): 3, (9, 10): 3}),
+    ("E6", 6, {(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}),
+    ("E7", 7, {(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3}),
+    ("E8", 8, {(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3}),
+    ("F4", 4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}),
+    ("H3", 3, {(0, 1): 5, (1, 2): 3}),
+    ("H4", 4, {(0, 1): 5, (1, 2): 3, (2, 3): 3}),
+    ("~A2", 3, {(0, 1): 3, (0, 2): 3, (1, 2): 3}),
+    ("~A3", 4, {(0, 1): 3, (0, 3): 3, (1, 2): 3, (2, 3): 3}),
+    ("~A12", 13, {(0, 1): 3, (0, 12): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3,
+        (6, 7): 3, (7, 8): 3, (8, 9): 3, (9, 10): 3, (10, 11): 3, (11, 12): 3}),
+    ("~B3", 4, {(0, 2): 3, (1, 2): 3, (2, 3): 4}),
+    ("~B4", 5, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 4}),
+    ("~B12", 13, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3,
+        (7, 8): 3, (8, 9): 3, (9, 10): 3, (10, 11): 3, (11, 12): 4}),
+    ("~C2", 3, {(0, 1): 4, (1, 2): 4}),
+    ("~C3", 4, {(0, 1): 4, (1, 2): 3, (2, 3): 4}),
+    ("~C12", 13, {(0, 1): 4, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3,
+        (7, 8): 3, (8, 9): 3, (9, 10): 3, (10, 11): 3, (11, 12): 4}),
+    ("~D4", 5, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (2, 4): 3}),
+    ("~D5", 6, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (3, 5): 3}),
+    ("~D12", 13, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3,
+        (7, 8): 3, (8, 9): 3, (9, 10): 3, (10, 11): 3, (10, 12): 3}),
+    ("~E6", 7, {(0, 2): 3, (1, 3): 3, (1, 6): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3}),
+    ("~E7", 8, {(0, 2): 3, (0, 7): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3}),
+    ("~E8", 9, {(0, 2): 3, (1, 3): 3, (2, 3): 3, (3, 4): 3, (4, 5): 3, (5, 6): 3, (6, 7): 3,
+        (7, 8): 3}),
+]
+
+
+@pytest.mark.parametrize("name, count, labels", _CATALOG_SHAPES)
+def test_catalog_family_shapes(name, count, labels):
+    g = from_catalog(name)
+    assert g.vertices == tuple(f"s{k}" for k in range(1, count + 1))
+    assert list(g.labels.items()) == sorted(labels.items())
+
+
 def test_catalog_parameter_errors():
     for bad in ["A0", "B1", "D3", "E5", "E9", "F5", "H2", "I2(1)", "I2(2)", "~A1", "~B2", "~C1", "~D3", "~E5"]:
         with pytest.raises(CoxhomError, match=r"parameter out of range|I2 requires m >= 3"):

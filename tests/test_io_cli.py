@@ -428,6 +428,31 @@ def test_cli_check_reports_failures_with_exit_3(monkeypatch, capsys):
     assert "FAIL broken_identity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, message", [
+    (["compute"], "internal error: Howlett identity violated"),
+    (["compute", "--json"], "internal error: Howlett identity violated"),
+    (["generators"], "internal error: generator count != p+q"),
+    (["generators", "--json", "--flavor", "coxeter"], "internal error: generator count != p+q"),
+])
+def test_cli_exits_3_when_a_count_is_off_by_one(command, message, monkeypatch, capsys):
+    import coxhom.cli as cli
+
+    real_analyze, real_omega_sets = cli.analyze, cli.omega_sets
+
+    def off_profile(g):  # n1 one too high breaks -n1 + n2 + n3 + n4 = p + q
+        analysis = real_analyze(g)
+        return dataclasses.replace(analysis, profile=dataclasses.replace(analysis.profile, n1=analysis.profile.n1 + 1))
+
+    def off_words(g, flavor):  # one omega2 word more than p + q
+        omegas = real_omega_sets(g, flavor)
+        return dataclasses.replace(omegas, omega2=omegas.omega2 + ((1, 2, -1, -2),))
+
+    monkeypatch.setattr(cli, "analyze", off_profile)
+    monkeypatch.setattr(cli, "omega_sets", off_words)
+    assert main([*command, "--type", "~A2"]) == 3
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_check_fails_only_the_reducedness_row_on_an_unreduced_word(monkeypatch, capsys):
     import coxhom.oracles as oracles
 
@@ -553,6 +578,36 @@ def test_cli_refuses_sizes_above_the_limits(argv, code, message, tmp_path, capsy
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert len(captured.err) < 200
+
+
+def test_cli_refuses_a_graph_file_above_the_largest_catalog_diagram(tmp_path, capsys):
+    limit = MAX_CATALOG_N + 1  # the vertex count of ~A<MAX_CATALOG_N>
+    text = "# edgeless\n" + "".join(f"vertex v{k}\n" for k in range(limit + 1))
+    with pytest.raises(GraphSyntaxError) as info:  # first, as a graph this size takes a minute and gigabytes
+        parse_graph(text)
+    assert info.value.line == limit + 2
+    path = tmp_path / "edgeless.graph"
+    path.write_text(text, encoding="utf-8")
+    for command in (["compute", "--json", "--file"], ["stability", "--n-max", "4", "--seed-file"]):
+        tracemalloc.start()
+        try:
+            assert main([*command, str(path)]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # refused while parsing, before build_graph ran
+        assert capsys.readouterr() == (
+            "", f"error: line {limit + 2}: vertex {limit + 1} is above the limit of {limit} vertices\n")
+
+
+def test_cli_reads_a_file_of_the_largest_catalog_diagram(tmp_path, capsys):
+    name = f"~A{MAX_CATALOG_N}"
+    path = tmp_path / "largest.graph"
+    path.write_text(render_graph(from_catalog(name)), encoding="utf-8")
+    assert main(["compute", "--json", "--type", name]) == 0
+    expected = capsys.readouterr().out
+    assert main(["compute", "--json", "--file", str(path)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 # A graph file (with the line at fault) or a catalog name, each echoing one user token.

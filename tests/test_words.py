@@ -297,3 +297,9 @@ def test_both_flavors_build_the_same_words():
         assert artin.omega1 == coxeter.omega1
         assert artin.omega2 == coxeter.omega2
         assert artin.omega3 == coxeter.omega3
+
+
+def test_omega_sets_refuses_an_unknown_flavor():
+    with pytest.raises(CoxhomError) as info:
+        omega_sets(from_catalog("A3"), "bogus")
+    assert str(info.value) == "flavor must be one of ('artin', 'coxeter'), got 'bogus'"
