@@ -187,11 +187,12 @@ _CATALOG = {
 }
 _I2_MIN = 3
 # Largest catalog parameter n.  At n = 3000, compute and generators --json
-# take about 0.3 s and 25 MB on every family; check's brute-force pair
-# closure grows as about n**4.4 and is not bounded by this limit.  A graph
-# file may have MAX_CATALOG_N + 1 vertices, as ~A<MAX_CATALOG_N> has; its
-# worst case, an edgeless file of that size, takes compute --json about 54 s
-# and 2.6 GB (one whole-process run, shared 2-vCPU host, Python 3.11.7).
+# take about 0.4 s and 55 MB on every family, most of it the pair classes'
+# slot per vertex pair; check's brute-force pair closure grows as about
+# n**4.4 and is not bounded by this limit.  A graph file may have
+# MAX_CATALOG_N + 1 vertices, as ~A<MAX_CATALOG_N> has; an edgeless file of
+# that size, whose every pair is a class, takes compute --json about 0.5 s
+# and 190 MB (one whole-process run, shared 2-vCPU host, Python 3.11.7).
 MAX_CATALOG_N = 3000
 
 _I2_RE = re.compile(r"I2\(([0-9]+|inf)\)")

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Optional
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import CoxhomError
 from .graph import CoxeterGraph, Label, PlainGraph, is_even, is_finite, is_odd, odd_subgraph
@@ -24,17 +25,31 @@ Pair = tuple[int, int]
 class PairPartition:
     """The commuting pairs of a graph, partitioned into equivalence classes.
 
-    Classes are ordered by their lexicographically smallest pair, ``least[k]``;
-    ``torsion_flags[k]`` records whether some pair of class k has a common
-    neighbour with both labels exactly 3.  The member pairs are listed only
-    when ``classes`` or ``pairs`` is read: ``members`` builds the classes, each
-    internally sorted.  Two partitions are equal when their classes and flags
-    are.
+    ``n3`` counts the classes and ``p`` the torsion ones, those with a pair
+    whose vertices have a common neighbour with both labels exactly 3.  The
+    classes are listed only when read.  They are ordered by their
+    lexicographically smallest pair, ``least[k]``, and ``torsion_flags[k]``
+    tells whether class k is torsion: ``heads`` lists those two, and
+    ``members`` the classes, each internally sorted.  Two partitions are
+    equal when their classes and flags are.
     """
 
-    least: tuple[Pair, ...]
-    torsion_flags: tuple[bool, ...]
+    n3: int
+    p: int
+    heads: Callable[[], tuple[tuple[Pair, ...], tuple[bool, ...]]] = field(repr=False)
     members: Callable[[], tuple[tuple[Pair, ...], ...]] = field(repr=False)
+
+    @cached_property
+    def _listed(self) -> tuple[tuple[Pair, ...], tuple[bool, ...]]:
+        return self.heads()
+
+    @property
+    def least(self) -> tuple[Pair, ...]:
+        return self._listed[0]
+
+    @property
+    def torsion_flags(self) -> tuple[bool, ...]:
+        return self._listed[1]
 
     @cached_property
     def classes(self) -> tuple[tuple[Pair, ...], ...]:
@@ -114,13 +129,6 @@ def _root(parent: list[int], x: int) -> int:
     return x
 
 
-def _join(parent: list[int], x: int, y: int) -> int:
-    """Merge the sets of x and y; 1 if they were two sets, else 0."""
-    x, y = _root(parent, x), _root(parent, y)
-    parent[x] = y
-    return int(x != y)
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The indices of the set bits of mask, in increasing order."""
     while mask:
@@ -129,145 +137,174 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _run(inner: int, s: int) -> int:
-    """Mask of the run that starts at s: s and each vertex above it that a
-    bit of ``inner`` links to the one before."""
-    tail = inner >> s
-    return ((1 << (tail ^ (tail + 1)).bit_length()) - 1) << s
+def _lowers(g: CoxeterGraph) -> list[list[tuple[int, Label]]]:
+    """Each vertex v's labels (x, m) to the vertices x < v, x increasing."""
+    lowers: list[list[tuple[int, Label]]] = [[] for _ in g.vertices]
+    for (x, v), m in g.labels.items():
+        lowers[v].append((x, m))
+    return lowers
+
+
+def _grow(
+    lowers: Iterable[Iterable[tuple[int, Label]]], slots: list[int], noncommuting: list[int], births: list[int]
+) -> Iterator[int]:
+    """Add vertices 0, 1, ... one at a time and yield the number of pair
+    classes of the graph after each.
+
+    ``lowers`` gives each new vertex v's labels (x, m) to the vertices below
+    it, x increasing.  The lists are filled as the graph grows: ``slots`` is
+    a union-find over the pairs, {x,v} with x < v at slot v*(v-1)//2 + x
+    (non-commuting ones unused); bit x of ``noncommuting[v]`` is set when
+    m(x, v) != 2 or x == v; ``births[v]`` is the mask of the x whose slot
+    {x,v} started a class of its own.
+
+    Pairs {a,x} and {a,y} are directly related when {x,y} has a finite odd
+    label.  v's commuting set below it is a bit mask, its row.  Let y be v's
+    highest odd neighbour and S the row's vertices that commute with y.  Each
+    slot {x,v} with x in S joins the class of {x,y}, so it takes that slot's
+    parent: below y row y's parents are copied run by run, above y each slot
+    points at {x,y}.  The row's other slots are births.  What is left to
+    join:
+
+    - {v,x} ~ {v,u} for an odd edge {x,u} of v's row.  When x and u both lie
+      in S, {x,y} ~ {u,y} holds already, so only the edges at the births are
+      walked;
+    - {a,w} ~ {a,v} for each other odd neighbour w and each a commuting with
+      both.
+
+    With at most one class every join is made already, so none is tried.
+    """
+    odd_neighbours: list[list[int]] = []
+    has_odd = classes = 0  # has_odd: the vertices with an odd neighbour
+    for v, lower in enumerate(lowers):
+        mask, odd = 1 << v, []
+        for x, m in lower:
+            mask |= 1 << x
+            noncommuting[x] |= 1 << v
+            if is_odd(m):
+                odd.append(x)
+        noncommuting.append(mask)
+        row = ((1 << v) - 1) & ~mask
+        base = len(slots)  # the slot of {x,v} is base + x
+        shared = start = above = 0
+        if odd:
+            y = odd[-1]
+            shared = row & ~noncommuting[y]
+            ybase = y * (y - 1) // 2
+            rest = shared & ((1 << y) - 1)
+            while rest:  # one run r..e-1 below y per pass: fresh slots before it, then row y's
+                low = rest & -rest
+                r = low.bit_length() - 1
+                carry = rest + low
+                e = (carry & ~rest).bit_length() - 1
+                rest &= carry
+                slots += range(base + start, base + r)
+                slots += slots[ybase + r:ybase + e]
+                start = e
+            above = shared & -(2 << y)
+        slots += range(base + start, base + v)
+        for x in _bits(above):  # above y, {x,y} is slot x*(x-1)//2 + y
+            slots[base + x] = x * (x - 1) // 2 + y
+        born = row & ~shared
+        births.append(born)
+        classes += born.bit_count()
+        if classes > 1:
+            # pairs of slots whose classes meet; the other odd neighbours' come
+            # lazily, as once one class is left most of them go untried
+            joins = [(base + x, base + u) for x in _bits(born & has_odd) for u in odd_neighbours[x] if row >> u & 1 and (u < x or shared >> u & 1)]
+            if len(odd) > 1:
+                joins = chain(joins, ((w * (w - 1) // 2 + a if a < w else a * (a - 1) // 2 + w, base + a)
+                                      for w in odd[:-1] for a in _bits(row & ~noncommuting[w])))
+            for x, u in joins:  # _root on both ends, inline: no call per union
+                while slots[x] != x:
+                    slots[x] = x = slots[slots[x]]
+                while slots[u] != u:
+                    slots[u] = u = slots[slots[u]]
+                if x != u:
+                    slots[x] = u
+                    classes -= 1
+                    if classes == 1:
+                        break
+        for x in odd:
+            odd_neighbours[x].append(v)
+            has_odd |= 1 << x | 1 << v
+        odd_neighbours.append(odd)
+        yield classes
 
 
 def pair_classes(g: CoxeterGraph) -> PairPartition:
     """Partition of the commuting pairs under the odd-label relation.
 
-    Pairs {a,x} and {a,y} are related whenever {x,y} is a finite-odd-labeled
-    pair; every direct relation of the defining equivalence has this form.
+    The classes are counted by growing g vertex by vertex (``_grow``).  A
+    class is torsion when one of its pairs {a,x} has a common 3-neighbour w,
+    so each vertex a marks the roots of its such pairs with x > a, until
+    every class is marked.
 
-    So for a fixed vertex a, the pairs {a,x} fall into the components C of the
-    odd edges inside a's row N2(a), the vertices that commute with a: one node
-    (a, C) per component.  A pair {a,x} lies in the node of row a that holds x
-    and in the node of row x that holds a, and the classes are the nodes
-    joined through the pairs they share.  No pair is listed to find them:
-
-    - rows are int bit masks, searched by runs (intervals k..l of row vertices
-      joined by the odd edges {k, k+1}), so a row costs its runs and its other,
-      "cross", odd edges, not its vertices;
-    - a node (x, D) whose least vertex s is below x is joined, as it is made,
-      to the node of row s that holds x;
-    - for each cross edge {v,u} the search of row x crossed, and for each edge
-      {k, k+1} and each x commuting with both, the nodes of the edge's two
-      rows that hold x are joined.  Along x the pair of nodes changes only
-      where a run of row k or k+1 starts, so one join per such start does.
-
-    Every join is between nodes that share a class.  Conversely, for a pair
-    {a,x} with a < x, the node (x, D) holding a has its least vertex s <= a,
-    so it is joined to the node of row s holding x, and the walk from s to a
-    along row x's search joins that to the node of row a holding x.  Shuffled
-    input has short runs and falls back to work per row vertex.
+    Each class's least pair is a birth: a slot {x,v} copied from row y joins
+    {x,y} or {y,x}, a smaller pair.  So the least pairs and flags are read
+    from the births alone, and only when ``least`` or ``torsion_flags`` is
+    read; the member pairs are listed only when ``classes`` or ``pairs`` is.
     """
     n = len(g.vertices)
-    noncomm = [1 << v for v in range(n)]  # the x with m(v, x) != 2, v itself included
-    cross = [0] * n  # odd neighbours other than v - 1 and v + 1
-    has_cross = link = 0  # link bit k: an odd edge joins k and k + 1
+    slots: list[int] = []
+    noncommuting: list[int] = []
+    births: list[int] = []
+    n3 = 0
+    for n3 in _grow(_lowers(g), slots, noncommuting, births):
+        pass
     threes = [0] * n
     for (s, t), m in g.labels.items():
-        noncomm[s] |= 1 << t
-        noncomm[t] |= 1 << s
-        if is_odd(m):
-            if t == s + 1:
-                link |= 1 << s
-            else:
-                cross[s] |= 1 << t
-                cross[t] |= 1 << s
-                has_cross |= 1 << s | 1 << t
-            if m == 3:
-                threes[s] |= 1 << t
-                threes[t] |= 1 << s
-    full = (1 << n) - 1
-    rows = [full & ~c for c in noncomm]
-    starts = [0] * n  # bit x of starts[a]: a run of row a starts at x
-    node_at: dict[int, int] = {}  # a * n + s: the node of row a holding the run from s
-    heads: list[Pair] = []  # node k is (a, C) with least vertex s: heads[k] = (a, s)
-    torsion: list[bool] = []
-    joins: list[tuple[int, int, int]] = []  # (a, v, u): join the nodes of rows v and u holding a
-    parent: list[int] = []  # the union-find over the nodes
-
-    def node(a: int, x: int) -> int:
-        """The node of row a that holds x."""
-        k = node_at.get(a * n + x)
-        if k is None:  # x is inside a run: look up the run's start
-            k = node_at[a * n + (starts[a] & ((2 << x) - 1)).bit_length() - 1]
-        return k
-
-    for a, row in enumerate(rows):
-        inner = link & row & (row >> 1)  # the links with both ends in the row
-        st = starts[a] = row & ~(inner << 1)
+        if m == 3:
+            threes[s] |= 1 << t
+            threes[t] |= 1 << s
+    torsion = set()  # the roots of the torsion classes
+    for a in range(n):
+        if len(torsion) == n3:
+            break
         witnessed = 0  # the vertices sharing a 3-neighbour with a
-        if threes[a]:
-            for v in _bits(threes[a]):
-                witnessed |= threes[v]
-        unseen = row
-        while unseen:
-            s = (unseen & -unseen).bit_length() - 1  # a run start
-            k = len(heads)
-            heads.append((a, s))
-            parent.append(node(s, a) if s < a else k)  # row s, searched already, holds a
-            node_at[a * n + s] = k
-            component = _run(inner, s)
-            unseen &= ~component
-            todo = component & has_cross
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                v = low.bit_length() - 1
-                reached = cross[v] & unseen
-                while reached:
-                    low = reached & -reached
-                    r = (st & ((low << 1) - 1)).bit_length() - 1  # start of the run reached
-                    node_at[a * n + r] = k
-                    run = _run(inner, r)
-                    unseen &= ~run
-                    reached &= ~run
-                    component |= run
-                    todo |= run & has_cross
-                    joins.append((a, v, low.bit_length() - 1))  # row a's search crossed {v,u}
-            torsion.append(bool(component & witnessed))
+        for w in _bits(threes[a]):
+            witnessed |= threes[w]
+        for x in _bits(witnessed & ~noncommuting[a] & -(2 << a)):  # {a,x} commuting, a < x
+            torsion.add(_root(slots, x * (x - 1) // 2 + a))
 
-    for k in _bits(link):
-        joins += [(a, k, k + 1) for a in _bits(rows[k] & rows[k + 1] & (starts[k] | starts[k + 1]))]
-    get = node_at.get  # _join(parent, node(v, a), node(u, a)), inline: no call per union
-    for a, v, u in joins:
-        x = get(v * n + a)
-        if x is None:
-            x = node_at[v * n + (starts[v] & ((2 << a) - 1)).bit_length() - 1]
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        y = get(u * n + a)
-        if y is None:
-            y = node_at[u * n + (starts[u] & ((2 << a) - 1)).bit_length() - 1]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        parent[x] = y
-
-    least: dict[int, Pair] = {}  # root -> the least pair of its class
-    torsion_roots = set()
-    for k, (a, s) in enumerate(heads):
-        r = _root(parent, k)
-        pair = (a, s) if a < s else (s, a)
-        if r not in least or pair < least[r]:
-            least[r] = pair
-        if torsion[k]:
-            torsion_roots.add(r)
-    roots = sorted(least, key=least.__getitem__)
+    def heads() -> tuple[tuple[Pair, ...], tuple[bool, ...]]:
+        least: dict[int, Pair] = {}  # root -> the least pair of its class
+        for v, born in enumerate(births):
+            base = v * (v - 1) // 2
+            for x in _bits(born):
+                r = _root(slots, base + x)
+                if r not in least or (x, v) < least[r]:
+                    least[r] = (x, v)
+        roots = sorted(least, key=least.__getitem__)
+        return tuple(least[r] for r in roots), tuple(r in torsion for r in roots)
 
     def members() -> tuple[tuple[Pair, ...], ...]:
-        index = {r: i for i, r in enumerate(roots)}
-        blocks: list[list[Pair]] = [[] for _ in roots]
-        for a, row in enumerate(rows):
-            for x in _bits(row & ~((2 << a) - 1)):  # the pairs {a,x} with a < x, in order
-                blocks[index[_root(parent, node(a, x))]].append((a, x))
-        return tuple(map(tuple, blocks))
+        blocks: dict[int, list[Pair]] = {}  # pairs in order, so the blocks open in class order
+        full = (1 << n) - 1
+        for a in range(n):
+            for x in _bits(full & ~noncommuting[a] & -(2 << a)):
+                blocks.setdefault(_root(slots, x * (x - 1) // 2 + a), []).append((a, x))
+        return tuple(map(tuple, blocks.values()))
 
-    return PairPartition(tuple(least[r] for r in roots), tuple(r in torsion_roots for r in roots), members)
+    return PairPartition(n3, len(torsion), heads, members)
+
+
+def _ranks(g: CoxeterGraph) -> tuple[PlainGraph, int, int, int]:
+    """g's odd subgraph, q2 (the even labels >= 4), and q3 and n4: the odd
+    subgraph's independent cycles and components."""
+    pg = odd_subgraph(g)
+    n = components = len(g.vertices)
+    parent = list(range(n))  # _root on both ends, inline
+    for i, j in pg.edges:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+            components -= 1
+    q2 = sum(1 for m in g.labels.values() if is_even(m) and m >= 4)
+    return pg, q2, len(pg.edges) - n + components, components
 
 
 @dataclass(frozen=True)
@@ -282,19 +319,9 @@ class Analysis:
 def analyze(g: CoxeterGraph) -> Analysis:
     """Pair partition, odd subgraph and rank profile of g, each computed once."""
     partition = pair_classes(g)
-    pg = odd_subgraph(g)
-    n = components = len(g.vertices)
-    parent = list(range(n))  # the odd components; each join below is _join, inline
-    for i, j in pg.edges:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i != j:
-            parent[i] = j
-            components -= 1
+    pg, q2, q3, n4 = _ranks(g)
     tree = True  # until an edge closes a cycle
-    parent = list(range(n))  # the whole graph
+    parent = list(range(len(g.vertices)))  # the whole graph
     for i, j in g.labels:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
@@ -304,17 +331,15 @@ def analyze(g: CoxeterGraph) -> Analysis:
             tree = False
             break
         parent[i] = j
-    n3 = len(partition.least)
-    p = sum(partition.torsion_flags)
     profile = InvariantProfile(
-        p=p,
-        q1=n3 - p,
-        q2=sum(1 for m in g.labels.values() if is_even(m) and m >= 4),
-        q3=len(pg.edges) - n + components,
-        n1=n,
+        p=partition.p,
+        q1=partition.n3 - partition.p,
+        q2=q2,
+        q3=q3,
+        n1=len(g.vertices),
         n2=sum(1 for m in g.labels.values() if is_finite(m)),
-        n3=n3,
-        n4=components,
+        n3=partition.n3,
+        n4=n4,
         odd_equals_gamma=len(pg.edges) == len(g.labels),  # every stored label is odd
         tree=tree,
     )
@@ -345,28 +370,11 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     ``stable`` is true when the rank is constant from step 3 on, the dimension
     consequence of the stability isomorphisms.
 
-    The scan starts from empty union-finds, one over commuting pairs and one
-    over the odd components, and updates them with what each vertex v adds:
-    the seed's vertices in order, then each appended vertex, whose only label
-    is a 3-edge to the vertex before it.  It builds no graph and never calls
-    ``analyze``.  The rank is n3 + q2 + q3 (p + q1 = n3), so no torsion is
-    tracked.
-
-    v's commuting set is a bit mask, its row.  Let y be v's highest odd
-    neighbour and S the row's vertices that commute with y.  Each fresh slot
-    {x,v} with x in S joins the class of {x,y}, so it takes that slot's
-    parent: below y row y's parents are copied run by run, above y each slot
-    points at {x,y}.  What is left to join:
-
-    - {v,x} ~ {v,u} for an odd edge {x,u} of v's row.  When x and u both lie
-      in S, {x,y} ~ {u,y} holds already, so only the edges at the row's other,
-      fresh, vertices are walked;
-    - {a,w} ~ {a,v} for each other odd neighbour w and each a commuting with
-      both.
-
-    So an appended vertex, whose row is every vertex below it but its
-    3-neighbour y, costs the runs of S and the odd edges at the vertices that
-    do not commute with y, not a step per vertex below it.
+    The scan grows the seed with ``pair_classes``' engine and then feeds it
+    each appended vertex, whose only label is a 3-edge to the vertex before
+    it; it builds no graph.  The rank is n3 + q2 + q3 (p + q1 = n3), so no
+    torsion is tracked, and q2 and q3 are the seed's: an appended vertex adds
+    one vertex and one odd edge to an odd component, which changes neither.
     """
     if not seed.vertices:
         raise CoxhomError("stability scan needs a nonempty seed")
@@ -374,82 +382,12 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
         raise CoxhomError(f"n_max must be >= 4, got {n_max}")
     if n_max > MAX_SCAN_STEPS:
         raise CoxhomError(f"n_max must be <= {MAX_SCAN_STEPS}, got {n_max}")
-    if len(seed.vertices) + n_max - 1 > MAX_SCAN_STEPS:
-        last = f"{len(seed.vertices)} + {n_max} - 1"
-        raise CoxhomError(f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got {last}")
     n = len(seed.vertices)
-    lower: list[list[tuple[int, Label]]] = [[] for _ in range(n)]  # (x, m) for x < v, x increasing
-    for (x, v), m in seed.labels.items():
-        lower[v].append((x, m))
-    classes = q2 = components = odd_edges = 0
-    pair_parent: list[int] = []  # {x,v} with x < v is slot v*(v-1)//2 + x; non-commuting ones stay unused
-    vertex_parent: list[int] = []
-    noncommuting: list[int] = []  # bit x of noncommuting[v]: m(x, v) != 2, or x == v
-    odd_neighbours: list[list[int]] = []
-    has_odd = 0  # the vertices with an odd neighbour
-    trajectory = []
-    for step in range(1, n_max + 1):
-        if step > 1:
-            n += 1  # a new vertex n - 1, joined to the one before by a 3-edge
-        for v in range(len(vertex_parent), n):
-            mask, odd = 1 << v, []
-            for x, m in lower[v] if v < len(lower) else ((v - 1, 3),):
-                mask |= 1 << x
-                noncommuting[x] |= 1 << v
-                if is_odd(m):
-                    odd.append(x)
-                elif is_even(m):  # an even label other than 2 is >= 4
-                    q2 += 1
-            noncommuting.append(mask)
-            row = ((1 << v) - 1) & ~mask
-            base = len(pair_parent)  # the slot of {x,v} is base + x
-            shared = start = above = 0
-            if odd:  # {x,v} joins the class of {x,y} for each x in S, so it takes that slot's parent
-                y = odd[-1]
-                shared = row & ~noncommuting[y]
-                ybase = y * (y - 1) // 2
-                rest = shared & ((1 << y) - 1)
-                while rest:  # one run r..e-1 below y per pass: fresh slots before it, then row y's
-                    low = rest & -rest
-                    r = low.bit_length() - 1
-                    carry = rest + low
-                    e = (carry & ~rest).bit_length() - 1
-                    rest &= carry
-                    pair_parent += range(base + start, base + r)
-                    pair_parent += pair_parent[ybase + r:ybase + e]
-                    start = e
-                above = shared & -(2 << y)
-            pair_parent += range(base + start, base + v)
-            for x in _bits(above):  # above y, {x,y} is slot x*(x-1)//2 + y
-                pair_parent[base + x] = x * (x - 1) // 2 + y
-            classes += row.bit_count() - shared.bit_count()
-            joins = []  # pairs of slots whose classes meet
-            fresh = row & ~shared & has_odd
-            while fresh:  # {v,x} ~ {v,u}; an edge with both ends fresh is taken at its higher end
-                low = fresh & -fresh
-                fresh ^= low
-                x = low.bit_length() - 1
-                joins += [(base + x, base + u) for u in odd_neighbours[x] if row >> u & 1 and (u < x or shared >> u & 1)]
-            for w in odd[:-1]:  # {a,w} ~ {a,v} for each a commuting with both
-                wbase = w * (w - 1) // 2
-                joins += [(wbase + a if a < w else a * (a - 1) // 2 + w, base + a) for a in _bits(row & ~noncommuting[w])]
-            for x, u in joins:  # _join(pair_parent, x, u), inline: no call per union
-                while pair_parent[x] != x:
-                    pair_parent[x] = x = pair_parent[pair_parent[x]]
-                while pair_parent[u] != u:
-                    pair_parent[u] = u = pair_parent[pair_parent[u]]
-                if x != u:
-                    pair_parent[x] = u
-                    classes -= 1
-            vertex_parent.append(v)
-            components += 1
-            for x in odd:
-                components -= _join(vertex_parent, x, v)
-                odd_neighbours[x].append(v)
-                has_odd |= 1 << x | 1 << v
-            odd_neighbours.append(odd)
-            odd_edges += len(odd)
-        q3 = odd_edges - n + components
-        trajectory.append((step, classes + q2 + q3))
+    if n + n_max - 1 > MAX_SCAN_STEPS:
+        raise CoxhomError(f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got {n} + {n_max} - 1")
+    _, q2, q3, _ = _ranks(seed)
+    lowers = _lowers(seed) + [((v - 1, 3),) for v in range(n, n + n_max - 1)]
+    classes = list(_grow(lowers, [], [], []))[n - 1:]
+    trajectory = tuple((step, n3 + q2 + q3) for step, n3 in enumerate(classes, 1))
     tail = [rank for step, rank in trajectory if step >= 3]
-    return StabilityReport(tuple(trajectory), all(r == tail[0] for r in tail))
+    return StabilityReport(trajectory, all(r == tail[0] for r in tail))

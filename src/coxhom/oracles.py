@@ -1,10 +1,10 @@
 """Brute-force oracles and generators backing the test suite and `check`.
 
 Each oracle reimplements a quantity by a structurally different route: pair
-classes by fixed-point closure over the listed pairs instead of per-vertex odd
-components over bit masks, cycle rank by exact fraction elimination instead of
-component counting, the dihedral reference straight from the classified
-homology of dihedral groups.  Agreement between routes is evidence, not
+classes by fixed-point closure over the listed pairs instead of a union-find
+over pair slots grown vertex by vertex, cycle rank by exact fraction
+elimination instead of component counting, the dihedral reference straight
+from the classified homology of dihedral groups.  Agreement between routes is evidence, not
 tautology.
 """
 
@@ -51,7 +51,7 @@ def naive_pair_closure(g: CoxeterGraph) -> PairPartition:
         threes = [s for s in range(n) if g.label_ix(s, v) == 3]
         witnessed.update(pair for pair in combinations(threes, 2) if g.label_ix(*pair) == 2)
     flags = tuple(any(pair in witnessed for pair in block) for block in classes)
-    return PairPartition(tuple(block[0] for block in classes), flags, lambda: classes)
+    return PairPartition(len(classes), sum(flags), lambda: (tuple(block[0] for block in classes), flags), lambda: classes)
 
 
 def _directly_related(g: CoxeterGraph, a: Pair, b: Pair) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy
 import coxhom.invariants
 from coxhom.errors import CoxhomError
-from coxhom.graph import INFINITY, build_graph, from_catalog, is_even, is_odd
+from coxhom.graph import INFINITY, MAX_CATALOG_N, build_graph, from_catalog, is_even, is_odd
 from coxhom.invariants import (
     MAX_SCAN_STEPS,
     AbelianDescriptor,
@@ -194,8 +194,9 @@ def _classes_by_name(g):
 
 
 def test_invariants_are_isomorphism_invariant():
-    # pair_classes reads runs of consecutive vertex indices, so shuffled
-    # copies of large catalog diagrams and random graphs are covered too
+    # pair_classes grows a graph in its vertex order, so a shuffled copy
+    # reaches the same classes through other row copies, births and joins;
+    # large catalog diagrams and random graphs are shuffled too
     rng = random.Random(11)
     graphs = corpus_graphs(30)
     sizes = (40, 55, 70, 85, 100, 110, 120)
@@ -209,6 +210,15 @@ def test_invariants_are_isomorphism_invariant():
             copy = permuted_copy(g, rng)
             assert analyze(copy).profile == reference
             assert _classes_by_name(copy) == classes
+
+
+def test_analyze_counts_the_largest_edgeless_graph_without_listing_a_class():
+    # every pair of an edgeless graph is a class of its own; compute reads
+    # only the counts, so no class, least pair or flag is listed
+    n = MAX_CATALOG_N + 1
+    analysis = analyze(build_graph([f"v{i}" for i in range(n)]))
+    assert (analysis.profile.n3, analysis.profile.p) == (n * (n - 1) // 2, 0) == (4501500, 0)
+    assert not {"_listed", "classes", "pairs"} & vars(analysis.partition).keys()
 
 
 def _disjoint_union(g1, g2):
@@ -289,14 +299,26 @@ def test_family_extender_reaches_every_a_type():
     assert _extend(from_catalog("I2(4)")).labels == {(0, 1): 4, (1, 2): 3}
 
 
-def _per_step_ranks(seed, n_max):
-    """The trajectory from a full analysis of every graph of the family."""
+def _per_step_ranks(seed, n_max, rank=lambda g: analyze(g).profile.mod2_rank):
+    """The trajectory from the rank of every graph of the family, by default
+    from a full analysis of each."""
     g, ranks = seed, []
     for step in range(1, n_max + 1):
         if step > 1:
             g = _extend(g)
-        ranks.append((step, analyze(g).profile.mod2_rank))
+        ranks.append((step, rank(g)))
     return tuple(ranks)
+
+
+def _reference_rank(g):
+    """p + q = n3 + q2 + q3 with no step shared with the scan: n3 from the
+    closure oracle, q2 by counting labels, q3 by a union-find over the odd
+    edges."""
+    n = len(g.vertices)
+    odd_edges = [pair for pair, m in g.labels.items() if is_odd(m)]
+    q2 = sum(1 for m in g.labels.values() if is_even(m) and m >= 4)
+    q3 = len(odd_edges) - n + _forest_components(n, odd_edges)[0]
+    return len(naive_pair_closure(g).classes) + q2 + q3
 
 
 def _scan_seeds():
@@ -368,7 +390,7 @@ def test_stability_scan_matches_the_per_step_profile_on_each_update_shape():
     assert len(drawn) >= 10
     for seed in [runs, between] + drawn:
         for n_max in (4, 9):
-            assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max)
+            assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max, _reference_rank)
 
 
 def test_stability_scan_matches_the_per_step_profile_on_large_seeds():
@@ -395,7 +417,8 @@ def test_stability_scan_updates_for_any_appended_vertex():
 
 
 def test_stability_scan_never_analyses_a_graph(monkeypatch):
-    # the scan grows its seed vertex by vertex, so it shares no step with analyze
+    # the scan feeds its seed's vertices and the appended ones straight to
+    # pair_classes' engine, so it builds no graph and runs no analysis
     def refuse(g):
         raise AssertionError("stability_scan must not analyse a graph")
 

@@ -207,6 +207,18 @@ def test_generators_json_section():
     ]
 
 
+def test_generators_lists_one_word_per_class_of_an_edgeless_graph(tmp_path, capsys):
+    # compute never lists an edgeless graph's classes, generators still does
+    path = tmp_path / "edgeless.graph"
+    path.write_text("".join(f"vertex v{i}\n" for i in range(1, 6)), encoding="utf-8")
+    assert main(["generators", "--json", "--file", str(path)]) == 0
+    gens = json.loads(capsys.readouterr().out)["generators"]
+    assert gens["counts"]["omega1"] == 10
+    assert [w["word"] for w in gens["omega1"]] == [
+        f"v{s} v{t} v{s}^-1 v{t}^-1" for s in range(1, 6) for t in range(s + 1, 6)
+    ]
+
+
 def _assert_renders_as_the_reference(g, flavors=(None, "artin", "coxeter")):
     for flavor in flavors:
         omegas = omega_sets(g, flavor) if flavor else None

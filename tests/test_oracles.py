@@ -97,8 +97,8 @@ def test_pair_classes_agree_with_naive_closure_above_ten_vertices():
 
 def _backbone_graph(rng, n):
     """Odd labels along most of the path v0..v(n-1), sparse random labels elsewhere:
-    pair_classes then sees long runs of consecutive vertices that start at
-    different vertices in different rows."""
+    a vertex's highest odd neighbour is mostly the one before it, whose row
+    pair_classes copies in runs that the other labels split."""
     names = [f"v{i}" for i in range(n)]
     edges = []
     for i in range(n):
@@ -112,7 +112,8 @@ def _backbone_graph(rng, n):
 
 
 def test_pair_classes_agree_with_naive_closure_along_odd_paths():
-    # runs of rows k and k+1 start at different vertices, so every link join counts
+    # each row is copied in several runs, and its births and other odd
+    # neighbours add joins at the rest of it
     rng = random.Random(21)
     for _ in range(300):
         g = _backbone_graph(rng, rng.randint(6, 14))
