@@ -188,8 +188,9 @@ _CATALOG = {
 _I2_MIN = 3
 # Largest catalog parameter n.  At n = 3000, compute and generators --json
 # take about 0.4 s and 55 MB on every family, most of it the pair classes'
-# slot per vertex pair; check's brute-force pair closure grows as about
-# n**4.4 and is not bounded by this limit.  A graph file may have
+# slot per vertex pair.  check's pair closure oracle grows as about n**2 on
+# A_n or an edgeless graph (A800 1.4 s in-process) and n**3 on a dense random
+# one (400 vertices 1.9 s); this limit does not bound it.  A graph file may have
 # MAX_CATALOG_N + 1 vertices, as ~A<MAX_CATALOG_N> has; an edgeless file of
 # that size, whose every pair is a class, takes compute --json about 0.5 s
 # and 190 MB (one whole-process run, shared 2-vCPU host, Python 3.11.7).

@@ -289,13 +289,11 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
     return PairPartition(n3, len(torsion), heads, members)
 
 
-def _ranks(g: CoxeterGraph) -> tuple[PlainGraph, int, int, int]:
-    """g's odd subgraph, q2 (the even labels >= 4), and q3 and n4: the odd
-    subgraph's independent cycles and components."""
-    pg = odd_subgraph(g)
-    n = components = len(g.vertices)
-    parent = list(range(n))  # _root on both ends, inline
-    for i, j in pg.edges:
+def _components(n: int, edges: Iterable[Pair]) -> int:
+    """The number of components of the graph on vertices 0..n-1 with these edges."""
+    components = n
+    parent = list(range(n))  # _root on both ends, inline: no call per union
+    for i, j in edges:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         while parent[j] != j:
@@ -303,8 +301,16 @@ def _ranks(g: CoxeterGraph) -> tuple[PlainGraph, int, int, int]:
         if i != j:
             parent[i] = j
             components -= 1
+    return components
+
+
+def _ranks(g: CoxeterGraph) -> tuple[PlainGraph, int, int, int]:
+    """g's odd subgraph, q2 (the even labels >= 4), and q3 and n4: the odd
+    subgraph's independent cycles and components."""
+    pg = odd_subgraph(g)
+    components = _components(len(g.vertices), pg.edges)
     q2 = sum(1 for m in g.labels.values() if is_even(m) and m >= 4)
-    return pg, q2, len(pg.edges) - n + components, components
+    return pg, q2, len(pg.edges) - len(g.vertices) + components, components
 
 
 @dataclass(frozen=True)
@@ -320,27 +326,20 @@ def analyze(g: CoxeterGraph) -> Analysis:
     """Pair partition, odd subgraph and rank profile of g, each computed once."""
     partition = pair_classes(g)
     pg, q2, q3, n4 = _ranks(g)
-    tree = True  # until an edge closes a cycle
-    parent = list(range(len(g.vertices)))  # the whole graph
-    for i, j in g.labels:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        while parent[j] != j:
-            parent[j] = j = parent[parent[j]]
-        if i == j:
-            tree = False
-            break
-        parent[i] = j
+    n, edges = len(g.vertices), len(g.labels)
+    # a forest has n - components edges, never more than n: a denser graph
+    # is no forest and is not searched
+    tree = edges <= n and edges == n - _components(n, g.labels)
     profile = InvariantProfile(
         p=partition.p,
         q1=partition.n3 - partition.p,
         q2=q2,
         q3=q3,
-        n1=len(g.vertices),
+        n1=n,
         n2=sum(1 for m in g.labels.values() if is_finite(m)),
         n3=partition.n3,
         n4=n4,
-        odd_equals_gamma=len(pg.edges) == len(g.labels),  # every stored label is odd
+        odd_equals_gamma=len(pg.edges) == edges,  # every stored label is odd
         tree=tree,
     )
     return Analysis(partition, pg, profile)

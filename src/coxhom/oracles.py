@@ -1,11 +1,10 @@
-"""Brute-force oracles and generators backing the test suite and `check`.
+"""Independent oracles backing the test suite and `check`, and a random graph generator.
 
 Each oracle reimplements a quantity by a structurally different route: pair
-classes by fixed-point closure over the listed pairs instead of a union-find
-over pair slots grown vertex by vertex, cycle rank by exact fraction
-elimination instead of component counting, the dihedral reference straight
-from the classified homology of dihedral groups.  Agreement between routes is evidence, not
-tautology.
+classes as the components of the direct relation built from its definition,
+searched breadth first, instead of a union-find over pair slots grown vertex
+by vertex; cycle rank by exact fraction elimination instead of component
+counting.  Agreement between routes is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -24,44 +23,42 @@ LABEL_SUPPORT: tuple[Label, ...] = (2, 3, 4, 5, 6, INFINITY)
 
 
 def naive_pair_closure(g: CoxeterGraph) -> PairPartition:
-    """Transitive closure of the direct pair relation by repeated merging."""
+    """Pair classes as the connected components of the direct relation.
+
+    The relation is read from its definition: for each odd edge {x,y},
+    every vertex a commuting with both relates {a,x} to {a,y}.  A
+    breadth-first search from each class's least pair lists the class,
+    stepping from each member {a,x} along the odd edges at either end.
+    This shares nothing with ``invariants._grow``, which grows a union-find
+    over pair slots vertex by vertex: here there is no union-find, no slot
+    table and no bit mask, only sets of vertices and lists of pairs.
+    """
     n = len(g.vertices)
-    pairs = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if g.label_ix(i, j) == 2
-    )
-    blocks = [{pair} for pair in pairs]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(blocks)):
-            for b in range(a + 1, len(blocks)):
-                if any(
-                    _directly_related(g, x, y) for x in blocks[a] for y in blocks[b]
-                ):
-                    blocks[a] |= blocks[b]
-                    del blocks[b]
-                    changed = True
-                    break
-            if changed:
-                break
-    classes = tuple(sorted(tuple(sorted(block)) for block in blocks))
+    commuting = [{x for x in range(n) if g.label_ix(a, x) == 2} for a in range(n)]
+    odd = [[y for y in range(n) if is_odd(g.label_ix(x, y))] for x in range(n)]
+    classes: list[tuple[Pair, ...]] = []
+    seen: set[Pair] = set()
+    pairs = [(a, x) for a, x in combinations(range(n), 2) if x in commuting[a]]
+    for pair in pairs:  # in increasing order, so each search starts at its class's least pair
+        if pair in seen:
+            continue
+        seen.add(pair)
+        block = [pair]
+        for s, t in block:  # the block grows as it is walked
+            # {a,x} ~ {a,y} for each odd edge {x,y} with a commuting with y
+            related = [(a, y) if a < y else (y, a) for a, x in ((s, t), (t, s)) for y in odd[x] if y in commuting[a]]
+            for other in related:
+                if other not in seen:
+                    seen.add(other)
+                    block.append(other)
+        classes.append(tuple(sorted(block)))
     # v is a torsion witness for each commuting pair among its 3-neighbours.
     witnessed = set()
     for v in range(n):
         threes = [s for s in range(n) if g.label_ix(s, v) == 3]
-        witnessed.update(pair for pair in combinations(threes, 2) if g.label_ix(*pair) == 2)
+        witnessed.update((s, t) for s, t in combinations(threes, 2) if t in commuting[s])
     flags = tuple(any(pair in witnessed for pair in block) for block in classes)
-    return PairPartition(len(classes), sum(flags), lambda: (tuple(block[0] for block in classes), flags), lambda: classes)
-
-
-def _directly_related(g: CoxeterGraph, a: Pair, b: Pair) -> bool:
-    # All matchings of the ordered rule: equal first letters, odd label on the
-    # unshared letters.  m(x, x) = 1 only arises when the pairs coincide.
-    for s, t in (a, (a[1], a[0])):
-        for s2, t2 in (b, (b[1], b[0])):
-            if s == s2 and (t == t2 or is_odd(g.label_ix(t, t2))):
-                return True
-    return False
+    return PairPartition(len(classes), sum(flags), lambda: (tuple(block[0] for block in classes), flags), lambda: tuple(classes))
 
 
 def rational_cycle_rank(pg: PlainGraph) -> int:
@@ -93,19 +90,6 @@ def rational_cycle_rank(pg: PlainGraph) -> int:
     return len(pg.edges) - rank
 
 
-def dihedral_h2_reference(m: Label) -> int:
-    """Z2-rank of the second integral homology of the dihedral group of order 2m.
-
-    Even m gives rank 1, odd m rank 0; the infinite label gives rank 0 (no
-    finite edge, no commuting pair, no odd cycle).
-    """
-    if m == INFINITY:
-        return 0
-    if m < 2:
-        raise CoxhomError(f"dihedral parameter must be >= 2 or INFINITY, got {m}")
-    return 1 if m % 2 == 0 else 0
-
-
 DEFAULT_WEIGHTS: tuple[float, ...] = (3.0, 3.0, 1.0, 1.0, 1.0, 1.0)
 
 
@@ -124,21 +108,6 @@ def random_coxeter_graph(
     edges = [(names[i], names[j], rng.choices(LABEL_SUPPORT, weights=weights)[0])
              for i in range(n) for j in range(i + 1, n)]
     return build_graph(names, edges)
-
-
-def catalog_sample() -> tuple[str, ...]:
-    """A concrete slice of every catalog family, used by corpus-style checks."""
-    names = [f"A{n}" for n in range(1, 9)]
-    names += [f"B{n}" for n in range(2, 9)]
-    names += [f"D{n}" for n in range(4, 9)]
-    names += ["E6", "E7", "E8", "F4", "H3", "H4"]
-    names += [f"I2({m})" for m in range(3, 9)] + ["I2(inf)"]
-    names += [f"~A{n}" for n in range(2, 8)]
-    names += [f"~B{n}" for n in range(3, 8)]
-    names += [f"~C{n}" for n in range(2, 8)]
-    names += [f"~D{n}" for n in range(4, 9)]
-    names += ["~E6", "~E7", "~E8"]
-    return tuple(names)
 
 
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import json
 import random
 
-from coxhom.graph import INFINITY, CoxeterGraph, build_graph
+from coxhom.errors import CoxhomError
+from coxhom.graph import INFINITY, CoxeterGraph, Label, build_graph
 from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 from coxhom.words import abelianize, letter
 
@@ -15,6 +16,34 @@ def corpus_graphs(count: int, max_vertices: int = 8, base_seed: int = 0) -> list
     """Deterministic corpus: seeds base_seed..base_seed+count-1, sizes cycling 1..max_vertices."""
     return [random_coxeter_graph(random.Random(base_seed + i), (i % max_vertices) + 1)
             for i in range(count)]
+
+
+def catalog_sample() -> tuple[str, ...]:
+    """A concrete slice of every catalog family, used by corpus-style checks."""
+    names = [f"A{n}" for n in range(1, 9)]
+    names += [f"B{n}" for n in range(2, 9)]
+    names += [f"D{n}" for n in range(4, 9)]
+    names += ["E6", "E7", "E8", "F4", "H3", "H4"]
+    names += [f"I2({m})" for m in range(3, 9)] + ["I2(inf)"]
+    names += [f"~A{n}" for n in range(2, 8)]
+    names += [f"~B{n}" for n in range(3, 8)]
+    names += [f"~C{n}" for n in range(2, 8)]
+    names += [f"~D{n}" for n in range(4, 9)]
+    names += ["~E6", "~E7", "~E8"]
+    return tuple(names)
+
+
+def dihedral_h2_reference(m: Label) -> int:
+    """Z2-rank of the second integral homology of the dihedral group of order 2m.
+
+    Even m gives rank 1, odd m rank 0; the infinite label gives rank 0 (no
+    finite edge, no commuting pair, no odd cycle).
+    """
+    if m == INFINITY:
+        return 0
+    if m < 2:
+        raise CoxhomError(f"dihedral parameter must be >= 2 or INFINITY, got {m}")
+    return 1 if m % 2 == 0 else 0
 
 
 def permuted_copy(g: CoxeterGraph, rng: random.Random) -> CoxeterGraph:

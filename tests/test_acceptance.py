@@ -6,18 +6,20 @@ from __future__ import annotations
 import json
 import random
 
-from conftest import corpus_graphs, free_reduce, incidence_masks, permuted_copy, power
+from conftest import (
+    catalog_sample,
+    corpus_graphs,
+    dihedral_h2_reference,
+    free_reduce,
+    incidence_masks,
+    permuted_copy,
+    power,
+)
 from coxhom.chains import boundary, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze, pair_classes, stability_scan
-from coxhom.oracles import (
-    catalog_sample,
-    dihedral_h2_reference,
-    naive_pair_closure,
-    random_coxeter_graph,
-    rational_cycle_rank,
-)
+from coxhom.oracles import naive_pair_closure, random_coxeter_graph, rational_cycle_rank
 from coxhom.words import abelianize, in_commutator_subgroup, omega_sets
 
 

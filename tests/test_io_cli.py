@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, free_reduce, reference_json
+from conftest import SPARSE_WEIGHTS, catalog_sample, corpus_graphs, free_reduce, reference_json
 from coxhom.cli import _build_parser, _UsageError, main
 from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
@@ -25,7 +25,7 @@ from coxhom.io import (
     render_stability,
     word_texts,
 )
-from coxhom.oracles import DEFAULT_WEIGHTS, catalog_sample, random_coxeter_graph
+from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 from coxhom.words import MAX_SPELLED_LABEL, omega_sets
 
 
@@ -355,6 +355,37 @@ def test_cli_compute_text_bytes(name, capsys):
     assert main(["compute", "--type", name]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == (_COMPUTE_TEXT[name], "")
+
+
+def test_cli_compute_bytes_on_an_empty_graph_file(tmp_path, capsys):
+    # no vertex and no edge: the empty graph is a forest, and every rank is 0
+    path = tmp_path / "empty.graph"
+    path.write_text("", encoding="utf-8")
+    assert main(["compute", "--file", str(path)]) == 0
+    assert capsys.readouterr() == (
+        "graph: 0 vertices, 0 edges\n"
+        "p  = 0\n"
+        "q1 = 0  q2 = 0  q3 = 0  q = 0\n"
+        "n1..n4 = 0 0 0 0  (howlett identity: ok)\n"
+        "H1(A; Z) free rank = 0\n"
+        "H2(N; Z)  = 0\n"
+        "H2(W; Z)  = 0\n"
+        "H2(A; Z2) rank = 0\n"
+        "corollary conditions: all_torsion=yes odd_equals_gamma=yes tree=yes -> applies=yes\n"
+        "H2(A; Z)  = 0\n",
+        "",
+    )
+    assert main(["compute", "--json", "--file", str(path)]) == 0
+    zero = {"free_rank": 0, "torsion2_rank": 0}
+    doc = {
+        "vertices": [], "edges": [], "p": 0, "q1": 0, "q2": 0, "q3": 0, "q": 0,
+        "n": {"n1": 0, "n2": 0, "n3": 0, "n4": 0},
+        "howlett_identity": True, "h1_artin_free_rank": 0, "h2_orbit": zero, "h2_coxeter": zero,
+        "h2_artin_mod2_rank": 0,
+        "corollary": {"all_torsion": True, "odd_equals_gamma": True, "tree": True, "applies": True},
+        "h2_artin_integral": zero,
+    }
+    assert capsys.readouterr() == (json.dumps(doc, indent=2) + "\n", "")
 
 
 def test_cli_stability_text_bytes(tmp_path, capsys):

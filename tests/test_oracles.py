@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, incidence_masks
+from conftest import SPARSE_WEIGHTS, corpus_graphs, dihedral_h2_reference, incidence_masks, permuted_copy
 from coxhom.chains import fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
@@ -13,7 +13,6 @@ from coxhom.oracles import (
     DEFAULT_WEIGHTS,
     LABEL_SUPPORT,
     consistency_report,
-    dihedral_h2_reference,
     naive_pair_closure,
     random_coxeter_graph,
     rational_cycle_rank,
@@ -87,6 +86,11 @@ def test_pair_classes_agree_with_naive_closure_above_ten_vertices():
     graphs += [random_coxeter_graph(random.Random(seed), 11 + seed % 10, SPARSE_WEIGHTS)
                for seed in range(10, 20)]
     graphs += [from_catalog(name) for name in ("~D16", "B16", "~C14", "D18", "A20")]
+    # beyond the sizes of the corpus: 30-120 vertices, A100 in a shuffled
+    # order (grown through births and joins), and an edgeless graph
+    graphs += [random_coxeter_graph(random.Random(seed), n, weights)
+               for seed, n in enumerate((30, 60, 90, 120)) for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS)]
+    graphs += [permuted_copy(from_catalog("A100"), random.Random(1)), build_graph([f"v{i}" for i in range(100)])]
     shapes = set()
     for g in graphs:
         partition = pair_classes(g)
