@@ -154,17 +154,20 @@ def _grow(
     ``lowers`` gives each new vertex v's labels (x, m) to the vertices below
     it, x increasing.  The lists are filled as the graph grows: ``slots`` is
     a union-find over the pairs, {x,v} with x < v at slot v*(v-1)//2 + x
-    (non-commuting ones unused); bit x of ``noncommuting[v]`` is set when
-    m(x, v) != 2 or x == v; ``births[v]`` is the mask of the x whose slot
-    {x,v} started a class of its own.
+    (non-commuting ones never read); bit x of ``noncommuting[v]`` is set
+    when m(x, v) != 2 or x == v; ``births[v]`` is the mask of the x whose
+    slot {x,v} started a class of its own.
 
     Pairs {a,x} and {a,y} are directly related when {x,y} has a finite odd
     label.  v's commuting set below it is a bit mask, its row.  Let y be v's
     highest odd neighbour and S the row's vertices that commute with y.  Each
-    slot {x,v} with x in S joins the class of {x,y}, so it takes that slot's
-    parent: below y row y's parents are copied run by run, above y each slot
-    points at {x,y}.  The row's other slots are births.  What is left to
-    join:
+    slot {x,v} with x in S joins the class of {x,y}; the row's other slots
+    are births.  So v's slots are laid in three steps: row y's y slots are
+    copied in one slice, the slots from y to v are fresh and each one of S
+    above y points at {x,y}, and each birth below y is reset to itself.  A
+    slot {x,v} whose x does not commute with v may keep row y's value, as it
+    is never read: no find, join, torsion mark, ``heads`` or ``members``
+    starts at it, and no parent pointer leads to it.  What is left to join:
 
     - {v,x} ~ {v,u} for an odd edge {x,u} of v's row.  When x and u both lie
       in S, {x,y} ~ {u,y} holds already, so only the edges at the births are
@@ -186,26 +189,17 @@ def _grow(
         noncommuting.append(mask)
         row = ((1 << v) - 1) & ~mask
         base = len(slots)  # the slot of {x,v} is base + x
-        shared = start = above = 0
+        shared = y = 0
         if odd:
             y = odd[-1]
             shared = row & ~noncommuting[y]
-            ybase = y * (y - 1) // 2
-            rest = shared & ((1 << y) - 1)
-            while rest:  # one run r..e-1 below y per pass: fresh slots before it, then row y's
-                low = rest & -rest
-                r = low.bit_length() - 1
-                carry = rest + low
-                e = (carry & ~rest).bit_length() - 1
-                rest &= carry
-                slots += range(base + start, base + r)
-                slots += slots[ybase + r:ybase + e]
-                start = e
-            above = shared & -(2 << y)
-        slots += range(base + start, base + v)
-        for x in _bits(above):  # above y, {x,y} is slot x*(x-1)//2 + y
+            slots += slots[y * (y - 1) // 2:y * (y + 1) // 2]  # row y, whole
+        slots += range(base + y, base + v)
+        for x in _bits(shared & -(2 << y)):  # above y, {x,y} is slot x*(x-1)//2 + y
             slots[base + x] = x * (x - 1) // 2 + y
         born = row & ~shared
+        for x in _bits(born & ((1 << y) - 1)):  # a birth starts a class of its own
+            slots[base + x] = base + x
         births.append(born)
         classes += born.bit_count()
         if classes > 1:
@@ -356,9 +350,11 @@ class StabilityReport:
 # Largest n_max a stability scan accepts, and the most vertices its last
 # graph, of seed vertices + n_max - 1, may have.  Its pair union-find holds a
 # slot for every pair of that graph, so a scan's memory follows the last
-# graph, not n_max alone.  An appended vertex costs a few steps per run of
-# its row plus a copy of its slots in C, so the 2000-step scan from a
-# one-vertex seed takes about 0.2 s; a seed vertex can cost up to a step per
+# graph, not n_max alone.  A vertex costs one copy of row y in C plus a step
+# per birth below y and per shared slot above it, y its highest odd
+# neighbour.  Past the first, an appended vertex has one birth below y and
+# nothing above it, so the 2000-step scan from a one-vertex seed takes
+# 0.2-0.3 s as a whole process; a seed vertex can cost up to a step per
 # vertex of its row for each odd neighbour.
 MAX_SCAN_STEPS = 2000
 

@@ -46,6 +46,18 @@ def dihedral_h2_reference(m: Label) -> int:
     return 1 if m % 2 == 0 else 0
 
 
+def unread_slot_graph() -> CoxeterGraph:
+    """Seven vertices that exercise how ``invariants._grow`` lays v6's row.
+    Its highest odd neighbour is v5, whose row copies v4's.  v3 commutes
+    with v5 but not with v6, so the copy puts row v5's joined slot {v3,v5}
+    at {v3,v6}: no pair, never read.  v1 commutes with v4 and v6 but not
+    with v5, so {v1,v6} is a birth between the shared v0 and v2 (an odd
+    edge); unless reset, it would keep {v1,v4}'s parent, copied through
+    row v5."""
+    return build_graph([f"v{i}" for i in range(7)], [("v4", "v5", 3), ("v5", "v6", 3), ("v1", "v5", 4),
+                                                     ("v3", "v6", 4), ("v0", "v2", 3)])
+
+
 def permuted_copy(g: CoxeterGraph, rng: random.Random) -> CoxeterGraph:
     """Isomorphic graph with the vertex sequence shuffled (names kept)."""
     order = list(range(len(g.vertices)))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy
+from conftest import SPARSE_WEIGHTS, corpus_graphs, permuted_copy, unread_slot_graph
 import coxhom.invariants
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, build_graph, from_catalog, is_even, is_odd
@@ -388,7 +388,7 @@ def test_stability_scan_matches_the_per_step_profile_on_each_update_shape():
     drawn = [random_coxeter_graph(rng, rng.randint(8, 14), odd_heavy) for _ in range(40)]
     drawn = [g for g in drawn if _scan_shapes(g) == {"odd neighbours", "runs", "between"}]
     assert len(drawn) >= 10
-    for seed in [runs, between] + drawn:
+    for seed in [runs, between, unread_slot_graph()] + drawn:
         for n_max in (4, 9):
             assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max, _reference_rank)
 

@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, dihedral_h2_reference, incidence_masks, permuted_copy
+from conftest import (
+    SPARSE_WEIGHTS,
+    corpus_graphs,
+    dihedral_h2_reference,
+    incidence_masks,
+    permuted_copy,
+    unread_slot_graph,
+)
 from coxhom.chains import fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
@@ -77,7 +84,7 @@ def test_random_graph_validation():
 
 
 def test_pair_classes_agree_with_naive_closure():
-    for g in corpus_graphs(120, base_seed=40):
+    for g in corpus_graphs(120, base_seed=40) + [unread_slot_graph()]:
         assert pair_classes(g) == naive_pair_closure(g)
 
 
@@ -102,7 +109,7 @@ def test_pair_classes_agree_with_naive_closure_above_ten_vertices():
 def _backbone_graph(rng, n):
     """Odd labels along most of the path v0..v(n-1), sparse random labels elsewhere:
     a vertex's highest odd neighbour is mostly the one before it, whose row
-    pair_classes copies in runs that the other labels split."""
+    pair_classes copies, with births that the other labels scatter through it."""
     names = [f"v{i}" for i in range(n)]
     edges = []
     for i in range(n):
@@ -116,8 +123,8 @@ def _backbone_graph(rng, n):
 
 
 def test_pair_classes_agree_with_naive_closure_along_odd_paths():
-    # each row is copied in several runs, and its births and other odd
-    # neighbours add joins at the rest of it
+    # each row is copied from the row before it, and its births and other
+    # odd neighbours add joins at the rest of it
     rng = random.Random(21)
     for _ in range(300):
         g = _backbone_graph(rng, rng.randint(6, 14))
