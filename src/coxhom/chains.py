@@ -24,7 +24,6 @@ class CycleBasis:
     """
 
     basis: tuple[tuple[tuple[int, int], ...], ...]
-    nontree_edges: tuple[int, ...]
 
 
 def boundary(pg: PlainGraph, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
@@ -46,7 +45,7 @@ def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
     traversing a tree edge with its orientation contributes +1, against it
     -1, so the boundary telescopes to zero.  Each tree vertex keeps its
     parent edge's term for the climb towards the root, so a cycle's terms
-    are read off while both ends of its edge climb to their common ancestor.
+    are read off while the deeper end of its edge climbs, until both ends meet.
     """
     n = len(pg.vertices)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -74,27 +73,22 @@ def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
                     is_tree[k] = 1
                     queue.append(w)
     basis = []
-    generators = []
     for k, (u, v) in enumerate(pg.edges):
         if is_tree[k]:
             continue
-        # the path runs from v back to u, so v climbs and u descends
+        # the path runs from v back to u: v climbs, u descends, the deeper end
+        # steps first and v on a tie.  A forest path repeats no edge and avoids k
         terms = [(k, 1)]
-        while depth[v] > depth[u]:
-            terms.append(up[v])
-            v = parent[v]
-        while depth[u] > depth[v]:
-            terms.append(down[u])
-            u = parent[u]
-        while u != v:  # a forest path repeats no edge and avoids k
-            terms.append(up[v])
-            terms.append(down[u])
-            v = parent[v]
-            u = parent[u]
+        while u != v:
+            if depth[v] >= depth[u]:
+                terms.append(up[v])
+                v = parent[v]
+            else:
+                terms.append(down[u])
+                u = parent[u]
         terms.sort()
         basis.append(tuple(terms))
-        generators.append(k)
-    return CycleBasis(tuple(basis), tuple(generators))
+    return CycleBasis(tuple(basis))
 
 
 def mod2_reduce(terms: Iterable[tuple[int, int]]) -> int:

@@ -145,18 +145,16 @@ def _lowers(g: CoxeterGraph) -> list[list[tuple[int, Label]]]:
     return lowers
 
 
-def _grow(
-    lowers: Iterable[Iterable[tuple[int, Label]]], slots: list[int], noncommuting: list[int], births: list[int]
-) -> Iterator[int]:
-    """Add vertices 0, 1, ... one at a time and yield the number of pair
-    classes of the graph after each.
+def _grow(lowers: Iterable[Iterable[tuple[int, Label]]]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Add vertices 0, 1, ... one at a time and return the lists ``(counts,
+    slots, noncommuting, births)``, filled as the graph grows.
 
     ``lowers`` gives each new vertex v's labels (x, m) to the vertices below
-    it, x increasing.  The lists are filled as the graph grows: ``slots`` is
-    a union-find over the pairs, {x,v} with x < v at slot v*(v-1)//2 + x
-    (non-commuting ones never read); bit x of ``noncommuting[v]`` is set
-    when m(x, v) != 2 or x == v; ``births[v]`` is the mask of the x whose
-    slot {x,v} started a class of its own.
+    it, x increasing.  ``counts[v]`` is the number of pair classes once v is
+    added; ``slots`` is a union-find over the pairs, {x,v} with x < v at slot
+    v*(v-1)//2 + x (non-commuting ones never read); bit x of
+    ``noncommuting[v]`` is set when m(x, v) != 2 or x == v; ``births[v]`` is
+    the mask of the x whose slot {x,v} started a class of its own.
 
     Pairs {a,x} and {a,y} are directly related when {x,y} has a finite odd
     label.  v's commuting set below it is a bit mask, its row.  Let y be v's
@@ -177,6 +175,10 @@ def _grow(
 
     With at most one class every join is made already, so none is tried.
     """
+    counts: list[int] = []
+    slots: list[int] = []
+    noncommuting: list[int] = []
+    births: list[int] = []
     odd_neighbours: list[list[int]] = []
     has_odd = classes = 0  # has_odd: the vertices with an odd neighbour
     for v, lower in enumerate(lowers):
@@ -223,7 +225,8 @@ def _grow(
             odd_neighbours[x].append(v)
             has_odd |= 1 << x | 1 << v
         odd_neighbours.append(odd)
-        yield classes
+        counts.append(classes)
+    return counts, slots, noncommuting, births
 
 
 def pair_classes(g: CoxeterGraph) -> PairPartition:
@@ -240,12 +243,8 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
     read; the member pairs are listed only when ``classes`` or ``pairs`` is.
     """
     n = len(g.vertices)
-    slots: list[int] = []
-    noncommuting: list[int] = []
-    births: list[int] = []
-    n3 = 0
-    for n3 in _grow(_lowers(g), slots, noncommuting, births):
-        pass
+    counts, slots, noncommuting, births = _grow(_lowers(g))
+    n3 = counts[-1] if counts else 0
     threes = [0] * n
     for (s, t), m in g.labels.items():
         if m == 3:
@@ -382,7 +381,7 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
         raise CoxhomError(f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got {n} + {n_max} - 1")
     _, q2, q3, _ = _ranks(seed)
     lowers = _lowers(seed) + [((v - 1, 3),) for v in range(n, n + n_max - 1)]
-    classes = list(_grow(lowers, [], [], []))[n - 1:]
+    classes = _grow(lowers)[0][n - 1:]
     trajectory = tuple((step, n3 + q2 + q3) for step, n3 in enumerate(classes, 1))
     tail = [rank for step, rank in trajectory if step >= 3]
     return StabilityReport(trajectory, all(r == tail[0] for r in tail))

@@ -103,20 +103,25 @@ def _slots(*keys: str) -> dict:
     return dict.fromkeys(keys, "%s")
 
 
-# The rows and blocks of the documents, each at its depth.
+# The rows, blocks and whole documents, each at its depth.
 _FLAG = {True: "true", False: "false"}
 _EDGE_ROW = "    " + _template(_slots("u", "v", "m"), 2)
 _WORD_ROW = "      " + _template(_slots("word", "abelianization_zero"), 3)
 _TRAJECTORY_ROW = "    " + _template(_slots("n", "rank"), 2)
 _DESCRIPTOR = _template(_slots("free_rank", "torsion2_rank"), 1)
-_COUNTS = _template(_slots("omega1", "omega2", "omega3", "total", "expected_total"), 2)
-_SCALARS = _template({  # the fields' lines, without the braces around them
-    **_slots("p", "q1", "q2", "q3", "q"),
+_PROFILE = {
+    **_slots("vertices", "edges", "p", "q1", "q2", "q3", "q"),
     "n": _slots("n1", "n2", "n3", "n4"),
     **_slots("howlett_identity", "h1_artin_free_rank", "h2_orbit", "h2_coxeter", "h2_artin_mod2_rank"),
     "corollary": _slots("all_torsion", "odd_equals_gamma", "tree", "applies"),
     "h2_artin_integral": "%s",
-}, 0)[2:-2]
+}
+_COMPUTE = _template(_PROFILE, 0) + "\n"
+_GENERATORS = _template({**_PROFILE, "generators": {
+    **_slots("flavor", "omega1", "omega2", "omega3"),
+    "counts": _slots("omega1", "omega2", "omega3", "total", "expected_total"),
+}}, 0) + "\n"
+_STABILITY = _template(_slots("trajectory", "verdict"), 0) + "\n"
 
 
 def _array(rows: list[str], indent: str) -> str:
@@ -128,14 +133,15 @@ def _array(rows: list[str], indent: str) -> str:
 
 def render_json(g: CoxeterGraph, profile: InvariantProfile, omegas: Optional[OmegaSets] = None) -> str:
     """The JSON document, keys in a fixed order: the bytes of
-    ``json.dumps(doc, indent=2) + "\\n"``, with every row and block written
-    from templates and their strings quoted by the C encoder."""
+    ``json.dumps(doc, indent=2) + "\\n"``, filled in from templates with
+    their strings quoted by the C encoder."""
     names = [_quote(name) for name in g.vertices]
     edges = [
         _EDGE_ROW % (names[i], names[j], '"inf"' if m == INFINITY else m)
         for (i, j), m in g.labels.items()
     ]
-    scalars = _SCALARS % (
+    fields = (
+        _array([f"    {name}" for name in names], "  "), _array(edges, "  "),
         profile.p, profile.q1, profile.q2, profile.q3, profile.q,
         profile.n1, profile.n2, profile.n3, profile.n4,
         _FLAG[profile.howlett_identity], profile.n4,
@@ -143,27 +149,18 @@ def render_json(g: CoxeterGraph, profile: InvariantProfile, omegas: Optional[Ome
         _FLAG[profile.all_torsion], _FLAG[profile.odd_equals_gamma], _FLAG[profile.tree],
         _FLAG[profile.corollary_applies], _descriptor(profile.h2_artin_integral),
     )
-    parts = [
-        '{\n  "vertices": ', _array([f"    {name}" for name in names], "  "),
-        ',\n  "edges": ', _array(edges, "  "),
-        ",\n", scalars,
+    if omegas is None:
+        return _COMPUTE % fields
+    families = (omegas.omega1, omegas.omega2, omegas.omega3)
+    arrays = [
+        _array([_WORD_ROW % (_quote(text), _FLAG[in_commutator_subgroup(w)]) for w, text in zip(words, texts)], "    ")
+        for words, texts in zip(families, word_texts(families, g.vertices))
     ]
-    if omegas is not None:
-        families = (omegas.omega1, omegas.omega2, omegas.omega3)
-        parts += [',\n  "generators": {\n    "flavor": ', _quote(omegas.flavor)]
-        for k, (words, texts) in enumerate(zip(families, word_texts(families, g.vertices)), start=1):
-            rows = [
-                _WORD_ROW % (_quote(text), _FLAG[in_commutator_subgroup(w)])
-                for w, text in zip(words, texts)
-            ]
-            parts += [f',\n    "omega{k}": ', _array(rows, "    ")]
-        parts += [',\n    "counts": ', _COUNTS % (*map(len, families), omegas.total, profile.mod2_rank), "\n  }"]
-    parts.append("\n}\n")
-    return "".join(parts)
+    return _GENERATORS % (*fields, _quote(omegas.flavor), *arrays, *map(len, families), omegas.total, profile.mod2_rank)
 
 
 def render_stability(report: StabilityReport) -> str:
     """The ``stability --json`` document: the bytes of
-    ``json.dumps(doc, indent=2) + "\\n"``, its rows written from a template."""
+    ``json.dumps(doc, indent=2) + "\\n"``, filled in from templates."""
     rows = [_TRAJECTORY_ROW % row for row in report.trajectory]
-    return '{\n  "trajectory": ' + _array(rows, "  ") + ',\n  "verdict": ' + _FLAG[report.stable] + "\n}\n"
+    return _STABILITY % (_array(rows, "  "), _FLAG[report.stable])

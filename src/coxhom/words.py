@@ -31,11 +31,6 @@ FLAVORS = ("artin", "coxeter")
 MAX_SPELLED_LABEL = 10**6
 
 
-def letter(index: int) -> int:
-    """Encode a vertex index as its positive letter."""
-    return index + 1
-
-
 def _extend_reduced(stack: list[int], part: tuple[int, ...]) -> None:
     """Append ``part`` to ``stack``, both freely reduced, so that ``stack``
     becomes the free reduction of their product.
@@ -62,7 +57,7 @@ def relator(s: int, t: int, m: Label) -> tuple[int, ...]:
         raise CoxhomError(f"relator requires m >= 2, got {m}")
     if m > MAX_SPELLED_LABEL:
         raise CoxhomError(f"label {m} is above the limit {MAX_SPELLED_LABEL} on spelled words")
-    return _spell(letter(s), letter(t), m)
+    return _spell(s + 1, t + 1, m)
 
 
 def _spell(a: int, b: int, m: int) -> tuple[int, ...]:
@@ -132,7 +127,7 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
         for k, coefficient in cycle:
             if k not in spelled:
                 i, j = pg.edges[k]
-                spelled[k] = (relator(i, j, g.labels[i, j]), _spell(letter(j), letter(i), g.labels[i, j]))
+                spelled[k] = (relator(i, j, g.labels[i, j]), _spell(j + 1, i + 1, g.labels[i, j]))
             # a fundamental cycle's coefficients are -1 or 1
             _extend_reduced(stack, spelled[k][0 if coefficient > 0 else 1])
         omega3.append(tuple(stack))

@@ -6,7 +6,7 @@ import random
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, CoxeterGraph, Label, build_graph
 from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
-from coxhom.words import abelianize, letter
+from coxhom.words import abelianize
 
 # Label 2 weighted 20: mostly commuting pairs, so graphs split into many pair classes.
 SPARSE_WEIGHTS = (20.0,) + DEFAULT_WEIGHTS[1:]
@@ -91,7 +91,7 @@ def inverse(w: tuple[int, ...]) -> tuple[int, ...]:
 def alternating_word(s: int, t: int, m: int) -> tuple[int, ...]:
     """The length-m word s t s t ... over vertex indices s != t: the
     reference for relator's closed form."""
-    return ((letter(s), letter(t)) * ((m + 1) // 2))[:m]
+    return ((s + 1, t + 1) * ((m + 1) // 2))[:m]
 
 
 def power(w: tuple[int, ...], e: int) -> tuple[int, ...]:

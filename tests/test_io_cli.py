@@ -260,7 +260,7 @@ def test_render_json_bytes_on_large_graphs_and_labels():
 
 def test_render_json_bytes_on_odd_vertex_names():
     names = ["a,", '"b\\', "}", "{x", "]", "é", "ü☃", "x\x01y", "\x7f", "tab\there", "new\nline",
-             "\u2028", "\ud800", "𝔸", "v:1", "1", "null", ""]
+             "\u2028", "\ud800", "𝔸", "v:1", "1", "null", "", "%", "%s", "%(x)s", "%%"]
     rng = random.Random(3)
     for seed in range(10):
         g = random_coxeter_graph(rng, len(names))
