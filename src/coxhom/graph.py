@@ -23,10 +23,6 @@ INFINITY = math.inf
 Label = Union[int, float]
 
 
-def is_finite(m: Label) -> bool:
-    return m != INFINITY
-
-
 def is_odd(m: Label) -> bool:
     """True for finite odd labels; INFINITY is neither odd nor even."""
     return m != INFINITY and m % 2 == 1

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import CoxhomError
-from .graph import CoxeterGraph, Label, PlainGraph, is_even, is_finite, is_odd, odd_subgraph
+from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, is_even, is_odd, odd_subgraph
 
 Pair = tuple[int, int]
 
@@ -27,42 +27,52 @@ class PairPartition:
 
     ``n3`` counts the classes and ``p`` the torsion ones, those with a pair
     whose vertices have a common neighbour with both labels exactly 3.  The
-    classes are listed only when read.  They are ordered by their
-    lexicographically smallest pair, ``least[k]``, and ``torsion_flags[k]``
-    tells whether class k is torsion: ``heads`` lists those two, and
-    ``members`` the classes, each internally sorted.  Two partitions are
-    equal when their classes and flags are.
+    other fields are ``pair_classes``' union-find: ``slots``, ``births`` and
+    ``noncommuting`` as ``_grow`` returns them, and ``torsion``, the roots
+    of the torsion classes.  The classes are listed only when read, ordered
+    by their lexicographically smallest pair, ``least[k]``, each internally
+    sorted; ``torsion_flags[k]`` tells whether class k is torsion.
     """
 
     n3: int
     p: int
-    heads: Callable[[], tuple[tuple[Pair, ...], tuple[bool, ...]]] = field(repr=False)
-    members: Callable[[], tuple[tuple[Pair, ...], ...]] = field(repr=False)
+    slots: list[int] = field(repr=False)
+    births: list[int] = field(repr=False)
+    noncommuting: list[int] = field(repr=False)
+    torsion: set[int] = field(repr=False)
 
     @cached_property
-    def _listed(self) -> tuple[tuple[Pair, ...], tuple[bool, ...]]:
-        return self.heads()
-
-    @property
     def least(self) -> tuple[Pair, ...]:
-        return self._listed[0]
+        """Each class's least pair is a birth: a slot {x,v} copied from row y
+        joins {x,y} or {y,x}, a smaller pair.  So they are read from the
+        births alone."""
+        least: dict[int, Pair] = {}  # root -> the least pair of its class
+        slots = self.slots
+        for v, born in enumerate(self.births):
+            base = v * (v - 1) // 2
+            for x in _bits(born):
+                r = _root(slots, base + x)
+                if r not in least or (x, v) < least[r]:
+                    least[r] = (x, v)
+        return tuple(sorted(least.values()))
 
-    @property
+    @cached_property
     def torsion_flags(self) -> tuple[bool, ...]:
-        return self._listed[1]
+        return tuple(_root(self.slots, x * (x - 1) // 2 + a) in self.torsion for a, x in self.least)
 
     @cached_property
     def classes(self) -> tuple[tuple[Pair, ...], ...]:
-        return self.members()
+        blocks: dict[int, list[Pair]] = {}  # pairs in order, so the blocks open in class order
+        slots, noncommuting = self.slots, self.noncommuting
+        full = (1 << len(noncommuting)) - 1
+        for a, row in enumerate(noncommuting):
+            for x in _bits(full & ~row & -(2 << a)):
+                blocks.setdefault(_root(slots, x * (x - 1) // 2 + a), []).append((a, x))
+        return tuple(map(tuple, blocks.values()))
 
     @cached_property
     def pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(pair for block in self.classes for pair in block))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairPartition):
-            return NotImplemented
-        return self.torsion_flags == other.torsion_flags and self.classes == other.classes
 
 
 @dataclass(frozen=True)
@@ -164,7 +174,7 @@ def _grow(lowers: Iterable[Iterable[tuple[int, Label]]]) -> tuple[list[int], lis
     copied in one slice, the slots from y to v are fresh and each one of S
     above y points at {x,y}, and each birth below y is reset to itself.  A
     slot {x,v} whose x does not commute with v may keep row y's value, as it
-    is never read: no find, join, torsion mark, ``heads`` or ``members``
+    is never read: no find, join, torsion mark or listing of the classes
     starts at it, and no parent pointer leads to it.  What is left to join:
 
     - {v,x} ~ {v,u} for an odd edge {x,u} of v's row.  When x and u both lie
@@ -235,12 +245,8 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
     The classes are counted by growing g vertex by vertex (``_grow``).  A
     class is torsion when one of its pairs {a,x} has a common 3-neighbour w,
     so each vertex a marks the roots of its such pairs with x > a, until
-    every class is marked.
-
-    Each class's least pair is a birth: a slot {x,v} copied from row y joins
-    {x,y} or {y,x}, a smaller pair.  So the least pairs and flags are read
-    from the births alone, and only when ``least`` or ``torsion_flags`` is
-    read; the member pairs are listed only when ``classes`` or ``pairs`` is.
+    every class is marked.  The partition keeps the union-find and lists
+    the least pairs, flags and member pairs only when they are read.
     """
     n = len(g.vertices)
     counts, slots, noncommuting, births = _grow(_lowers(g))
@@ -260,26 +266,7 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
         for x in _bits(witnessed & ~noncommuting[a] & -(2 << a)):  # {a,x} commuting, a < x
             torsion.add(_root(slots, x * (x - 1) // 2 + a))
 
-    def heads() -> tuple[tuple[Pair, ...], tuple[bool, ...]]:
-        least: dict[int, Pair] = {}  # root -> the least pair of its class
-        for v, born in enumerate(births):
-            base = v * (v - 1) // 2
-            for x in _bits(born):
-                r = _root(slots, base + x)
-                if r not in least or (x, v) < least[r]:
-                    least[r] = (x, v)
-        roots = sorted(least, key=least.__getitem__)
-        return tuple(least[r] for r in roots), tuple(r in torsion for r in roots)
-
-    def members() -> tuple[tuple[Pair, ...], ...]:
-        blocks: dict[int, list[Pair]] = {}  # pairs in order, so the blocks open in class order
-        full = (1 << n) - 1
-        for a in range(n):
-            for x in _bits(full & ~noncommuting[a] & -(2 << a)):
-                blocks.setdefault(_root(slots, x * (x - 1) // 2 + a), []).append((a, x))
-        return tuple(map(tuple, blocks.values()))
-
-    return PairPartition(n3, len(torsion), heads, members)
+    return PairPartition(n3, len(torsion), slots, births, noncommuting, torsion)
 
 
 def _components(n: int, edges: Iterable[Pair]) -> int:
@@ -329,7 +316,7 @@ def analyze(g: CoxeterGraph) -> Analysis:
         q2=q2,
         q3=q3,
         n1=n,
-        n2=sum(1 for m in g.labels.values() if is_finite(m)),
+        n2=sum(1 for m in g.labels.values() if m != INFINITY),
         n3=partition.n3,
         n4=n4,
         odd_equals_gamma=len(pg.edges) == edges,  # every stored label is odd

@@ -4,7 +4,9 @@ Each oracle reimplements a quantity by a structurally different route: pair
 classes as the components of the direct relation built from its definition,
 searched breadth first, instead of a union-find over pair slots grown vertex
 by vertex; cycle rank by exact fraction elimination instead of component
-counting.  Agreement between routes is evidence, not tautology.
+counting.  Agreement between routes is evidence, not tautology.  The
+closure returns its classes and torsion flags as plain tuples, and `check`
+compares them with the partition's listed ``classes`` and ``torsion_flags``.
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ from itertools import combinations
 from .chains import boundary, gf2_rank, mod2_reduce
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, build_graph, is_odd
-from .invariants import PairPartition, Pair
+from .invariants import Pair
 from .words import abelianize, omega_sets
 
 LABEL_SUPPORT: tuple[Label, ...] = (2, 3, 4, 5, 6, INFINITY)
 
 
-def naive_pair_closure(g: CoxeterGraph) -> PairPartition:
-    """Pair classes as the connected components of the direct relation.
+def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], tuple[bool, ...]]:
+    """Pair classes as the connected components of the direct relation, and
+    whether each is torsion: ``(classes, flags)``, in the order and shape of
+    ``PairPartition``'s ``classes`` and ``torsion_flags``.
 
     The relation is read from its definition: for each odd edge {x,y},
     every vertex a commuting with both relates {a,x} to {a,y}.  A
@@ -58,7 +62,7 @@ def naive_pair_closure(g: CoxeterGraph) -> PairPartition:
         threes = [s for s in range(n) if g.label_ix(s, v) == 3]
         witnessed.update((s, t) for s, t in combinations(threes, 2) if t in commuting[s])
     flags = tuple(any(pair in witnessed for pair in block) for block in classes)
-    return PairPartition(len(classes), sum(flags), lambda: (tuple(block[0] for block in classes), flags), lambda: tuple(classes))
+    return tuple(classes), flags
 
 
 def rational_cycle_rank(pg: PlainGraph) -> int:
@@ -130,7 +134,9 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
         and profile.n2 == profile.q2 + len(pg.edges),
         f"n1..n4 = {profile.n1},{profile.n2},{profile.n3},{profile.n4}",
     ))
-    agree = analysis.partition == naive_pair_closure(g)
+    # the oracle runs first, so its working sets are freed before the partition lists its classes
+    partition = analysis.partition
+    agree = naive_pair_closure(g) == (partition.classes, partition.torsion_flags)
     rows.append(("pair_classes_vs_naive_closure", agree, f"{profile.n3} classes"))
     rational = rational_cycle_rank(pg)
     incidence = [0] * len(pg.vertices)  # bit k of vertex v: edge k ends at v

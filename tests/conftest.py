@@ -58,6 +58,12 @@ def unread_slot_graph() -> CoxeterGraph:
                                                      ("v3", "v6", 4), ("v0", "v2", 3)])
 
 
+def listed(partition):
+    """A partition's ``(classes, torsion_flags)``, the shape in which
+    ``naive_pair_closure`` returns its own."""
+    return partition.classes, partition.torsion_flags
+
+
 def permuted_copy(g: CoxeterGraph, rng: random.Random) -> CoxeterGraph:
     """Isomorphic graph with the vertex sequence shuffled (names kept)."""
     order = list(range(len(g.vertices)))

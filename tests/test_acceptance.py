@@ -12,6 +12,7 @@ from conftest import (
     dihedral_h2_reference,
     free_reduce,
     incidence_masks,
+    listed,
     permuted_copy,
     power,
 )
@@ -88,7 +89,7 @@ def test_criterion_05_howlett_identity(capsys):
 def test_criterion_06_oracle_equivalence(capsys):
     graphs = _corpus_with_catalog()
     for g in graphs:
-        assert pair_classes(g) == naive_pair_closure(g)
+        assert listed(pair_classes(g)) == naive_pair_closure(g)
         pg = odd_subgraph(g)
         q3 = analyze(g).profile.q3
         assert q3 == rational_cycle_rank(pg)

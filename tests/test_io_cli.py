@@ -512,6 +512,28 @@ def test_check_fails_only_the_reducedness_row_on_an_unreduced_word(monkeypatch, 
     assert "FAIL omega_freely_reduced: 1 words" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "alter",
+    [
+        lambda classes, flags: (classes, (not flags[0],) + flags[1:]),
+        lambda classes, flags: (classes[1::-1] + classes[2:], flags),
+    ],
+    ids=["one_flag", "two_classes_swapped"],
+)
+def test_check_fails_only_the_pair_class_row_when_either_half_differs(alter, monkeypatch, capsys):
+    import coxhom.oracles as oracles
+
+    g = from_catalog("~D4")  # six torsion singletons: swapping two keeps every flag
+    classes, flags = oracles.naive_pair_closure(g)
+    altered = alter(classes, flags)
+    assert (altered[0] == classes) != (altered[1] == flags)  # exactly one half differs
+    monkeypatch.setattr(oracles, "naive_pair_closure", lambda graph: altered)
+    rows = oracles.consistency_report(g)
+    assert [name for name, passed, _ in rows if not passed] == ["pair_classes_vs_naive_closure"]
+    assert main(["check", "--type", "~D4"]) == 3
+    assert "FAIL pair_classes_vs_naive_closure: 6 classes" in capsys.readouterr().out
+
+
 def test_cli_runs_pair_classes_once_per_graph(monkeypatch, capsys):
     import coxhom.invariants as invariants
     import coxhom.words as words
