@@ -100,7 +100,7 @@ def _group_text(descriptor) -> str:
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
-    profile = analyze(g).profile
+    profile = analyze(g)
     if not profile.howlett_identity:
         print("internal error: Howlett identity violated", file=sys.stderr)
         return 3
@@ -132,7 +132,7 @@ def _yn(flag: bool) -> str:
 def _cmd_generators(args) -> int:
     g = _load_graph(args)
     omegas = omega_sets(g, args.flavor)
-    profile = omegas.analysis.profile
+    profile = omegas.profile
     if omegas.total != profile.mod2_rank:
         print("internal error: generator count != p+q", file=sys.stderr)
         return 3

@@ -86,7 +86,8 @@ class AbelianDescriptor:
 @dataclass(frozen=True)
 class InvariantProfile:
     """The counts p, q1..q3 and Howlett's n1..n4 of one graph, the two graph
-    facts its corollary adds to q1 = 0, and every descriptor they determine."""
+    facts its corollary adds to q1 = 0, every descriptor they determine, and,
+    left out of ==, the ``partition`` and ``odd`` subgraph they were read from."""
 
     p: int
     q1: int
@@ -98,6 +99,8 @@ class InvariantProfile:
     n4: int
     odd_equals_gamma: bool
     tree: bool
+    partition: PairPartition = field(compare=False, repr=False)
+    odd: PlainGraph = field(compare=False, repr=False)
 
     @property
     def q(self) -> int:
@@ -289,28 +292,20 @@ def _ranks(g: CoxeterGraph) -> tuple[PlainGraph, int, int, int]:
     subgraph's independent cycles and components."""
     pg = odd_subgraph(g)
     components = _components(len(g.vertices), pg.edges)
-    q2 = sum(1 for m in g.labels.values() if is_even(m) and m >= 4)
+    q2 = sum(1 for m in g.labels.values() if is_even(m))
     return pg, q2, len(pg.edges) - len(g.vertices) + components, components
 
 
-@dataclass(frozen=True)
-class Analysis:
-    """Everything derived from one graph, built by one pass of ``analyze``."""
-
-    partition: PairPartition
-    odd: PlainGraph
-    profile: InvariantProfile
-
-
-def analyze(g: CoxeterGraph) -> Analysis:
-    """Pair partition, odd subgraph and rank profile of g, each computed once."""
+def analyze(g: CoxeterGraph) -> InvariantProfile:
+    """The rank profile of g, with the pair partition and odd subgraph it was
+    read from, each computed once."""
     partition = pair_classes(g)
     pg, q2, q3, n4 = _ranks(g)
     n, edges = len(g.vertices), len(g.labels)
     # a forest has n - components edges, never more than n: a denser graph
     # is no forest and is not searched
     tree = edges <= n and edges == n - _components(n, g.labels)
-    profile = InvariantProfile(
+    return InvariantProfile(
         p=partition.p,
         q1=partition.n3 - partition.p,
         q2=q2,
@@ -321,8 +316,9 @@ def analyze(g: CoxeterGraph) -> Analysis:
         n4=n4,
         odd_equals_gamma=len(pg.edges) == edges,  # every stored label is odd
         tree=tree,
+        partition=partition,
+        odd=pg,
     )
-    return Analysis(partition, pg, profile)
 
 
 @dataclass(frozen=True)

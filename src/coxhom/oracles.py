@@ -4,9 +4,8 @@ Each oracle reimplements a quantity by a structurally different route: pair
 classes as the components of the direct relation built from its definition,
 searched breadth first, instead of a union-find over pair slots grown vertex
 by vertex; cycle rank by exact fraction elimination instead of component
-counting.  Agreement between routes is evidence, not tautology.  The
-closure returns its classes and torsion flags as plain tuples, and `check`
-compares them with the partition's listed ``classes`` and ``torsion_flags``.
+counting.  Agreement between routes is evidence, not tautology.  `check`
+also reads Howlett's n3 and n4 from these two oracles, not from the profile.
 """
 
 from __future__ import annotations
@@ -117,28 +116,32 @@ def random_coxeter_graph(
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     """Every internal identity on one graph, as (name, passed, detail) rows."""
     omegas = omega_sets(g, "artin")  # both flavors build the same words
-    analysis, basis = omegas.analysis, omegas.basis
-    profile = analysis.profile
-    pg = analysis.odd
+    profile, basis = omegas.profile, omegas.basis
+    pg = profile.odd
+    # the oracle runs first, so its working sets are freed before the partition lists its classes
+    closure = naive_pair_closure(g)
+    rational = rational_cycle_rank(pg)
+    n3 = len(closure[0])
+    n4 = len(pg.vertices) - len(pg.edges) + rational
     rows: list[tuple[str, bool, str]] = []
 
+    howlett = -profile.n1 + profile.n2 + n3 + n4
     rows.append((
         "howlett_identity",
-        profile.howlett_identity,
-        f"-n1+n2+n3+n4 = {-profile.n1 + profile.n2 + profile.n3 + profile.n4}, p+q = {profile.mod2_rank}",
+        howlett == profile.mod2_rank,
+        f"-n1+n2+n3+n4 = {howlett}, p+q = {profile.mod2_rank}",
     ))
     rows.append((
         "howlett_term_identities",
-        profile.n3 == profile.p + profile.q1
+        n3 == profile.p + profile.q1
         and profile.n1 == len(pg.vertices)
-        and profile.n2 == profile.q2 + len(pg.edges),
-        f"n1..n4 = {profile.n1},{profile.n2},{profile.n3},{profile.n4}",
+        and profile.n2 == profile.q2 + len(pg.edges)
+        and n4 == profile.n4,
+        f"n1..n4 = {profile.n1},{profile.n2},{n3},{n4}",
     ))
-    # the oracle runs first, so its working sets are freed before the partition lists its classes
-    partition = analysis.partition
-    agree = naive_pair_closure(g) == (partition.classes, partition.torsion_flags)
+    partition = profile.partition
+    agree = closure == (partition.classes, partition.torsion_flags)
     rows.append(("pair_classes_vs_naive_closure", agree, f"{profile.n3} classes"))
-    rational = rational_cycle_rank(pg)
     incidence = [0] * len(pg.vertices)  # bit k of vertex v: edge k ends at v
     for k, (i, j) in enumerate(pg.edges):
         incidence[i] |= 1 << k

@@ -22,7 +22,7 @@ from operator import neg
 from .chains import CycleBasis, fundamental_cycle_basis
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, is_even
-from .invariants import Analysis, analyze
+from .invariants import InvariantProfile, analyze
 
 FLAVORS = ("artin", "coxeter")
 
@@ -86,13 +86,14 @@ def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True)
 class OmegaSets:
-    """Generator words for the second homology, one family per mechanism."""
+    """Generator words for the second homology, one family per mechanism,
+    with the profile and cycle basis they were built from."""
 
     flavor: str
     omega1: tuple[tuple[int, ...], ...]
     omega2: tuple[tuple[int, ...], ...]
     omega3: tuple[tuple[int, ...], ...]
-    analysis: Analysis = field(compare=False, repr=False)
+    profile: InvariantProfile = field(compare=False, repr=False)
     basis: CycleBasis = field(compare=False, repr=False)
 
     @property
@@ -109,15 +110,11 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     """
     if flavor not in FLAVORS:
         raise CoxhomError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    analysis = analyze(g)
+    profile = analyze(g)
     # a least pair has s < t, and the relator of label 2 is the commutator [s, t]
-    omega1 = tuple(relator(s, t, 2) for s, t in analysis.partition.least)
-    omega2 = tuple(
-        relator(i, j, m)
-        for (i, j), m in g.labels.items()
-        if is_even(m) and m >= 4
-    )
-    pg = analysis.odd
+    omega1 = tuple(relator(s, t, 2) for s, t in profile.partition.least)
+    omega2 = tuple(relator(i, j, m) for (i, j), m in g.labels.items() if is_even(m))
+    pg = profile.odd
     basis = fundamental_cycle_basis(pg)
     # edge -> its relator and that relator's inverse, spelled when a cycle first uses the edge
     spelled: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -131,4 +128,4 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
             # a fundamental cycle's coefficients are -1 or 1
             _extend_reduced(stack, spelled[k][0 if coefficient > 0 else 1])
         omega3.append(tuple(stack))
-    return OmegaSets(flavor, omega1, omega2, tuple(omega3), analysis, basis)
+    return OmegaSets(flavor, omega1, omega2, tuple(omega3), profile, basis)

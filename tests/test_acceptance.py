@@ -43,7 +43,7 @@ def test_criterion_01_affine_d4(capsys):
 def test_criterion_02_affine_d_family(capsys):
     for n in range(5, 13):
         g = from_catalog(f"~D{n}")
-        profile = analyze(g).profile
+        profile = analyze(g)
         assert (profile.p, profile.q) == (3, 0)
         integral = profile.h2_artin_integral
         assert (integral.free_rank, integral.torsion2_rank) == (0, 3)
@@ -54,7 +54,7 @@ def test_criterion_02_affine_d_family(capsys):
 def test_criterion_03_affine_e_family(capsys):
     for i in (6, 7, 8):
         g = from_catalog(f"~E{i}")
-        profile = analyze(g).profile
+        profile = analyze(g)
         assert (profile.p, profile.q) == (1, 0)
         integral = profile.h2_artin_integral
         assert (integral.free_rank, integral.torsion2_rank) == (0, 1)
@@ -65,7 +65,7 @@ def test_criterion_03_affine_e_family(capsys):
 def test_criterion_04_dihedral_sweep(capsys):
     for m in list(range(2, 21)) + [INFINITY]:
         g = build_graph(["s1", "s2"], [("s1", "s2", m)])
-        profile = analyze(g).profile
+        profile = analyze(g)
         assert profile.p + profile.q == dihedral_h2_reference(m), f"m = {m}"
     with capsys.disabled():
         _report(4, "I2(m) rank matches the dihedral reference for m = 2..20 and inf")
@@ -80,7 +80,7 @@ def _corpus_with_catalog():
 def test_criterion_05_howlett_identity(capsys):
     graphs = _corpus_with_catalog()
     for g in graphs:
-        profile = analyze(g).profile
+        profile = analyze(g)
         assert -profile.n1 + profile.n2 + profile.n3 + profile.n4 == profile.p + profile.q
     with capsys.disabled():
         _report(5, f"Howlett identity holds on {len(graphs)} corpus + catalog graphs")
@@ -91,7 +91,7 @@ def test_criterion_06_oracle_equivalence(capsys):
     for g in graphs:
         assert listed(pair_classes(g)) == naive_pair_closure(g)
         pg = odd_subgraph(g)
-        q3 = analyze(g).profile.q3
+        q3 = analyze(g).q3
         assert q3 == rational_cycle_rank(pg)
         assert q3 == len(pg.edges) - gf2_rank(incidence_masks(pg))
     with capsys.disabled():
@@ -101,7 +101,7 @@ def test_criterion_06_oracle_equivalence(capsys):
 def test_criterion_07_omega_contract(capsys):
     graphs = _corpus_with_catalog()
     for g in graphs:
-        profile = analyze(g).profile
+        profile = analyze(g)
         rank = len(g.vertices)
         artin = omega_sets(g, "artin")
         coxeter = omega_sets(g, "coxeter")
@@ -188,9 +188,9 @@ def test_criterion_09_stability(capsys):
 def test_criterion_10_isomorphism_invariance(capsys):
     rng = random.Random(77)
     for g in corpus_graphs(100, base_seed=7000):
-        reference = analyze(g).profile
+        reference = analyze(g)
         for _ in range(5):
-            assert analyze(permuted_copy(g, rng)).profile == reference
+            assert analyze(permuted_copy(g, rng)) == reference
     with capsys.disabled():
         _report(10, "p, q1..q3, n1..n4 unchanged under 5 permutations of 100 graphs")
 

@@ -64,7 +64,7 @@ def test_basis_size_is_cycle_rank():
     for g in corpus_graphs(60):
         pg = odd_subgraph(g)
         basis = fundamental_cycle_basis(pg)
-        q3 = analyze(g).profile.q3
+        q3 = analyze(g).q3
         assert len(basis.basis) == q3
         assert gf2_rank(mod2_reduce(cycle) for cycle in basis.basis) == q3
 
@@ -168,7 +168,7 @@ def test_boundary_matrix_rank_is_vertices_minus_components():
     for g in corpus_graphs(50):
         pg = odd_subgraph(g)
         rank = len(pg.edges) - rational_cycle_rank(pg)
-        assert rank == len(pg.vertices) - analyze(g).profile.n4
+        assert rank == len(pg.vertices) - analyze(g).n4
 
 
 def test_kernel_law_on_random_even_chains():

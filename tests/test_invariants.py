@@ -76,46 +76,46 @@ def test_pair_classes_keep_their_count_along_catalog_families(family, expected):
 
 
 def test_invariant_profile_affine_d4():
-    profile = analyze(from_catalog("~D4")).profile
+    profile = analyze(from_catalog("~D4"))
     assert (profile.p, profile.q1, profile.q2, profile.q3, profile.q) == (6, 0, 0, 0, 0)
 
 
 def test_invariant_profile_i24():
-    profile = analyze(from_catalog("I2(4)")).profile
+    profile = analyze(from_catalog("I2(4)"))
     assert (profile.p, profile.q1, profile.q2, profile.q3) == (0, 0, 1, 0)
     assert profile.p + profile.q == 1
 
 
 def test_invariant_profile_triangle_cycle_rank():
-    profile = analyze(TRIANGLE).profile
+    profile = analyze(TRIANGLE)
     assert (profile.p, profile.q1, profile.q2, profile.q3) == (0, 0, 0, 1)
 
 
 def test_invariant_profile_empty_graph():
-    profile = analyze(build_graph([])).profile
-    assert profile == analyze(build_graph([])).profile
+    profile = analyze(build_graph([]))
+    assert profile == analyze(build_graph([]))
     assert profile.p == profile.q == profile.n1 == profile.n4 == 0
 
 
 def test_h1_rank_counts_odd_components():
     # B3: the 4-edge splits s1 from the odd component {s2, s3}
-    assert analyze(from_catalog("B3")).profile.n4 == 2
-    assert analyze(from_catalog("A5")).profile.n4 == 1
+    assert analyze(from_catalog("B3")).n4 == 2
+    assert analyze(from_catalog("A5")).n4 == 1
 
 
 def test_homology_summary_affine_e6():
-    profile = analyze(from_catalog("~E6")).profile
+    profile = analyze(from_catalog("~E6"))
     assert profile.corollary_applies
     assert profile.h2_artin_integral == AbelianDescriptor(0, 1)
 
 
 def test_homology_summary_affine_d5():
-    profile = analyze(from_catalog("~D5")).profile
+    profile = analyze(from_catalog("~D5"))
     assert profile.h2_artin_integral == AbelianDescriptor(0, 3)
 
 
 def test_homology_summary_i24_undetermined_integrally():
-    profile = analyze(from_catalog("I2(4)")).profile
+    profile = analyze(from_catalog("I2(4)"))
     assert not profile.odd_equals_gamma
     assert not profile.corollary_applies
     assert profile.mod2_rank == 1
@@ -124,7 +124,7 @@ def test_homology_summary_i24_undetermined_integrally():
 
 def test_homology_summary_rank_identities():
     for g in corpus_graphs(60):
-        profile = analyze(g).profile
+        profile = analyze(g)
         assert profile.q == profile.q1 + profile.q2 + profile.q3
         assert (
             profile.mod2_rank
@@ -142,7 +142,7 @@ def test_corollary_tree_condition_is_on_whole_graph():
         ["a", "b", "c"],
         [("a", "b", 3), ("b", "c", 3), ("a", "c", 4)],
     )
-    profile = analyze(g).profile
+    profile = analyze(g)
     assert not profile.tree
     assert profile.q3 == 0
 
@@ -174,8 +174,7 @@ def test_howlett_identity_on_corpus():
     graphs = corpus_graphs(120) + [from_catalog(name) for name in ("A3000", "~A3000", "~D3000")]
     graphs += [permuted_copy(from_catalog(name), rng) for name in ("D70", "~A85")]
     for g in graphs:
-        analysis = analyze(g)
-        profile = analysis.profile
+        profile = analyze(g)
         odd_edges = [pair for pair, m in g.labels.items() if m != INFINITY and m % 2]
         assert profile.howlett_identity
         assert profile.n3 == profile.p + profile.q1
@@ -205,11 +204,11 @@ def test_invariants_are_isomorphism_invariant():
     graphs += [random_coxeter_graph(rng, rng.randint(40, 60), weights)
                for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS) for _ in range(3)]
     for g in graphs:
-        reference = analyze(g).profile
+        reference = analyze(g)
         classes = _classes_by_name(g)
         for _ in range(3 if len(g.vertices) < 40 else 2):
             copy = permuted_copy(g, rng)
-            assert analyze(copy).profile == reference
+            assert analyze(copy) == reference
             assert _classes_by_name(copy) == classes
 
 
@@ -217,9 +216,9 @@ def test_analyze_counts_the_largest_edgeless_graph_without_listing_a_class():
     # every pair of an edgeless graph is a class of its own; compute reads
     # only the counts, so no class, least pair or flag is listed
     n = MAX_CATALOG_N + 1
-    analysis = analyze(build_graph([f"v{i}" for i in range(n)]))
-    assert (analysis.profile.n3, analysis.profile.p) == (n * (n - 1) // 2, 0) == (4501500, 0)
-    assert not {"least", "torsion_flags", "classes", "pairs"} & vars(analysis.partition).keys()
+    profile = analyze(build_graph([f"v{i}" for i in range(n)]))
+    assert (profile.n3, profile.p) == (n * (n - 1) // 2, 0) == (4501500, 0)
+    assert not {"least", "torsion_flags", "classes", "pairs"} & vars(profile.partition).keys()
 
 
 def _disjoint_union(g1, g2):
@@ -243,8 +242,8 @@ def test_kunneth_law_for_disjoint_unions():
     names = ("~D12", "A20", "B15", "~A14", "E8", "H4", "I2(6)")
     pairs += [(from_catalog(a), from_catalog(b)) for a in names for b in names if a <= b]
     for g1, g2 in pairs:
-        p1, p2 = analyze(g1).profile, analyze(g2).profile
-        union = analyze(_disjoint_union(g1, g2)).profile
+        p1, p2 = analyze(g1), analyze(g2)
+        union = analyze(_disjoint_union(g1, g2))
         assert union.mod2_rank == p1.mod2_rank + p2.mod2_rank + p1.n4 * p2.n4
         assert union.n4 == p1.n4 + p2.n4
 
@@ -300,7 +299,7 @@ def test_family_extender_reaches_every_a_type():
     assert _extend(from_catalog("I2(4)")).labels == {(0, 1): 4, (1, 2): 3}
 
 
-def _per_step_ranks(seed, n_max, rank=lambda g: analyze(g).profile.mod2_rank):
+def _per_step_ranks(seed, n_max, rank=lambda g: analyze(g).mod2_rank):
     """The trajectory from the rank of every graph of the family, by default
     from a full analysis of each."""
     g, ranks = seed, []
@@ -415,7 +414,7 @@ def test_stability_scan_updates_for_any_appended_vertex():
         for k in range(1, len(g.vertices) + 1):
             prefix = build_graph(g.vertices[:k], [(g.vertices[i], g.vertices[j], m)
                                                    for (i, j), m in g.labels.items() if j < k])
-            assert stability_scan(prefix, 4).trajectory[0] == (1, analyze(prefix).profile.mod2_rank)
+            assert stability_scan(prefix, 4).trajectory[0] == (1, analyze(prefix).mod2_rank)
 
 
 def test_stability_scan_never_analyses_a_graph(monkeypatch):

@@ -154,7 +154,7 @@ def test_word_serialization():
 def _json_for(name, omegas_flavor=None):
     g = from_catalog(name)
     omegas = omega_sets(g, omegas_flavor) if omegas_flavor else None
-    return json.loads(render_json(g, analyze(g).profile, omegas))
+    return json.loads(render_json(g, analyze(g), omegas))
 
 
 def test_render_json_affine_e6():
@@ -174,13 +174,13 @@ def test_render_json_i24_integral_unknown():
 
 def test_render_json_empty_graph():
     g = build_graph([])
-    doc = json.loads(render_json(g, analyze(g).profile))
+    doc = json.loads(render_json(g, analyze(g)))
     assert doc["p"] == doc["q"] == doc["h2_artin_mod2_rank"] == 0
     assert doc["vertices"] == [] and doc["edges"] == []
 
 
 def test_render_json_key_order_fixed():
-    doc = json.loads(render_json(from_catalog("A3"), analyze(from_catalog("A3")).profile))
+    doc = json.loads(render_json(from_catalog("A3"), analyze(from_catalog("A3"))))
     assert list(doc) == [
         "vertices", "edges", "p", "q1", "q2", "q3", "q", "n",
         "howlett_identity", "h1_artin_free_rank", "h2_orbit", "h2_coxeter",
@@ -222,8 +222,7 @@ def test_generators_lists_one_word_per_class_of_an_edgeless_graph(tmp_path, caps
 def _assert_renders_as_the_reference(g, flavors=(None, "artin", "coxeter")):
     for flavor in flavors:
         omegas = omega_sets(g, flavor) if flavor else None
-        analysis = omegas.analysis if omegas else analyze(g)
-        args = (g, analysis.profile, omegas)
+        args = (g, omegas.profile if omegas else analyze(g), omegas)
         assert render_json(*args) == reference_json(*args), (g.vertices, flavor)
 
 
@@ -232,12 +231,12 @@ def test_render_json_bytes_on_catalog_and_corpus():
     for g in graphs + [build_graph([])]:
         _assert_renders_as_the_reference(g)
     a1 = from_catalog("A1")
-    text = render_json(a1, analyze(a1).profile, omega_sets(a1, "artin"))
+    text = render_json(a1, analyze(a1), omega_sets(a1, "artin"))
     assert '"omega1": [],' in text and '"omega3": [],' in text  # a graph with no words
     # the flag is computed per word, not assumed: a word off the commutator subgroup reads false
     g = from_catalog("~A2")
     omegas = dataclasses.replace(omega_sets(g, "artin"), omega2=((1, 2, 1), (1, -2, -1, 2)))
-    args = (g, omegas.analysis.profile, omegas)
+    args = (g, omegas.profile, omegas)
     text = render_json(*args)
     assert text == reference_json(*args)
     assert text.count('"abelianization_zero": false') == 1
@@ -483,8 +482,8 @@ def test_cli_exits_3_when_a_count_is_off_by_one(command, message, monkeypatch, c
     real_analyze, real_omega_sets = cli.analyze, cli.omega_sets
 
     def off_profile(g):  # n1 one too high breaks -n1 + n2 + n3 + n4 = p + q
-        analysis = real_analyze(g)
-        return dataclasses.replace(analysis, profile=dataclasses.replace(analysis.profile, n1=analysis.profile.n1 + 1))
+        profile = real_analyze(g)
+        return dataclasses.replace(profile, n1=profile.n1 + 1)
 
     def off_words(g, flavor):  # one omega2 word more than p + q
         omegas = real_omega_sets(g, flavor)
@@ -532,6 +531,34 @@ def test_check_fails_only_the_pair_class_row_when_either_half_differs(alter, mon
     assert [name for name, passed, _ in rows if not passed] == ["pair_classes_vs_naive_closure"]
     assert main(["check", "--type", "~D4"]) == 3
     assert "FAIL pair_classes_vs_naive_closure: 6 classes" in capsys.readouterr().out
+
+
+def _merge_first_two(closure):
+    classes, flags = closure
+    return (tuple(sorted(classes[0] + classes[1])),) + classes[2:], (flags[0] or flags[1],) + flags[2:]
+
+
+@pytest.mark.parametrize("name", ["~D4", "B4"])
+@pytest.mark.parametrize(
+    "oracle, disagree, own_row",
+    [
+        ("rational_cycle_rank", lambda rank: rank + 1, "cycle_rank_oracles"),
+        ("naive_pair_closure", _merge_first_two, "pair_classes_vs_naive_closure"),
+    ],
+    ids=["cycle_rank_one_more", "first_two_classes_merged"],
+)
+def test_check_fails_both_howlett_rows_when_an_oracle_disagrees(name, oracle, disagree, own_row, monkeypatch, capsys):
+    # the Howlett rows read n3 and n4 from the oracles, so an oracle that
+    # counts one class fewer or one cycle more fails them with its own row
+    import coxhom.oracles as oracles
+
+    real = getattr(oracles, oracle)
+    monkeypatch.setattr(oracles, oracle, lambda arg: disagree(real(arg)))
+    rows = oracles.consistency_report(from_catalog(name))
+    assert [row for row, passed, _ in rows if not passed] == ["howlett_identity", "howlett_term_identities", own_row]
+    assert main(["check", "--type", name]) == 3
+    out = capsys.readouterr().out
+    assert out.count("FAIL ") == 3 and out.endswith("5/8 checks passed\n")
 
 
 def test_cli_runs_pair_classes_once_per_graph(monkeypatch, capsys):

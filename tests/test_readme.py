@@ -21,4 +21,3 @@ def test_readme_library_example():
     assert (profile.p, profile.q1, profile.q2, profile.q3) == (6, 0, 0, 0)
     assert integral == profile.h2_artin_integral == AbelianDescriptor(free_rank=0, torsion2_rank=6)
     assert len(words.omega1) == 6 and not words.omega2 and not words.omega3
-    assert namespace["analysis"].profile is profile

@@ -59,7 +59,7 @@ def test_relator_closed_form_matches_its_definition(s, gap, m):
         assert -1 in dict(cycle).values()
         parts = []
         for k, coefficient in cycle:
-            i, j = om.analysis.odd.edges[k]
+            i, j = om.profile.odd.edges[k]
             parts.extend(power(relator(i, j, g.labels[i, j]), coefficient))
         assert om.omega3 == (free_reduce(parts),)
 
@@ -84,7 +84,7 @@ def test_relator_equals_commutator_for_label_two():
     # omega1 spells [s, t] = s t s^-1 t^-1 for the least pair (s, t) of each class
     for g in corpus_graphs(60):
         om = omega_sets(g, "coxeter")
-        least = om.analysis.partition.least
+        least = om.profile.partition.least
         assert om.omega1 == tuple((s + 1, t + 1, -(s + 1), -(t + 1)) for s, t in least)
 
 
@@ -276,7 +276,7 @@ def test_omega_sets_memory_stays_near_the_output_size():
 
 def test_omega_counts_and_abelianization_on_corpus():
     for g in corpus_graphs(60, base_seed=100):
-        profile = analyze(g).profile
+        profile = analyze(g)
         for flavor in ("artin", "coxeter"):
             om = omega_sets(g, flavor)
             assert len(om.omega1) == profile.p + profile.q1
