@@ -10,14 +10,12 @@ generator word reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graph import PlainGraph
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(NamedTuple):
     """Fundamental cycles of a graph, one per non-tree edge, in edge order.
 
     Each cycle is its nonzero (edge, +-1) terms in increasing edge order.

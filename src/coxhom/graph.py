@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import CoxhomError, echo
 
@@ -68,8 +67,7 @@ def _check_label(m: Label) -> Label:
     return m
 
 
-@dataclass(frozen=True)
-class CoxeterGraph:
+class CoxeterGraph(NamedTuple):
     """Sparse Coxeter graph over an ordered vertex sequence.
 
     ``labels`` maps index pairs (i, j) with i < j to their label, in
@@ -89,8 +87,7 @@ class CoxeterGraph:
         return self.labels.get((i, j), 2)
 
 
-@dataclass(frozen=True)
-class PlainGraph:
+class PlainGraph(NamedTuple):
     """Unlabeled graph whose edges join vertex indices.
 
     ``vertices`` holds one name per vertex.  Chains orient an edge (i, j)
@@ -185,7 +182,7 @@ _I2_MIN = 3
 # Largest catalog parameter n.  At n = 3000, compute and generators --json
 # take 0.2-0.35 s and 55 MB on every family, most of it the pair classes'
 # slot per vertex pair.  check's pair closure oracle grows as about n**2 on
-# A_n or an edgeless graph (A800 1.4 s in-process) and n**3 on a dense random
+# A_n or an edgeless graph (A1000 1.2 s in-process) and n**3 on a dense random
 # one (400 vertices 1.9 s); this limit does not bound it.  A graph file may have
 # MAX_CATALOG_N + 1 vertices, as ~A<MAX_CATALOG_N> has; an edgeless file of
 # that size, whose every pair is a class, takes compute --json about 0.4 s

@@ -10,10 +10,9 @@ hyperplane-complement orbit space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, is_even, is_odd, odd_subgraph
@@ -21,7 +20,6 @@ from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, is_even, is_odd, o
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True, eq=False)
 class PairPartition:
     """The commuting pairs of a graph, partitioned into equivalence classes.
 
@@ -31,15 +29,21 @@ class PairPartition:
     ``noncommuting`` as ``_grow`` returns them, and ``torsion``, the roots
     of the torsion classes.  The classes are listed only when read, ordered
     by their lexicographically smallest pair, ``least[k]``, each internally
-    sorted; ``torsion_flags[k]`` tells whether class k is torsion.
+    sorted; ``torsion_flags[k]`` tells whether class k is torsion.  A
+    partition is treated as immutable, and compares by identity.
     """
 
-    n3: int
-    p: int
-    slots: list[int] = field(repr=False)
-    births: list[int] = field(repr=False)
-    noncommuting: list[int] = field(repr=False)
-    torsion: set[int] = field(repr=False)
+    def __init__(self, n3: int, p: int, slots: list[int], births: list[int],
+                 noncommuting: list[int], torsion: set[int]):
+        self.n3 = n3
+        self.p = p
+        self.slots = slots
+        self.births = births
+        self.noncommuting = noncommuting
+        self.torsion = torsion
+
+    def __repr__(self) -> str:
+        return f"PairPartition(n3={self.n3}, p={self.p})"
 
     @cached_property
     def least(self) -> tuple[Pair, ...]:
@@ -75,19 +79,40 @@ class PairPartition:
         return tuple(sorted(pair for block in self.classes for pair in block))
 
 
-@dataclass(frozen=True)
-class AbelianDescriptor:
+def _leading_fields(count: int):
+    """``__eq__``, ``__ne__``, ``__hash__`` and ``__repr__`` for a NamedTuple
+    that read only its first ``count`` fields, as a dataclass reads the
+    fields it compares; an object of another type, a plain tuple among
+    them, is never equal."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:count] == other[:count]
+
+    def __ne__(self, other):
+        return not __eq__(self, other)
+
+    def __hash__(self):
+        return hash(self[:count])
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[:count]))
+        return f"{type(self).__name__}({shown})"
+
+    return __eq__, __ne__, __hash__, __repr__
+
+
+class AbelianDescriptor(NamedTuple):
     """Finitely generated abelian group of shape Z^free_rank + Z2^torsion2_rank."""
 
     free_rank: int
     torsion2_rank: int
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
+class InvariantProfile(NamedTuple):
     """The counts p, q1..q3 and Howlett's n1..n4 of one graph, the two graph
     facts its corollary adds to q1 = 0, every descriptor they determine, and,
-    left out of ==, the ``partition`` and ``odd`` subgraph they were read from."""
+    left out of ==, hash and repr, the ``partition`` and ``odd`` subgraph
+    they were read from."""
 
     p: int
     q1: int
@@ -99,8 +124,10 @@ class InvariantProfile:
     n4: int
     odd_equals_gamma: bool
     tree: bool
-    partition: PairPartition = field(compare=False, repr=False)
-    odd: PlainGraph = field(compare=False, repr=False)
+    partition: PairPartition
+    odd: PlainGraph
+
+    __eq__, __ne__, __hash__, __repr__ = _leading_fields(10)
 
     @property
     def q(self) -> int:
@@ -321,8 +348,7 @@ def analyze(g: CoxeterGraph) -> InvariantProfile:
     )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Mod-2 rank trajectory along the vertex-appending family."""
 
     trajectory: tuple[tuple[int, int], ...]

@@ -16,13 +16,13 @@ The generator families are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import neg
+from typing import NamedTuple
 
 from .chains import CycleBasis, fundamental_cycle_basis
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, is_even
-from .invariants import InvariantProfile, analyze
+from .invariants import InvariantProfile, _leading_fields, analyze
 
 FLAVORS = ("artin", "coxeter")
 
@@ -67,14 +67,6 @@ def _spell(a: int, b: int, m: int) -> tuple[int, ...]:
     return ((a, b) * k)[:m] + ((-b, -a) * k)[:m] if m % 2 else (a, b) * k + (-a, -b) * k
 
 
-def abelianize(w: tuple[int, ...], rank: int) -> tuple[int, ...]:
-    """Signed letter counts as a vector over the first ``rank`` vertices."""
-    counts = [0] * rank
-    for a in w:
-        counts[abs(a) - 1] += 1 if a > 0 else -1
-    return tuple(counts)
-
-
 def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
     """Exact commutator-subgroup test in a free group: zero abelianization,
     that is, each letter occurs as often as its inverse, so negating every
@@ -84,17 +76,19 @@ def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
     return ordered == list(map(neg, reversed(ordered)))
 
 
-@dataclass(frozen=True)
-class OmegaSets:
+class OmegaSets(NamedTuple):
     """Generator words for the second homology, one family per mechanism,
-    with the profile and cycle basis they were built from."""
+    and, left out of ==, hash and repr, the profile and cycle basis they
+    were built from."""
 
     flavor: str
     omega1: tuple[tuple[int, ...], ...]
     omega2: tuple[tuple[int, ...], ...]
     omega3: tuple[tuple[int, ...], ...]
-    profile: InvariantProfile = field(compare=False, repr=False)
-    basis: CycleBasis = field(compare=False, repr=False)
+    profile: InvariantProfile
+    basis: CycleBasis
+
+    __eq__, __ne__, __hash__, __repr__ = _leading_fields(4)
 
     @property
     def total(self) -> int:

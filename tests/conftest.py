@@ -6,7 +6,6 @@ import random
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, CoxeterGraph, Label, build_graph
 from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
-from coxhom.words import abelianize
 
 # Label 2 weighted 20: mostly commuting pairs, so graphs split into many pair classes.
 SPARSE_WEIGHTS = (20.0,) + DEFAULT_WEIGHTS[1:]
@@ -98,6 +97,14 @@ def alternating_word(s: int, t: int, m: int) -> tuple[int, ...]:
     """The length-m word s t s t ... over vertex indices s != t: the
     reference for relator's closed form."""
     return ((s + 1, t + 1) * ((m + 1) // 2))[:m]
+
+
+def abelianize(w: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """Signed letter counts as a vector over the first ``rank`` vertices."""
+    counts = [0] * rank
+    for a in w:
+        counts[abs(a) - 1] += 1 if a > 0 else -1
+    return tuple(counts)
 
 
 def power(w: tuple[int, ...], e: int) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import json
 import random
 
 from conftest import (
+    abelianize,
     catalog_sample,
     corpus_graphs,
     dihedral_h2_reference,
@@ -21,7 +22,7 @@ from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze, pair_classes, stability_scan
 from coxhom.oracles import naive_pair_closure, random_coxeter_graph, rational_cycle_rank
-from coxhom.words import abelianize, in_commutator_subgroup, omega_sets
+from coxhom.words import in_commutator_subgroup, omega_sets
 
 
 def _report(number: int, text: str) -> None:

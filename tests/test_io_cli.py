@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -235,7 +236,7 @@ def test_render_json_bytes_on_catalog_and_corpus():
     assert '"omega1": [],' in text and '"omega3": [],' in text  # a graph with no words
     # the flag is computed per word, not assumed: a word off the commutator subgroup reads false
     g = from_catalog("~A2")
-    omegas = dataclasses.replace(omega_sets(g, "artin"), omega2=((1, 2, 1), (1, -2, -1, 2)))
+    omegas = omega_sets(g, "artin")._replace(omega2=((1, 2, 1), (1, -2, -1, 2)))
     args = (g, omegas.profile, omegas)
     text = render_json(*args)
     assert text == reference_json(*args)
@@ -253,7 +254,7 @@ def test_render_json_bytes_on_large_graphs_and_labels():
         labels = dict(g.labels)
         for pair in rng.sample(sorted(labels), 8):
             labels[pair] = rng.choice(huge)
-        big = dataclasses.replace(g, labels=labels)
+        big = g._replace(labels=labels)
         _assert_renders_as_the_reference(big, (None,))  # too long to spell as words
 
 
@@ -483,11 +484,11 @@ def test_cli_exits_3_when_a_count_is_off_by_one(command, message, monkeypatch, c
 
     def off_profile(g):  # n1 one too high breaks -n1 + n2 + n3 + n4 = p + q
         profile = real_analyze(g)
-        return dataclasses.replace(profile, n1=profile.n1 + 1)
+        return profile._replace(n1=profile.n1 + 1)
 
     def off_words(g, flavor):  # one omega2 word more than p + q
         omegas = real_omega_sets(g, flavor)
-        return dataclasses.replace(omegas, omega2=omegas.omega2 + ((1, 2, -1, -2),))
+        return omegas._replace(omega2=omegas.omega2 + ((1, 2, -1, -2),))
 
     monkeypatch.setattr(cli, "analyze", off_profile)
     monkeypatch.setattr(cli, "omega_sets", off_words)
@@ -502,7 +503,7 @@ def test_check_fails_only_the_reducedness_row_on_an_unreduced_word(monkeypatch, 
 
     def unreduced(g, flavor):
         # zero abelianization and the triangle's counts, but 2 next to -2
-        return dataclasses.replace(real_omega_sets(g, flavor), omega3=((1, 2, -2, -1),))
+        return real_omega_sets(g, flavor)._replace(omega3=((1, 2, -2, -1),))
 
     monkeypatch.setattr(oracles, "omega_sets", unreduced)
     rows = oracles.consistency_report(from_catalog("~A2"))
@@ -789,6 +790,20 @@ def test_cli_reuses_one_parser_and_keeps_its_bytes(capsys):
         for _ in range(2):
             assert main(argv) == 0
             assert capsys.readouterr() == expected
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
+    # pulls in decimal: together about two thirds of a command's start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; before = set(sys.modules); import coxhom.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src)
+    added = set(run.stdout.split())
+    assert "coxhom.cli" in added
+    assert not {"dataclasses", "fractions", "decimal", "inspect"} & added
 
 
 def test_cli_catalog_list(capsys):

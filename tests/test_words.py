@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import SPARSE_WEIGHTS, alternating_word, corpus_graphs, free_reduce, inverse, permuted_copy, power
+from conftest import SPARSE_WEIGHTS, abelianize, alternating_word, corpus_graphs, free_reduce, inverse, permuted_copy, power
 from coxhom.chains import fundamental_cycle_basis
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
@@ -17,7 +17,6 @@ from coxhom.words import (
     MAX_SPELLED_LABEL,
     _extend_reduced,
     _spell,
-    abelianize,
     in_commutator_subgroup,
     omega_sets,
     relator,
