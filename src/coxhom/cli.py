@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .errors import ECHO_LIMIT, CoxhomError, echo
 from .graph import CoxeterGraph, catalog_grammar, from_catalog
@@ -41,7 +40,8 @@ def _cut_long_tokens(message: str, argv: list[str]) -> str:
 
 
 @functools.cache  # built at first use and reused: a parse keeps no state in the parser
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top parser and each command's own parser, by command name."""
     parser = _Parser(prog="coxhom", description="Homology invariants of Artin and Coxeter groups from Coxeter graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -69,13 +69,14 @@ def _build_parser() -> _Parser:
 
     catalog = sub.add_parser("catalog", help="catalog utilities")
     catalog.add_argument("action", choices=("list",))
-    return parser
+    return parser, sub.choices
 
 
 def _read_graph_file(path: str) -> CoxeterGraph:
     """Parse a graph file; a leading BOM is skipped, undecodable bytes are an input error."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as handle:  # not Path(path): Path("") is "."
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise CoxhomError(f"cannot decode {path!r} as UTF-8: {exc.reason} at byte {exc.start}") from None
     return parse_graph(text)
@@ -195,11 +196,20 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A named command's own parser reads the rest once; through the top
+        # parser its subcommand action would parse it a second time.  Every
+        # other argv (none, an unknown command, -h) is the top parser's.
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except _UsageError as exc:
-        message = _cut_long_tokens(str(exc), sys.argv[1:] if argv is None else argv)
+        message = _cut_long_tokens(str(exc), argv)
         print(f"usage error: {message}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help

@@ -78,14 +78,6 @@ class CoxeterGraph(NamedTuple):
     vertices: tuple[str, ...]
     labels: dict[tuple[int, int], Label]
 
-    def label_ix(self, i: int, j: int) -> Label:
-        """Label by vertex index, with the implicit diagonal and default 2."""
-        if i == j:
-            return 1
-        if i > j:
-            i, j = j, i
-        return self.labels.get((i, j), 2)
-
 
 class PlainGraph(NamedTuple):
     """Unlabeled graph whose edges join vertex indices.

@@ -57,6 +57,15 @@ def unread_slot_graph() -> CoxeterGraph:
                                                      ("v3", "v6", 4), ("v0", "v2", 3)])
 
 
+def label_ix(g: CoxeterGraph, i: int, j: int) -> Label:
+    """Label by vertex index, with the implicit diagonal and default 2."""
+    if i == j:
+        return 1
+    if i > j:
+        i, j = j, i
+    return g.labels.get((i, j), 2)
+
+
 def listed(partition):
     """A partition's ``(classes, torsion_flags)``, the shape in which
     ``naive_pair_closure`` returns its own."""

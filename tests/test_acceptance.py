@@ -13,6 +13,7 @@ from conftest import (
     dihedral_h2_reference,
     free_reduce,
     incidence_masks,
+    label_ix,
     listed,
     permuted_copy,
     power,
@@ -140,7 +141,7 @@ def _relator_exponents(g, word):
         exponents = [0] * len(pg.edges)
         for k, coefficient in cycle:
             i, j = pg.edges[k]
-            parts.extend(power(relator(i, j, g.label_ix(i, j)), coefficient))
+            parts.extend(power(relator(i, j, label_ix(g, i, j)), coefficient))
             exponents[k] = coefficient
         if free_reduce(parts) == word:
             return exponents

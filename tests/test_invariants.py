@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, listed, permuted_copy, unread_slot_graph
+from conftest import SPARSE_WEIGHTS, corpus_graphs, label_ix, listed, permuted_copy, unread_slot_graph
 import coxhom.invariants
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, build_graph, from_catalog, is_even, is_odd
@@ -53,7 +53,7 @@ def test_pair_classes_blocks_cover_pairs_exactly():
     for g in corpus_graphs(60):
         partition = pair_classes(g)
         n = len(g.vertices)
-        commuting = [(i, j) for i in range(n) for j in range(i + 1, n) if g.label_ix(i, j) == 2]
+        commuting = [(i, j) for i in range(n) for j in range(i + 1, n) if label_ix(g, i, j) == 2]
         flattened = sorted(pair for block in partition.classes for pair in block)
         assert flattened == list(partition.pairs) == commuting
         assert all(list(block) == sorted(block) for block in partition.classes)

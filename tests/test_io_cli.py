@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPARSE_WEIGHTS, catalog_sample, corpus_graphs, free_reduce, reference_json
+from conftest import SPARSE_WEIGHTS, catalog_sample, corpus_graphs, free_reduce, label_ix, reference_json
 from coxhom.cli import _build_parser, _UsageError, main
 from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
@@ -39,7 +39,7 @@ def test_parse_simple_graph():
 def test_parse_comments_blanks_and_inf():
     text = "# a comment\n\nvertex a\nvertex b\n  \nedge a b inf\n"
     g = parse_graph(text)
-    assert g.label_ix(g.vertices.index("a"), g.vertices.index("b")) == INFINITY
+    assert label_ix(g, g.vertices.index("a"), g.vertices.index("b")) == INFINITY
 
 
 def test_parse_self_loop():
@@ -734,6 +734,12 @@ def test_cli_errors_cut_long_tokens_short(case, tmp_path, capsys):
         assert len(captured.err.encode("utf-8")) < 200
 
 
+def _full_parser():
+    """A top parser built apart from main's cached one, which parses a
+    command's arguments through its subcommand action."""
+    return _build_parser.__wrapped__()[0]
+
+
 @pytest.mark.parametrize(
     "argv, token",
     [
@@ -747,7 +753,7 @@ def test_cli_errors_cut_long_tokens_short(case, tmp_path, capsys):
 def test_cli_usage_errors_cut_long_tokens_short(argv, token, capsys):
     # argparse writes these messages; main cuts the echoed token as errors.echo does
     with pytest.raises(_UsageError) as info:
-        _build_parser.__wrapped__().parse_args(argv)
+        _full_parser().parse_args(argv)
     assert token in str(info.value)
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -768,7 +774,7 @@ def test_cli_usage_errors_cut_quoted_tokens_short(capsys):
 
 def test_cli_reuses_one_parser_and_keeps_its_bytes(capsys):
     assert _build_parser() is _build_parser()
-    fresh = _build_parser.__wrapped__
+    fresh = _full_parser
     assert main(["compute", "--type", "A3"]) == 0
     valid = capsys.readouterr()
     for argv in (
@@ -790,6 +796,104 @@ def test_cli_reuses_one_parser_and_keeps_its_bytes(capsys):
         for _ in range(2):
             assert main(argv) == 0
             assert capsys.readouterr() == expected
+
+
+# argv forms main hands to a command's own parser, or to the top parser when
+# argv[0] names no command; the file arguments are never opened here.
+_DISPATCHED = [
+    ["compute", "--json", "--type=A3"],
+    ["generators", "--type=A2", "--flavor=coxeter", "--json"],
+    ["check", "--file=g.txt"],
+    ["stability", "--seed-file=s.txt", "--n-max=4", "--json"],
+    ["compute", "--ty", "A3"],
+    ["generators", "--fl", "coxeter", "--ty", "A2"],
+    ["stability", "--n", "3", "--se", "s.txt"],
+    ["check", "--fi", "g.txt"],
+    ["compute", "--type", "A2", "--type", "A3"],
+    ["generators", "--type", "A2", "--flavor", "coxeter", "--flavor", "artin"],
+    ["stability", "--n-max", "4", "--seed-file", "s.txt"],
+    ["generators", "--json", "--flavor", "coxeter", "--file", "g.txt"],
+    ["catalog", "list"],
+    ["catalog", "--", "list"],
+    ["stability", "--n-max", "-5", "--seed-file", "s.txt"],
+    ["compute", "--type", "A3", "--", "extra"],
+    ["compute", "--", "--type", "A3"],
+    ["catalog", "x"],
+    ["catalog"],
+    ["compute", "--type"],
+    ["compute", "--type", "A2", "--fi", "x"],
+    ["stability", "--n-max", "4"],
+    ["stability", "--n-max", "four", "--seed-file", "s.txt"],
+    ["generators", "--type", "A2", "--flavor=x"],
+    ["check", "--type", "A3", "--json"],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["compute", "-h"],
+    ["stability", "--he"],
+    ["catalog", "list", "-h"],
+    [],
+    ["nonsense"],
+    ["Compute"],
+    ["-x"],
+    ["--", "compute", "--type", "A3"],
+    ["-h", "compute"],
+]
+
+
+def _full_run(argv):
+    """Exit code, stdout, stderr and namespace as main would give them
+    through a fresh top parser."""
+    out, err = io.StringIO(), io.StringIO()
+    args = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = _full_parser().parse_args(argv)
+            code = 0
+        except _UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            code = 1
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.mark.parametrize("argv", _DISPATCHED, ids=" ".join)
+def test_cli_dispatches_what_the_full_parser_parses(argv, monkeypatch, capsys):
+    import coxhom.cli as cli
+
+    dispatched = []
+    for name in ("compute", "generators", "check", "stability", "catalog"):
+        monkeypatch.setitem(cli._COMMANDS, name, lambda args: dispatched.append(args) or 0)
+    code, out, err, args = _full_run(list(argv))
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == (out, err)
+    assert dispatched == ([] if args is None else [args])
+
+
+def test_cli_module_reads_its_arguments_from_sys_argv(capsys):
+    # main() with no argv reads sys.argv, which only a fresh process sets
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "coxhom.cli", *argv], capture_output=True, text=True, cwd=src)
+
+    shown = run("compute", "--json", "--type", "A3")
+    assert main(["compute", "--json", "--type", "A3"]) == 0
+    assert (shown.returncode, shown.stdout, shown.stderr) == (0, capsys.readouterr().out, "")
+    cut = run("generators", "--type", "A2", "--flavor", "x" * 5000)
+    assert (cut.returncode, cut.stdout) == (1, "")
+    assert cut.stderr.startswith("usage error: argument --flavor: invalid choice: ")
+    assert "... (5000 characters)" in cut.stderr and len(cut.stderr) < 200
+    helped = run("--help")
+    assert (helped.returncode, helped.stderr) == (0, "")
+    assert helped.stdout.startswith("usage: coxhom ")
+
+
+@pytest.mark.parametrize("argv", [["compute", "--file", ""], ["stability", "--n-max", "3", "--seed-file", ""]])
+def test_cli_empty_path_is_named_as_given(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():

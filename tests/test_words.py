@@ -7,7 +7,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import SPARSE_WEIGHTS, abelianize, alternating_word, corpus_graphs, free_reduce, inverse, permuted_copy, power
+from conftest import (
+    SPARSE_WEIGHTS,
+    abelianize,
+    alternating_word,
+    corpus_graphs,
+    free_reduce,
+    inverse,
+    label_ix,
+    permuted_copy,
+    power,
+)
 from coxhom.chains import fundamental_cycle_basis
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
@@ -231,7 +241,7 @@ def test_omega_exponent_recovery_on_corpus():
                 parts = []
                 for k, coefficient in cycle:
                     i, j = pg.edges[k]
-                    parts.extend(power(relator(i, j, g.label_ix(i, j)), coefficient))
+                    parts.extend(power(relator(i, j, label_ix(g, i, j)), coefficient))
                 assert word == free_reduce(parts)
 
 
@@ -243,7 +253,7 @@ def _omega3_by_full_reduction(g):
         parts = []
         for k, coefficient in cycle:
             i, j = pg.edges[k]
-            parts.extend(power(relator(i, j, g.label_ix(i, j)), coefficient))
+            parts.extend(power(relator(i, j, label_ix(g, i, j)), coefficient))
         words.append(free_reduce(parts))
     return tuple(words)
 
