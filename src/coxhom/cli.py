@@ -170,6 +170,9 @@ def _cmd_stability(args) -> int:
     except CoxhomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if not report.stable:
+        print("internal error: step 4's rank differs from step 3's", file=sys.stderr)
+        return 3
     if args.json:
         sys.stdout.write(render_stability(report))
         return 0

@@ -349,35 +349,33 @@ def analyze(g: CoxeterGraph) -> InvariantProfile:
 
 
 class StabilityReport(NamedTuple):
-    """Mod-2 rank trajectory along the vertex-appending family."""
+    """The ranks p+q of the family's steps 1..n_max, and whether step 4's
+    equals step 3's, as ``stability_scan``'s lemma says it must."""
 
     trajectory: tuple[tuple[int, int], ...]
     stable: bool
 
 
-# Largest n_max a stability scan accepts, and the most vertices its last
-# graph, of seed vertices + n_max - 1, may have.  Its pair union-find holds a
-# slot for every pair of that graph, so a scan's memory follows the last
-# graph, not n_max alone.  A vertex costs one copy of row y in C plus a step
-# per birth below y and per shared slot above it, y its highest odd
-# neighbour.  Past the first, an appended vertex has one birth below y and
-# nothing above it, so the 2000-step scan from a one-vertex seed takes
-# 0.2-0.3 s as a whole process; a seed vertex can cost up to a step per
-# vertex of its row for each odd neighbour.
+# Largest n_max a stability scan accepts, and the most vertices of its last
+# graph (seed vertices + n_max - 1).  It bounds the size of the output only.
 MAX_SCAN_STEPS = 2000
 
 
 def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
-    """Ranks p+q of the family seed = G1, G2, ... up to ``n_max`` steps.
+    """Ranks p+q of the family seed = G1, G2, ... up to ``n_max`` steps, each
+    step appending a vertex joined to the last one by a 3-edge.
 
-    ``stable`` is true when the rank is constant from step 3 on, the dimension
-    consequence of the stability isomorphisms.
+    Lemma: the rank is constant from step 3 on.  Let v >= n+2 be appended, n
+    the seed's vertex count.  v adds no pair class: {x,v} ~ {x,v-1} for
+    x <= v-3, as x commutes with both, and {v-2,v} ~ {v-3,v}, as v-3 -- v-2
+    is a 3-edge.  It joins none: a relation between two new pairs maps onto
+    one between their old pairs, as the only odd neighbour of v-2 other than
+    v-1 is v-3.  q2 and q3 do not change: v adds one vertex and one odd edge
+    to an odd component.
 
-    The scan grows the seed with ``pair_classes``' engine and then feeds it
-    each appended vertex, whose only label is a 3-edge to the vertex before
-    it; it builds no graph.  The rank is n3 + q2 + q3 (p + q1 = n3), so no
-    torsion is tracked, and q2 and q3 are the seed's: an appended vertex adds
-    one vertex and one odd edge to an odd component, which changes neither.
+    So only the seed and three appended vertices, steps 1-4, are grown with
+    ``pair_classes``' engine; step 4's rank n3 + q2 + q3 is repeated up to
+    n_max.  ``stable`` is step 4's rank == step 3's, false on a wrong engine.
     """
     if not seed.vertices:
         raise CoxhomError("stability scan needs a nonempty seed")
@@ -389,8 +387,7 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     if n + n_max - 1 > MAX_SCAN_STEPS:
         raise CoxhomError(f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got {n} + {n_max} - 1")
     _, q2, q3, _ = _ranks(seed)
-    lowers = _lowers(seed) + [((v - 1, 3),) for v in range(n, n + n_max - 1)]
-    classes = _grow(lowers)[0][n - 1:]
-    trajectory = tuple((step, n3 + q2 + q3) for step, n3 in enumerate(classes, 1))
-    tail = [rank for step, rank in trajectory if step >= 3]
-    return StabilityReport(trajectory, all(r == tail[0] for r in tail))
+    classes = _grow(_lowers(seed) + [((v - 1, 3),) for v in range(n, n + 3)])[0][n - 1:]
+    ranks = [n3 + q2 + q3 for n3 in classes]
+    trajectory = tuple(enumerate(ranks + ranks[-1:] * (n_max - 4), 1))
+    return StabilityReport(trajectory, ranks[3] == ranks[2])

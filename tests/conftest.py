@@ -5,6 +5,7 @@ import random
 
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, CoxeterGraph, Label, build_graph
+from coxhom.invariants import analyze
 from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 
 # Label 2 weighted 20: mostly commuting pairs, so graphs split into many pair classes.
@@ -55,6 +56,26 @@ def unread_slot_graph() -> CoxeterGraph:
     row v5."""
     return build_graph([f"v{i}" for i in range(7)], [("v4", "v5", 3), ("v5", "v6", 3), ("v1", "v5", 4),
                                                      ("v3", "v6", 4), ("v0", "v2", 3)])
+
+
+def appended(g: CoxeterGraph) -> CoxeterGraph:
+    """The next graph of the stability family, through build_graph: g with a
+    vertex s<k+1> appended and joined to g's last vertex by a 3-edge."""
+    names = g.vertices + (f"s{len(g.vertices) + 1}",)
+    edges = [(names[i], names[j], m) for (i, j), m in g.labels.items()]
+    return build_graph(names, edges + [(names[-2], names[-1], 3)])
+
+
+def family_ranks(seed: CoxeterGraph, n_max: int,
+                 rank=lambda g: analyze(g).mod2_rank) -> tuple[tuple[int, int], ...]:
+    """The trajectory from the rank of every graph of the family, each built
+    by ``appended``, by default from a full analysis of each."""
+    g, ranks = seed, []
+    for step in range(1, n_max + 1):
+        if step > 1:
+            g = appended(g)
+        ranks.append((step, rank(g)))
+    return tuple(ranks)
 
 
 def label_ix(g: CoxeterGraph, i: int, j: int) -> Label:

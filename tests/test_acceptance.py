@@ -11,6 +11,7 @@ from conftest import (
     catalog_sample,
     corpus_graphs,
     dihedral_h2_reference,
+    family_ranks,
     free_reduce,
     incidence_masks,
     label_ix,
@@ -181,7 +182,9 @@ def test_criterion_09_stability(capsys):
     for seed in seeds:
         report = stability_scan(seed, 12)
         assert report.stable
-        tail = [rank for step, rank in report.trajectory if step >= 3]
+        expected = family_ranks(seed, 12)
+        assert report.trajectory == expected
+        tail = [rank for step, rank in expected if step >= 3]
         assert len(set(tail)) == 1
     with capsys.disabled():
         _report(9, "p+q is constant from step 3 to 12 for 50 random + 3 catalog seeds")

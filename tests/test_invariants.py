@@ -4,13 +4,24 @@ import random
 
 import pytest
 
-from conftest import SPARSE_WEIGHTS, corpus_graphs, label_ix, listed, permuted_copy, unread_slot_graph
+from conftest import (
+    SPARSE_WEIGHTS,
+    appended,
+    corpus_graphs,
+    family_ranks,
+    label_ix,
+    listed,
+    permuted_copy,
+    unread_slot_graph,
+)
 import coxhom.invariants
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, build_graph, from_catalog, is_even, is_odd
 from coxhom.invariants import (
     MAX_SCAN_STEPS,
     AbelianDescriptor,
+    _grow,
+    _lowers,
     analyze,
     pair_classes,
     stability_scan,
@@ -18,6 +29,8 @@ from coxhom.invariants import (
 from coxhom.oracles import DEFAULT_WEIGHTS, naive_pair_closure, random_coxeter_graph
 from coxhom.words import omega_sets
 
+# Labels 3 and 5 drawn 7 times in 16: odd edges at most vertices.
+ODD_HEAVY = (6.0, 4.0, 1.0, 3.0, 1.0, 1.0)
 TRIANGLE = build_graph(["s1", "s2", "s3"], [("s1", "s2", 3), ("s2", "s3", 3), ("s1", "s3", 3)])
 
 
@@ -274,7 +287,9 @@ def test_stability_scan_a1():
 
 def test_stability_scan_i24():
     report = stability_scan(from_catalog("I2(4)"), 6)
-    ranks = [rank for step, rank in report.trajectory if step >= 3]
+    expected = family_ranks(from_catalog("I2(4)"), 6)
+    assert report.trajectory == expected
+    ranks = [rank for step, rank in expected if step >= 3]
     assert len(set(ranks)) == 1
     assert report.stable
 
@@ -301,31 +316,12 @@ def test_stability_scan_is_bounded_by_its_last_graph():
     assert stability_scan(from_catalog("A3"), 8).trajectory[-1][0] == 8
 
 
-def _extend(g):
-    """The next graph of the stability family, through build_graph: g with a
-    vertex s<k+1> appended and joined to g's last vertex by a 3-edge."""
-    names = g.vertices + (f"s{len(g.vertices) + 1}",)
-    edges = [(names[i], names[j], m) for (i, j), m in g.labels.items()]
-    return build_graph(names, edges + [(names[-2], names[-1], 3)])
-
-
 def test_family_extender_reaches_every_a_type():
     g = from_catalog("A1")
     for n in range(2, 8):
-        g = _extend(g)
+        g = appended(g)
         assert g == from_catalog(f"A{n}")
-    assert _extend(from_catalog("I2(4)")).labels == {(0, 1): 4, (1, 2): 3}
-
-
-def _per_step_ranks(seed, n_max, rank=lambda g: analyze(g).mod2_rank):
-    """The trajectory from the rank of every graph of the family, by default
-    from a full analysis of each."""
-    g, ranks = seed, []
-    for step in range(1, n_max + 1):
-        if step > 1:
-            g = _extend(g)
-        ranks.append((step, rank(g)))
-    return tuple(ranks)
+    assert appended(from_catalog("I2(4)")).labels == {(0, 1): 4, (1, 2): 3}
 
 
 def _reference_rank(g):
@@ -354,7 +350,48 @@ def _scan_seeds():
 def test_stability_scan_matches_the_per_step_profile():
     for seed in _scan_seeds():
         n_max = 16 + len(seed.vertices) % 5
-        assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max)
+        assert stability_scan(seed, n_max).trajectory == family_ranks(seed, n_max)
+
+
+def _full_scan(seed, n_max):
+    """The trajectory from one ``_grow`` call over the seed and all n_max - 1
+    appended vertices, each step's count read as it is grown: the scan with
+    no use of its lemma, kept as the lemma's oracle."""
+    n = len(seed.vertices)
+    profile = analyze(seed)
+    counts = _grow(_lowers(seed) + [((v - 1, 3),) for v in range(n, n + n_max - 1)])[0][n - 1:]
+    return tuple((step, n3 + profile.q2 + profile.q3) for step, n3 in enumerate(counts, 1))
+
+
+def test_stability_scan_matches_the_full_scan():
+    # the lemma: once two vertices are appended, p+q stays the same at every
+    # later step of the full scan, which the scan only repeats
+    rng = random.Random(28)
+    seeds = [random_coxeter_graph(rng, rng.randint(1, 40), weights)
+             for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS, ODD_HEAVY) for _ in range(340)]
+    seeds += [from_catalog(name) for name in ("A1", "B2", "I2(4)", "I2(inf)", "~D4", "E8", "H4")]
+    moved = 0
+    for seed in seeds:
+        full = _full_scan(seed, 60)
+        assert len({rank for step, rank in full if step >= 3}) == 1
+        assert stability_scan(seed, 60).trajectory == full
+        moved += len({rank for _, rank in full}) > 1
+    assert moved > 100  # steps 1..3 do move: the comparison is not of constants
+
+
+def test_stability_scan_grows_the_seed_and_three_appended_vertices(monkeypatch):
+    calls = []
+    grow = coxhom.invariants._grow
+
+    def spy(lowers):
+        calls.append(lowers)
+        return grow(lowers)
+
+    monkeypatch.setattr(coxhom.invariants, "_grow", spy)
+    for n_max in (4, MAX_SCAN_STEPS):
+        calls.clear()
+        assert len(stability_scan(from_catalog("A1"), n_max).trajectory) == n_max
+        assert calls == [[[], ((0, 3),), ((1, 3),), ((2, 3),)]]
 
 
 def _scan_shapes(g):
@@ -403,20 +440,19 @@ def test_stability_scan_matches_the_per_step_profile_on_each_update_shape():
     assert "runs" in _scan_shapes(runs)
     assert {"odd neighbours", "between"} <= _scan_shapes(between)
     rng = random.Random(11)
-    odd_heavy = (6.0, 4.0, 1.0, 3.0, 1.0, 1.0)
-    drawn = [random_coxeter_graph(rng, rng.randint(8, 14), odd_heavy) for _ in range(40)]
+    drawn = [random_coxeter_graph(rng, rng.randint(8, 14), ODD_HEAVY) for _ in range(40)]
     drawn = [g for g in drawn if _scan_shapes(g) == {"odd neighbours", "runs", "between"}]
     assert len(drawn) >= 10
     for seed in [runs, between, unread_slot_graph()] + drawn:
         for n_max in (4, 9):
-            assert stability_scan(seed, n_max).trajectory == _per_step_ranks(seed, n_max, _reference_rank)
+            assert stability_scan(seed, n_max).trajectory == family_ranks(seed, n_max, _reference_rank)
 
 
 def test_stability_scan_matches_the_per_step_profile_on_large_seeds():
     rng = random.Random(12)
     for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS, (1.0,) * 6):
         seed = random_coxeter_graph(rng, rng.randint(60, 120), weights)
-        assert stability_scan(seed, 6).trajectory == _per_step_ranks(seed, 6)
+        assert stability_scan(seed, 6).trajectory == family_ranks(seed, 6)
 
 
 def test_stability_scan_updates_for_any_appended_vertex():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SPARSE_WEIGHTS, catalog_sample, corpus_graphs, free_reduce, label_ix, reference_json
+import coxhom.invariants
 from coxhom.cli import _build_parser, _UsageError, main
 from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
@@ -625,6 +626,24 @@ def test_cli_stability(tmp_path, capsys):
     assert doc["verdict"] is True
     assert doc["trajectory"][2] == {"n": 3, "rank": 1}
     assert main(["stability", "--seed-file", str(seed), "--n-max", "3"]) == 1
+
+
+def test_cli_stability_exits_3_when_step_4_differs_from_step_3(tmp_path, capsys, monkeypatch):
+    grow = coxhom.invariants._grow
+
+    def broken(lowers):
+        counts, *arrays = grow(lowers)
+        counts[-1] += 1  # the last vertex grown is step 4's
+        return (counts, *arrays)
+
+    monkeypatch.setattr(coxhom.invariants, "_grow", broken)
+    text = "vertex a\nvertex b\nedge a b 4\n"
+    assert stability_scan(parse_graph(text), 6).stable is False
+    seed = tmp_path / "seed.graph"
+    seed.write_text(text, encoding="utf-8")
+    for flags in ([], ["--json"]):
+        assert main(["stability", "--seed-file", str(seed), "--n-max", "6", *flags]) == 3
+        assert capsys.readouterr() == ("", "internal error: step 4's rank differs from step 3's\n")
 
 
 def test_stability_json_bytes_match_json_dumps(tmp_path, capsys):
