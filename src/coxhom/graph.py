@@ -171,14 +171,12 @@ _CATALOG = {
     "~E": ((6, 8), lambda n: [({6: 1, 7: 0, 8: n - 1}[n], n, 3), *_e(n)], "extended E diagram"),
 }
 _I2_MIN = 3
-# Largest catalog parameter n.  At n = 3000, compute and generators --json
-# take 0.2-0.35 s and 55 MB on every family, most of it the pair classes'
-# slot per vertex pair.  check's pair closure oracle grows as about n**2 on
-# A_n or an edgeless graph (A1000 1.2 s in-process) and n**3 on a dense random
-# one (400 vertices 1.9 s); this limit does not bound it.  A graph file may have
-# MAX_CATALOG_N + 1 vertices, as ~A<MAX_CATALOG_N> has; an edgeless file of
-# that size, whose every pair is a class, takes compute --json about 0.4 s
-# and 190 MB (whole-process runs, shared 2-vCPU host, Python 3.11.7).
+# Largest catalog parameter n.  compute and generators --json hold the pair
+# classes' slot per vertex pair, so their memory grows as n**2.  check's pair
+# closure oracle grows as about n**2 on A_n or an edgeless graph and n**3 on a
+# dense random one; this limit does not bound it.  A graph file may have
+# MAX_CATALOG_N + 1 vertices, as ~A<MAX_CATALOG_N> has.  tests/limits.py
+# holds each command's time budget at these sizes.
 MAX_CATALOG_N = 3000
 
 _I2_RE = re.compile(r"I2\(([0-9]+|inf)\)")

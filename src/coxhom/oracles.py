@@ -1,4 +1,4 @@
-"""Independent oracles backing the test suite and `check`, and a random graph generator.
+"""Independent oracles backing the test suite and `check`.
 
 Each oracle reimplements a quantity by a structurally different route: pair
 classes as the components of the direct relation built from its definition,
@@ -10,16 +10,12 @@ also reads Howlett's n3 and n4 from these two oracles, not from the profile.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 
 from .chains import boundary, gf2_rank, mod2_reduce
-from .errors import CoxhomError
-from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, build_graph, is_odd
+from .graph import CoxeterGraph, PlainGraph, is_odd
 from .invariants import Pair
 from .words import in_commutator_subgroup, omega_sets
-
-LABEL_SUPPORT: tuple[Label, ...] = (2, 3, 4, 5, 6, INFINITY)
 
 
 def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], tuple[bool, ...]]:
@@ -108,26 +104,6 @@ def rational_cycle_rank(pg: PlainGraph) -> int:
                 else:
                     del row[c]
     return len(pg.edges) - rank
-
-
-DEFAULT_WEIGHTS: tuple[float, ...] = (3.0, 3.0, 1.0, 1.0, 1.0, 1.0)
-
-
-def random_coxeter_graph(
-    rng: random.Random, n: int, weights: tuple[float, ...] = DEFAULT_WEIGHTS
-) -> CoxeterGraph:
-    """Graph on v1..vn whose pair labels are drawn from ``rng`` in pair order,
-    each from LABEL_SUPPORT with the given weights; equal draws give equal graphs."""
-    if n < 1:
-        raise CoxhomError(f"vertex count must be >= 1, got {n}")
-    if len(weights) != len(LABEL_SUPPORT):
-        raise CoxhomError(f"need {len(LABEL_SUPPORT)} weights, one per label in {LABEL_SUPPORT}")
-    if min(weights) < 0 or sum(weights) <= 0:
-        raise CoxhomError("weights must be nonnegative with positive sum")
-    names = [f"v{i}" for i in range(1, n + 1)]
-    edges = [(names[i], names[j], rng.choices(LABEL_SUPPORT, weights=weights)[0])
-             for i in range(n) for j in range(i + 1, n)]
-    return build_graph(names, edges)
 
 
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:

@@ -6,10 +6,28 @@ import random
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, CoxeterGraph, Label, build_graph
 from coxhom.invariants import analyze
-from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 
+LABEL_SUPPORT: tuple[Label, ...] = (2, 3, 4, 5, 6, INFINITY)
+DEFAULT_WEIGHTS: tuple[float, ...] = (3.0, 3.0, 1.0, 1.0, 1.0, 1.0)
 # Label 2 weighted 20: mostly commuting pairs, so graphs split into many pair classes.
 SPARSE_WEIGHTS = (20.0,) + DEFAULT_WEIGHTS[1:]
+
+
+def random_coxeter_graph(
+    rng: random.Random, n: int, weights: tuple[float, ...] = DEFAULT_WEIGHTS
+) -> CoxeterGraph:
+    """Graph on v1..vn whose pair labels are drawn from ``rng`` in pair order,
+    each from LABEL_SUPPORT with the given weights; equal draws give equal graphs."""
+    if n < 1:
+        raise CoxhomError(f"vertex count must be >= 1, got {n}")
+    if len(weights) != len(LABEL_SUPPORT):
+        raise CoxhomError(f"need {len(LABEL_SUPPORT)} weights, one per label in {LABEL_SUPPORT}")
+    if min(weights) < 0 or sum(weights) <= 0:
+        raise CoxhomError("weights must be nonnegative with positive sum")
+    names = [f"v{i}" for i in range(1, n + 1)]
+    edges = [(names[i], names[j], rng.choices(LABEL_SUPPORT, weights=weights)[0])
+             for i in range(n) for j in range(i + 1, n)]
+    return build_graph(names, edges)
 
 
 def corpus_graphs(count: int, max_vertices: int = 8, base_seed: int = 0) -> list[CoxeterGraph]:

@@ -18,12 +18,13 @@ from conftest import (
     listed,
     permuted_copy,
     power,
+    random_coxeter_graph,
 )
 from coxhom.chains import boundary, fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze, pair_classes, stability_scan
-from coxhom.oracles import naive_pair_closure, random_coxeter_graph, rational_cycle_rank
+from coxhom.oracles import naive_pair_closure, rational_cycle_rank
 from coxhom.words import in_commutator_subgroup, omega_sets
 
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 
-from conftest import corpus_graphs
+from conftest import corpus_graphs, random_coxeter_graph
 from coxhom.chains import (
     boundary,
     fundamental_cycle_basis,
@@ -11,7 +11,7 @@ from coxhom.chains import (
 )
 from coxhom.graph import PlainGraph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze
-from coxhom.oracles import random_coxeter_graph, rational_cycle_rank
+from coxhom.oracles import rational_cycle_rank
 
 EDGE = PlainGraph(("a", "b"), ((0, 1),))
 TRIANGLE = PlainGraph(("a", "b", "c"), ((0, 1), (0, 2), (1, 2)))

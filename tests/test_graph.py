@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SPARSE_WEIGHTS, catalog_sample, corpus_graphs, label_ix
+from conftest import LABEL_SUPPORT, SPARSE_WEIGHTS, catalog_sample, corpus_graphs, label_ix, random_coxeter_graph
 from coxhom.cli import main
 from coxhom.errors import ECHO_LIMIT, CoxhomError
 from coxhom.graph import (
@@ -21,7 +21,6 @@ from coxhom.graph import (
     odd_subgraph,
 )
 from coxhom.io import parse_graph, render_graph
-from coxhom.oracles import LABEL_SUPPORT, random_coxeter_graph
 
 
 def test_build_graph_stores_labels():

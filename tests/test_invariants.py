@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import (
+    DEFAULT_WEIGHTS,
     SPARSE_WEIGHTS,
     appended,
     corpus_graphs,
@@ -12,6 +13,7 @@ from conftest import (
     label_ix,
     listed,
     permuted_copy,
+    random_coxeter_graph,
     unread_slot_graph,
 )
 import coxhom.invariants
@@ -26,7 +28,7 @@ from coxhom.invariants import (
     pair_classes,
     stability_scan,
 )
-from coxhom.oracles import DEFAULT_WEIGHTS, naive_pair_closure, random_coxeter_graph
+from coxhom.oracles import naive_pair_closure
 from coxhom.words import omega_sets
 
 # Labels 3 and 5 drawn 7 times in 16: odd edges at most vertices.

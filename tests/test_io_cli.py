@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPARSE_WEIGHTS, catalog_sample, corpus_graphs, free_reduce, label_ix, reference_json
+from conftest import (DEFAULT_WEIGHTS, SPARSE_WEIGHTS, catalog_sample, corpus_graphs, free_reduce, label_ix,
+                      random_coxeter_graph, reference_json)
+import limits
 import coxhom.invariants
 from coxhom.cli import _build_parser, _UsageError, main
 from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
 from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
-from coxhom.invariants import MAX_SCAN_STEPS, StabilityReport, analyze, stability_scan
+from coxhom.invariants import StabilityReport, analyze, stability_scan
 from coxhom.io import (
     parse_graph,
     render_graph,
@@ -27,7 +29,6 @@ from coxhom.io import (
     render_stability,
     word_texts,
 )
-from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 from coxhom.words import MAX_SPELLED_LABEL, omega_sets
 
 
@@ -661,55 +662,26 @@ def test_stability_json_bytes_match_json_dumps(tmp_path, capsys):
         assert render_stability(report) == dumped(report)
 
 
-@pytest.mark.parametrize("argv, code, message", [
-    (["stability", "--n-max", str(10**9)], 1, f"n_max must be <= {MAX_SCAN_STEPS}, got {10**9}"),
-    (["compute", "--type", "A999999999999"], 2, f"A999999999999: parameter above the limit n <= {MAX_CATALOG_N}"),
-    (["generators", "--type", "~D100000000000"], 2,
-     f"~D100000000000: parameter above the limit n <= {MAX_CATALOG_N}"),
-    (["compute", "--type", f"I2({'9' * 5000})"], 2, "label has 5000 digits, above the limit of 4300"),
-    (["compute", "--file"], 2, "line 3: label has 5000 digits, above the limit of 4300"),    (["stability", "--n-max", str(MAX_SCAN_STEPS - 1)], 1,
-     f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got 3 + {MAX_SCAN_STEPS - 1} - 1"),
-])
-def test_cli_refuses_sizes_above_the_limits(argv, code, message, tmp_path, capsys):
-    if argv[0] == "stability":
-        seed = tmp_path / "seed.graph"
-        seed.write_text("vertex a\nvertex b\nvertex c\nedge a b 3\n", encoding="utf-8")
-        argv = [*argv, "--seed-file", str(seed)]
-    if argv[-1] == "--file":
-        path = tmp_path / "huge.graph"
-        path.write_text(f"vertex a\nvertex b\nedge a b {'9' * 5000}\n", encoding="utf-8")
-        argv = [*argv, str(path)]
+@pytest.mark.parametrize("row", [row for row in limits.ROWS if row.code], ids=str)
+def test_cli_refuses_sizes_above_the_limits(row, tmp_path, capsys):
+    argv = row.argv(limits.write_inputs([row], tmp_path))
     tracemalloc.start()
     try:
-        assert main(argv) == code
+        assert main(argv) == row.code
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000  # refused before any table of that size was built
+    assert peak < 2_000_000  # refused before any table of that size was built, a graph file while parsing
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == row.stderr
     assert len(captured.err) < 200
 
 
-def test_cli_refuses_a_graph_file_above_the_largest_catalog_diagram(tmp_path, capsys):
-    limit = MAX_CATALOG_N + 1  # the vertex count of ~A<MAX_CATALOG_N>
-    text = "# edgeless\n" + "".join(f"vertex v{k}\n" for k in range(limit + 1))
-    with pytest.raises(GraphSyntaxError) as info:  # first, as a graph this size takes a minute and gigabytes
-        parse_graph(text)
-    assert info.value.line == limit + 2
-    path = tmp_path / "edgeless.graph"
-    path.write_text(text, encoding="utf-8")
-    for command in (["compute", "--json", "--file"], ["stability", "--n-max", "4", "--seed-file"]):
-        tracemalloc.start()
-        try:
-            assert main([*command, str(path)]) == 2
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000  # refused while parsing, before build_graph ran
-        assert capsys.readouterr() == (
-            "", f"error: line {limit + 2}: vertex {limit + 1} is above the limit of {limit} vertices\n")
+def test_limits_runner_exits_1_at_a_row_off_its_exit_code_or_budget():
+    assert limits.run([limits.Row("catalog list", 10)]) == 0
+    assert limits.run([limits.Row("catalog list", 10, 1)]) == 1
+    assert limits.run([limits.Row("check --type A1000", 0.01)]) == 1
 
 
 def test_cli_reads_a_file_of_the_largest_catalog_diagram(tmp_path, capsys):

@@ -5,26 +5,22 @@ import random
 import pytest
 
 from conftest import (
+    DEFAULT_WEIGHTS,
+    LABEL_SUPPORT,
     SPARSE_WEIGHTS,
     corpus_graphs,
     dihedral_h2_reference,
     incidence_masks,
     listed,
     permuted_copy,
+    random_coxeter_graph,
     unread_slot_graph,
 )
 from coxhom.chains import fundamental_cycle_basis, gf2_rank, mod2_reduce
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze, pair_classes
-from coxhom.oracles import (
-    DEFAULT_WEIGHTS,
-    LABEL_SUPPORT,
-    consistency_report,
-    naive_pair_closure,
-    random_coxeter_graph,
-    rational_cycle_rank,
-)
+from coxhom.oracles import consistency_report, naive_pair_closure, rational_cycle_rank
 
 K4 = PlainGraph(("a", "b", "c", "d"), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 

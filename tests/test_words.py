@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
+    DEFAULT_WEIGHTS,
     SPARSE_WEIGHTS,
     abelianize,
     alternating_word,
@@ -17,12 +18,12 @@ from conftest import (
     label_ix,
     permuted_copy,
     power,
+    random_coxeter_graph,
 )
 from coxhom.chains import fundamental_cycle_basis
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze
-from coxhom.oracles import DEFAULT_WEIGHTS, random_coxeter_graph
 from coxhom.words import (
     MAX_SPELLED_LABEL,
     _extend_reduced,
