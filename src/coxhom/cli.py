@@ -15,7 +15,6 @@ from .errors import ECHO_LIMIT, CoxhomError, echo
 from .graph import CoxeterGraph, catalog_grammar, from_catalog
 from .invariants import analyze, stability_scan
 from .io import parse_graph, render_json, render_stability, word_texts
-from .oracles import consistency_report
 from .words import FLAVORS, in_commutator_subgroup, omega_sets
 
 
@@ -152,6 +151,8 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .oracles import consistency_report  # only check needs the oracles
+
     g = _load_graph(args)
     rows = consistency_report(g)
     failures = 0

@@ -107,7 +107,6 @@ def build_graph(
             raise CoxhomError(f"vertex {echo(name)} declared twice")
         index[name] = len(index)
     labels: dict[tuple[int, int], Label] = {}
-    checked: dict[tuple[type, Label], Label] = {}  # typed, as 3.0 == 3 and True == 1 are refused
     for u, v, m in edges:
         i = index.get(u)
         if i is None:
@@ -117,21 +116,14 @@ def build_graph(
             raise CoxhomError(f"unknown vertex {echo(v)}")
         if i == j:
             raise CoxhomError(f"self-loop at {echo(u)}")
-        key = type(m), m
-        try:
-            m = checked[key]
-        except KeyError:
-            m = checked[key] = _check_label(m)
-        except TypeError:  # an unhashable label is checked without the memo
+        if not (type(m) is int and 2 <= m < _LABEL_BOUND):  # a type test: 3.0 == 3 and True == 1 are refused
             m = _check_label(m)
-        i, j = (i, j) if i < j else (j, i)
-        seen = labels.get((i, j))
-        if seen is not None and seen != m:
+        seen = labels.setdefault((i, j) if i < j else (j, i), m)
+        if seen != m:
             raise CoxhomError(
                 f"pair ({echo(u)}, {echo(v)}) listed with labels "
                 f"{echo(str(seen), False)} and {echo(str(m), False)}"
             )
-        labels[(i, j)] = m
     labels = {pair: m for pair, m in sorted(labels.items()) if m != 2}
     return CoxeterGraph(tuple(index), labels)
 

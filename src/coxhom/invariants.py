@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import CoxhomError
-from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, is_even, is_odd, odd_subgraph
+from .graph import INFINITY, CoxeterGraph, PlainGraph, odd_subgraph
 
 Pair = tuple[int, int]
 
@@ -25,12 +25,13 @@ class PairPartition:
 
     ``n3`` counts the classes and ``p`` the torsion ones, those with a pair
     whose vertices have a common neighbour with both labels exactly 3.  The
-    other fields are ``pair_classes``' union-find: ``slots``, ``births`` and
-    ``noncommuting`` as ``_grow`` returns them, and ``torsion``, the roots
-    of the torsion classes.  The classes are listed only when read, ordered
-    by their lexicographically smallest pair, ``least[k]``, each internally
-    sorted; ``torsion_flags[k]`` tells whether class k is torsion.  A
-    partition is treated as immutable, and compares by identity.
+    other fields are ``pair_classes``' union-find: ``slots`` and ``births``
+    as ``_grow`` returns them, ``noncommuting`` as ``_read_labels`` does,
+    and ``torsion``, the roots of the torsion classes.  The classes are
+    listed only when read, ordered by their lexicographically smallest pair,
+    ``least[k]``, each internally sorted; ``torsion_flags[k]`` tells whether
+    class k is torsion.  A partition is treated as immutable, and compares
+    by identity.
     """
 
     def __init__(self, n3: int, p: int, slots: list[int], births: list[int],
@@ -177,24 +178,44 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _lowers(g: CoxeterGraph) -> list[list[tuple[int, Label]]]:
-    """Each vertex v's labels (x, m) to the vertices x < v, x increasing."""
-    lowers: list[list[tuple[int, Label]]] = [[] for _ in g.vertices]
-    for (x, v), m in g.labels.items():
-        lowers[v].append((x, m))
-    return lowers
+def _read_labels(g: CoxeterGraph) -> tuple[list[int], list[list[int]], list[int], int, int]:
+    """What the engine and the profile read of g's labels, in one pass:
+    ``(noncommuting, odd, threes, q2, n2)``.
+
+    Bit x of ``noncommuting[v]`` is set when m(x, v) != 2 or x == v;
+    ``odd[v]`` lists v's odd neighbours x < v, increasing; bit x of
+    ``threes[v]`` is set when m(x, v) == 3; q2 counts the even labels and
+    n2 the finite ones.
+    """
+    n = len(g.vertices)
+    noncommuting = [1 << v for v in range(n)]
+    odd: list[list[int]] = [[] for _ in range(n)]
+    threes = [0] * n
+    q2 = infinite = 0
+    for (x, v), m in g.labels.items():  # in pair order, so each odd[v] increases
+        noncommuting[x] |= 1 << v
+        noncommuting[v] |= 1 << x
+        if m == INFINITY:
+            infinite += 1
+        elif m % 2:
+            odd[v].append(x)
+            if m == 3:
+                threes[x] |= 1 << v
+                threes[v] |= 1 << x
+        else:
+            q2 += 1
+    return noncommuting, odd, threes, q2, len(g.labels) - infinite
 
 
-def _grow(lowers: Iterable[Iterable[tuple[int, Label]]]) -> tuple[list[int], list[int], list[int], list[int]]:
+def _grow(noncommuting: list[int], odd_lowers: Iterable[list[int]]) -> tuple[list[int], list[int], list[int]]:
     """Add vertices 0, 1, ... one at a time and return the lists ``(counts,
-    slots, noncommuting, births)``, filled as the graph grows.
+    slots, births)``, filled as the graph grows.
 
-    ``lowers`` gives each new vertex v's labels (x, m) to the vertices below
-    it, x increasing.  ``counts[v]`` is the number of pair classes once v is
-    added; ``slots`` is a union-find over the pairs, {x,v} with x < v at slot
-    v*(v-1)//2 + x (non-commuting ones never read); bit x of
-    ``noncommuting[v]`` is set when m(x, v) != 2 or x == v; ``births[v]`` is
-    the mask of the x whose slot {x,v} started a class of its own.
+    The inputs are ``_read_labels``' first two lists, and neither is
+    changed.  ``counts[v]`` is the number of pair classes once v is added;
+    ``slots`` is a union-find over the pairs, {x,v} with x < v at slot
+    v*(v-1)//2 + x (non-commuting ones never read); ``births[v]`` is the
+    mask of the x whose slot {x,v} started a class of its own.
 
     Pairs {a,x} and {a,y} are directly related when {x,y} has a finite odd
     label.  v's commuting set below it is a bit mask, its row.  Let y be v's
@@ -217,19 +238,11 @@ def _grow(lowers: Iterable[Iterable[tuple[int, Label]]]) -> tuple[list[int], lis
     """
     counts: list[int] = []
     slots: list[int] = []
-    noncommuting: list[int] = []
     births: list[int] = []
-    odd_neighbours: list[list[int]] = []
+    odd_neighbours: list[list[int]] = []  # each vertex's, up to the latest added
     has_odd = classes = 0  # has_odd: the vertices with an odd neighbour
-    for v, lower in enumerate(lowers):
-        mask, odd = 1 << v, []
-        for x, m in lower:
-            mask |= 1 << x
-            noncommuting[x] |= 1 << v
-            if is_odd(m):
-                odd.append(x)
-        noncommuting.append(mask)
-        row = ((1 << v) - 1) & ~mask
+    for v, odd in enumerate(odd_lowers):
+        row = ((1 << v) - 1) & ~noncommuting[v]
         base = len(slots)  # the slot of {x,v} is base + x
         shared = y = 0
         if odd:
@@ -264,13 +277,14 @@ def _grow(lowers: Iterable[Iterable[tuple[int, Label]]]) -> tuple[list[int], lis
         for x in odd:
             odd_neighbours[x].append(v)
             has_odd |= 1 << x | 1 << v
-        odd_neighbours.append(odd)
+        odd_neighbours.append(odd[:])
         counts.append(classes)
-    return counts, slots, noncommuting, births
+    return counts, slots, births
 
 
-def pair_classes(g: CoxeterGraph) -> PairPartition:
-    """Partition of the commuting pairs under the odd-label relation.
+def pair_classes(g: CoxeterGraph, labels: Optional[tuple] = None) -> PairPartition:
+    """Partition of the commuting pairs under the odd-label relation;
+    ``labels`` is ``_read_labels(g)``, read here when not given.
 
     The classes are counted by growing g vertex by vertex (``_grow``).  A
     class is torsion when one of its pairs {a,x} has a common 3-neighbour w,
@@ -278,16 +292,11 @@ def pair_classes(g: CoxeterGraph) -> PairPartition:
     every class is marked.  The partition keeps the union-find and lists
     the least pairs, flags and member pairs only when they are read.
     """
-    n = len(g.vertices)
-    counts, slots, noncommuting, births = _grow(_lowers(g))
+    noncommuting, odd, threes, _, _ = labels or _read_labels(g)
+    counts, slots, births = _grow(noncommuting, odd)
     n3 = counts[-1] if counts else 0
-    threes = [0] * n
-    for (s, t), m in g.labels.items():
-        if m == 3:
-            threes[s] |= 1 << t
-            threes[t] |= 1 << s
     torsion = set()  # the roots of the torsion classes
-    for a in range(n):
+    for a in range(len(g.vertices)):
         if len(torsion) == n3:
             break
         witnessed = 0  # the vertices sharing a 3-neighbour with a
@@ -314,20 +323,20 @@ def _components(n: int, edges: Iterable[Pair]) -> int:
     return components
 
 
-def _ranks(g: CoxeterGraph) -> tuple[PlainGraph, int, int, int]:
-    """g's odd subgraph, q2 (the even labels >= 4), and q3 and n4: the odd
-    subgraph's independent cycles and components."""
+def _odd_ranks(g: CoxeterGraph) -> tuple[PlainGraph, int, int]:
+    """g's odd subgraph, and q3 and n4: its independent cycles and components."""
     pg = odd_subgraph(g)
     components = _components(len(g.vertices), pg.edges)
-    q2 = sum(1 for m in g.labels.values() if is_even(m))
-    return pg, q2, len(pg.edges) - len(g.vertices) + components, components
+    return pg, len(pg.edges) - len(g.vertices) + components, components
 
 
 def analyze(g: CoxeterGraph) -> InvariantProfile:
     """The rank profile of g, with the pair partition and odd subgraph it was
     read from, each computed once."""
-    partition = pair_classes(g)
-    pg, q2, q3, n4 = _ranks(g)
+    labels = _read_labels(g)
+    q2, n2 = labels[3:]
+    partition = pair_classes(g, labels)
+    pg, q3, n4 = _odd_ranks(g)
     n, edges = len(g.vertices), len(g.labels)
     # a forest has n - components edges, never more than n: a denser graph
     # is no forest and is not searched
@@ -338,7 +347,7 @@ def analyze(g: CoxeterGraph) -> InvariantProfile:
         q2=q2,
         q3=q3,
         n1=n,
-        n2=sum(1 for m in g.labels.values() if m != INFINITY),
+        n2=n2,
         n3=partition.n3,
         n4=n4,
         odd_equals_gamma=len(pg.edges) == edges,  # every stored label is odd
@@ -386,8 +395,13 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     n = len(seed.vertices)
     if n + n_max - 1 > MAX_SCAN_STEPS:
         raise CoxhomError(f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got {n} + {n_max} - 1")
-    _, q2, q3, _ = _ranks(seed)
-    classes = _grow(_lowers(seed) + [((v - 1, 3),) for v in range(n, n + 3)])[0][n - 1:]
+    noncommuting, odd, _, q2, _ = _read_labels(seed)
+    _, q3, _ = _odd_ranks(seed)
+    for v in range(n, n + 3):  # v - 1 -- v is a 3-edge
+        noncommuting[v - 1] |= 1 << v
+        noncommuting.append(3 << (v - 1))
+        odd.append([v - 1])
+    classes = _grow(noncommuting, odd)[0][n - 1:]
     ranks = [n3 + q2 + q3 for n3 in classes]
     trajectory = tuple(enumerate(ranks + ranks[-1:] * (n_max - 4), 1))
     return StabilityReport(trajectory, ranks[3] == ranks[2])

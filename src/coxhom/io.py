@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote  # how json.dumps quotes every str
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import CoxhomError, GraphSyntaxError, echo
 from .graph import INFINITY, MAX_CATALOG_N, CoxeterGraph, Label, build_graph, read_label
@@ -30,9 +30,9 @@ def parse_graph(text: str) -> CoxeterGraph:
     read: dict[str, Label] = {}  # each distinct label token is read once
     for number, raw in enumerate(lines, start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+        if not tokens:
             continue
-        if tokens[0] == "edge":
+        if tokens[0] == "edge":  # before comments: a file is mostly edge lines
             if len(tokens) != 4:
                 raise GraphSyntaxError("expected `edge <u> <v> <m>`", number)
             label = read.get(tokens[3])
@@ -49,7 +49,7 @@ def parse_graph(text: str) -> CoxeterGraph:
                 limit = MAX_CATALOG_N + 1
                 raise GraphSyntaxError(f"vertex {limit + 1} is above the limit of {limit} vertices", number)
             vertices.append((number, tokens[1]))
-        else:
+        elif not tokens[0].startswith("#"):
             raise GraphSyntaxError(f"unknown directive {echo(tokens[0])}", number)
     current = 0
 
@@ -78,15 +78,15 @@ def render_graph(g: CoxeterGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def word_texts(families, vertices: tuple[str, ...]) -> list[list[str]]:
+def word_texts(families, vertices: Sequence[str]) -> list[Iterator[str]]:
     """Each word of each family as its letters, `name` or `name^-1`, separated
-    by spaces; the empty word is `1`."""
+    by spaces, spelled as it is read; the empty word is `1`."""
     table: dict[int, str] = {}
     for k, name in enumerate(vertices, start=1):
         table[k] = name
         table[-k] = f"{name}^-1"
     spell = table.__getitem__
-    return [[" ".join(map(spell, w)) if w else "1" for w in words] for words in families]
+    return [(" ".join(map(spell, w)) if w else "1" for w in words) for words in families]
 
 
 def _descriptor(d) -> str:
@@ -103,10 +103,11 @@ def _slots(*keys: str) -> dict:
     return dict.fromkeys(keys, "%s")
 
 
-# The rows, blocks and whole documents, each at its depth.
+# The rows, blocks and whole documents, each at its depth; an edge or word
+# row is split at its slots, to be filled by one f-string per row.
 _FLAG = {True: "true", False: "false"}
-_EDGE_ROW = "    " + _template(_slots("u", "v", "m"), 2)
-_WORD_ROW = "      " + _template(_slots("word", "abelianization_zero"), 3)
+_EDGE_HEAD, _EDGE_V, _EDGE_M, _EDGE_TAIL = ("    " + _template(_slots("u", "v", "m"), 2)).split("%s")
+_WORD_HEAD, _WORD_FLAG, _WORD_TAIL = ("      " + _template(_slots("word", "abelianization_zero"), 3)).split("%s")
 _TRAJECTORY_ROW = "    " + _template(_slots("n", "rank"), 2)
 _DESCRIPTOR = _template(_slots("free_rank", "torsion2_rank"), 1)
 _PROFILE = {
@@ -136,8 +137,9 @@ def render_json(g: CoxeterGraph, profile: InvariantProfile, omegas: Optional[Ome
     ``json.dumps(doc, indent=2) + "\\n"``, filled in from templates with
     their strings quoted by the C encoder."""
     names = [_quote(name) for name in g.vertices]
+    inf = '"inf"'
     edges = [
-        _EDGE_ROW % (names[i], names[j], '"inf"' if m == INFINITY else m)
+        f"{_EDGE_HEAD}{names[i]}{_EDGE_V}{names[j]}{_EDGE_M}{inf if m == INFINITY else m}{_EDGE_TAIL}"
         for (i, j), m in g.labels.items()
     ]
     fields = (
@@ -152,9 +154,12 @@ def render_json(g: CoxeterGraph, profile: InvariantProfile, omegas: Optional[Ome
     if omegas is None:
         return _COMPUTE % fields
     families = (omegas.omega1, omegas.omega2, omegas.omega3)
+    # the encoder quotes each character alone, so words spelled from the
+    # quoted names, less their quotes, are the quoted word texts, less theirs
     arrays = [
-        _array([_WORD_ROW % (_quote(text), _FLAG[in_commutator_subgroup(w)]) for w, text in zip(words, texts)], "    ")
-        for words, texts in zip(families, word_texts(families, g.vertices))
+        _array([f'{_WORD_HEAD}"{text}"{_WORD_FLAG}{_FLAG[in_commutator_subgroup(w)]}{_WORD_TAIL}'
+                for w, text in zip(words, texts)], "    ")
+        for words, texts in zip(families, word_texts(families, [name[1:-1] for name in names]))
     ]
     return _GENERATORS % (*fields, _quote(omegas.flavor), *arrays, *map(len, families), omegas.total, profile.mod2_rank)
 

@@ -44,8 +44,9 @@ def _extend_reduced(stack: list[int], part: tuple[int, ...]) -> None:
     stack.extend(part[n:])
 
 
-def relator(s: int, t: int, m: Label) -> tuple[int, ...]:
-    """(st)_m ((ts)_m)^-1 for vertex indices s < t and finite m >= 2.
+def relator(s: int, t: int, m: Label, sign: int = 1) -> tuple[int, ...]:
+    """(st)_m ((ts)_m)^-1 for vertex indices s < t and finite m >= 2, or
+    its inverse for a negative ``sign``.
 
     For m = 2 this is the commutator of the two generators.
     """
@@ -57,7 +58,7 @@ def relator(s: int, t: int, m: Label) -> tuple[int, ...]:
         raise CoxhomError(f"relator requires m >= 2, got {m}")
     if m > MAX_SPELLED_LABEL:
         raise CoxhomError(f"label {m} is above the limit {MAX_SPELLED_LABEL} on spelled words")
-    return _spell(s + 1, t + 1, m)
+    return _spell(s + 1, t + 1, m) if sign > 0 else _spell(t + 1, s + 1, m)
 
 
 def _spell(a: int, b: int, m: int) -> tuple[int, ...]:
@@ -69,11 +70,13 @@ def _spell(a: int, b: int, m: int) -> tuple[int, ...]:
 
 def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
     """Exact commutator-subgroup test in a free group: zero abelianization,
-    that is, each letter occurs as often as its inverse, so negating every
-    letter only rearranges the word: the sorted letters equal their own
-    negated reverse."""
+    that is, each letter occurs as often as its inverse.  Then the word has
+    even length, and its sorted letters' upper half is their lower half
+    negated and reversed; conversely that match makes the lower half all
+    negative and the letters closed under negation, count by count."""
     ordered = sorted(w)
-    return ordered == list(map(neg, reversed(ordered)))
+    half = len(ordered) // 2
+    return len(ordered) % 2 == 0 and ordered[half:] == list(map(neg, reversed(ordered[:half])))
 
 
 class OmegaSets(NamedTuple):
@@ -110,16 +113,20 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     omega2 = tuple(relator(i, j, m) for (i, j), m in g.labels.items() if is_even(m))
     pg = profile.odd
     basis = fundamental_cycle_basis(pg)
-    # edge -> its relator and that relator's inverse, spelled when a cycle first uses the edge
-    spelled: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    # a term (edge, +-1) -> the edge's relator to that power, spelled at its first use
+    spelled: dict[tuple[int, int], tuple[int, ...]] = {}
     omega3 = []
     for cycle in basis.basis:
         stack: list[int] = []
-        for k, coefficient in cycle:
-            if k not in spelled:
+        for term in cycle:
+            part = spelled.get(term)
+            if part is None:
+                k, sign = term
                 i, j = pg.edges[k]
-                spelled[k] = (relator(i, j, g.labels[i, j]), _spell(j + 1, i + 1, g.labels[i, j]))
-            # a fundamental cycle's coefficients are -1 or 1
-            _extend_reduced(stack, spelled[k][0 if coefficient > 0 else 1])
+                part = spelled[term] = relator(i, j, g.labels[i, j], sign)
+            if stack and stack[-1] == -part[0]:
+                _extend_reduced(stack, part)
+            else:  # nothing cancels at the join
+                stack += part
         omega3.append(tuple(stack))
     return OmegaSets(flavor, omega1, omega2, tuple(omega3), profile, basis)

@@ -32,6 +32,10 @@ def _edgeless(n: int) -> str:
     return "".join(f"vertex v{i}\n" for i in range(n))
 
 
+def _complete(n: int, m: int) -> str:
+    return _edgeless(n) + "".join(f"edge v{i} v{j} {m}\n" for i in range(n) for j in range(i + 1, n))
+
+
 # Each input's text by its name; a row's command names it as "@name".
 INPUTS = {
     "one": lambda: "vertex a\n",  # a scan's work follows its seed, not n-max
@@ -45,6 +49,8 @@ INPUTS = {
     "edgeless1000": lambda: _edgeless(1000),
     "edgeless_max": lambda: _edgeless(FILE_N),
     "edgeless_over": lambda: _edgeless(FILE_N + 1),
+    # every pair an odd edge: the most omega3 words and letters per vertex
+    "dense1000": lambda: _complete(1000, 3),
     "commented_over": lambda: "# edgeless\n" + _edgeless(FILE_N + 1),
     # grown through births and joins, where the catalog order copies whole rows
     "shuffled1000": lambda: render_graph(permuted_copy(from_catalog("A1000"), random.Random(1))),
@@ -92,6 +98,9 @@ ROWS = [
     Row("compute --json --file @edgeless1000", 30),
     Row("generators --json --file @edgeless1000", 30),
     Row("check --file @edgeless1000", 60),
+    # no check row: its closure oracle has no domain to bound it on dense graphs yet
+    Row("compute --json --file @dense1000", 30),
+    Row("generators --json --file @dense1000", 60),
     # n-max <= MAX_SCAN_STEPS, and seed vertices + n-max - 1 <= MAX_SCAN_STEPS
     Row(f"stability --seed-file @one --n-max {STEPS}", 10),
     Row("stability --seed-file @random200 --n-max 4", 30),

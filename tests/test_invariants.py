@@ -23,7 +23,7 @@ from coxhom.invariants import (
     MAX_SCAN_STEPS,
     AbelianDescriptor,
     _grow,
-    _lowers,
+    _read_labels,
     analyze,
     pair_classes,
     stability_scan,
@@ -361,7 +361,12 @@ def _full_scan(seed, n_max):
     no use of its lemma, kept as the lemma's oracle."""
     n = len(seed.vertices)
     profile = analyze(seed)
-    counts = _grow(_lowers(seed) + [((v - 1, 3),) for v in range(n, n + n_max - 1)])[0][n - 1:]
+    noncommuting, odd, *_ = _read_labels(seed)
+    for v in range(n, n + n_max - 1):
+        noncommuting[v - 1] |= 1 << v
+        noncommuting.append(1 << (v - 1) | 1 << v)
+        odd.append([v - 1])
+    counts = _grow(noncommuting, odd)[0][n - 1:]
     return tuple((step, n3 + profile.q2 + profile.q3) for step, n3 in enumerate(counts, 1))
 
 
@@ -385,15 +390,16 @@ def test_stability_scan_grows_the_seed_and_three_appended_vertices(monkeypatch):
     calls = []
     grow = coxhom.invariants._grow
 
-    def spy(lowers):
-        calls.append(lowers)
-        return grow(lowers)
+    def spy(noncommuting, odd_lowers):
+        calls.append((noncommuting, odd_lowers))
+        return grow(noncommuting, odd_lowers)
 
     monkeypatch.setattr(coxhom.invariants, "_grow", spy)
     for n_max in (4, MAX_SCAN_STEPS):
         calls.clear()
         assert len(stability_scan(from_catalog("A1"), n_max).trajectory) == n_max
-        assert calls == [[[], ((0, 3),), ((1, 3),), ((2, 3),)]]
+        # the path s1 -- v1 -- v2 -- v3 of 3-edges
+        assert calls == [([0b0011, 0b0111, 0b1110, 0b1100], [[], [0], [1], [2]])]
 
 
 def _scan_shapes(g):

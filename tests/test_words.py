@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import coxhom.words
 from conftest import (
     DEFAULT_WEIGHTS,
     SPARSE_WEIGHTS,
@@ -270,6 +271,30 @@ def test_omega3_join_reduction_equals_full_reduction_on_large_graphs(weights):
         assert omega_sets(g, "artin").omega3 == expected
         cycles += len(expected)
     assert cycles > 1000
+
+
+def test_omega_sets_spells_each_term_of_the_cycle_basis_once(monkeypatch):
+    # a term (edge, +-1) is spelled at its first use only, and a non-tree
+    # edge, used only in its own cycle with +1, has its inverse never spelled
+    spelled = []
+    spell = coxhom.words._spell
+
+    def spy(a, b, m):
+        spelled.append((a, b, m))
+        return spell(a, b, m)
+
+    monkeypatch.setattr(coxhom.words, "_spell", spy)
+    g = random_coxeter_graph(random.Random(30), 62)
+    om = omega_sets(g, "artin")
+    pg = om.profile.odd
+    terms = {term for cycle in om.basis.basis for term in cycle}
+    expected = []
+    for k, sign in terms:
+        i, j = pg.edges[k]
+        expected.append((i + 1, j + 1, g.labels[i, j]) if sign > 0 else (j + 1, i + 1, g.labels[i, j]))
+    # omega1's and omega2's relators have even labels
+    assert sorted(call for call in spelled if call[2] % 2) == sorted(expected)
+    assert len(om.omega3) > 500 and len(terms) < 2 * len({k for k, _ in terms})
 
 
 def test_omega_sets_memory_stays_near_the_output_size():
