@@ -365,8 +365,8 @@ class StabilityReport(NamedTuple):
     stable: bool
 
 
-# Largest n_max a stability scan accepts, and the most vertices of its last
-# graph (seed vertices + n_max - 1).  It bounds the size of the output only.
+# Largest n_max a stability scan accepts.  The scan grows the seed and three
+# appended vertices, whatever n_max is, so this bounds only the output rows.
 MAX_SCAN_STEPS = 2000
 
 
@@ -393,8 +393,6 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     if n_max > MAX_SCAN_STEPS:
         raise CoxhomError(f"n_max must be <= {MAX_SCAN_STEPS}, got {n_max}")
     n = len(seed.vertices)
-    if n + n_max - 1 > MAX_SCAN_STEPS:
-        raise CoxhomError(f"seed vertices + n_max - 1 must be <= {MAX_SCAN_STEPS}, got {n} + {n_max} - 1")
     noncommuting, odd, _, q2, _ = _read_labels(seed)
     _, q3, _ = _odd_ranks(seed)
     for v in range(n, n + 3):  # v - 1 -- v is a 3-edge

@@ -36,7 +36,7 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
     # one pass over the stored labels: an absent pair has m = 2
     commuting = [set(range(n)) - {a} for a in range(n)]
     odd: list[list[int]] = [[] for _ in range(n)]
-    threes: list[list[int]] = [[] for _ in range(n)]
+    threes: list[set[int]] = [set() for _ in range(n)]
     for (s, t), m in g.labels.items():
         commuting[s].discard(t)
         commuting[t].discard(s)
@@ -44,8 +44,8 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
             odd[s].append(t)
             odd[t].append(s)
         if m == 3:
-            threes[s].append(t)
-            threes[t].append(s)
+            threes[s].add(t)
+            threes[t].add(s)
     classes: list[tuple[Pair, ...]] = []
     seen: set[Pair] = set()
     pairs = [(a, x) for a, x in combinations(range(n), 2) if x in commuting[a]]
@@ -62,11 +62,8 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
                     seen.add(other)
                     block.append(other)
         classes.append(tuple(sorted(block)))
-    # v is a torsion witness for each commuting pair among its 3-neighbours.
-    witnessed = set()
-    for v in range(n):
-        witnessed.update((s, t) for s, t in combinations(sorted(threes[v]), 2) if t in commuting[s])
-    flags = tuple(any(pair in witnessed for pair in block) for block in classes)
+    # a class is torsion when one of its own pairs {s,t} has a common 3-neighbour
+    flags = tuple(any(not threes[s].isdisjoint(threes[t]) for s, t in block) for block in classes)
     return tuple(classes), flags
 
 

@@ -305,16 +305,17 @@ def test_stability_scan_preconditions():
         stability_scan(from_catalog("A1"), MAX_SCAN_STEPS + 1)
 
 
-def test_stability_scan_is_bounded_by_its_last_graph():
-    # the last graph has seed vertices + n_max - 1 vertices; one above the
-    # limit is refused before any table is built
-    with pytest.raises(CoxhomError, match=f"must be <= {MAX_SCAN_STEPS}, got 3 \\+ {MAX_SCAN_STEPS - 1} - 1$"):
-        stability_scan(from_catalog("A3"), MAX_SCAN_STEPS - 1)
-    with pytest.raises(CoxhomError, match=f"must be <= {MAX_SCAN_STEPS}, got {MAX_SCAN_STEPS} \\+ 4 - 1$"):
-        stability_scan(from_catalog(f"A{MAX_SCAN_STEPS}"), 4)
+def test_stability_scan_takes_seeds_of_any_size_at_every_n_max():
+    # only the seed and three appended vertices are grown, so n_max bounds
+    # the output rows and not the seed: A<n> has rank 1 at every step
+    seed = from_catalog(f"A{MAX_SCAN_STEPS}")
+    for n_max in (4, MAX_SCAN_STEPS):
+        report = stability_scan(seed, n_max)
+        assert report.trajectory == tuple((step, 1) for step in range(1, n_max + 1))
+        assert report.stable
     # n_max is checked first, whatever the seed
     with pytest.raises(CoxhomError, match=f"n_max must be <= {MAX_SCAN_STEPS}, got {MAX_SCAN_STEPS + 1}"):
-        stability_scan(from_catalog(f"A{MAX_SCAN_STEPS}"), MAX_SCAN_STEPS + 1)
+        stability_scan(seed, MAX_SCAN_STEPS + 1)
     assert stability_scan(from_catalog("A3"), 8).trajectory[-1][0] == 8
 
 

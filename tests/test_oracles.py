@@ -89,6 +89,10 @@ def test_pair_classes_agree_with_naive_closure_above_ten_vertices():
     graphs = [random_coxeter_graph(random.Random(seed), 11 + seed % 10) for seed in range(10)]
     graphs += [random_coxeter_graph(random.Random(seed), 11 + seed % 10, SPARSE_WEIGHTS)
                for seed in range(10, 20)]
+    # mostly 3-edges: each torsion class has many witnesses, where the mixes
+    # above also give classes with none
+    graphs += [random_coxeter_graph(random.Random(seed), 11 + seed % 10, (2.0, 6.0, 0.5, 0.5, 0.5, 0.5))
+               for seed in range(20, 30)]
     graphs += [from_catalog(name) for name in ("~D16", "B16", "~C14", "D18", "A20")]
     # beyond the sizes of the corpus: 30-120 vertices, A100 in a shuffled
     # order (grown through births and joins), and an edgeless graph
