@@ -1,9 +1,9 @@
-"""Chain complex of an oriented graph: boundaries, cycle bases, mod-2 reduction.
+"""Chain complex of an oriented graph: boundaries, cycle bases, GF(2) rank.
 
 All arithmetic is exact integer arithmetic.  An edge (i, j) with i < j is
 oriented from i to j, so its boundary is (vertex j) - (vertex i).  A 1-chain
-is an iterable of (edge, coefficient) terms, and a mod-2 reduction is an int
-whose bit k is the parity of edge k.  The fundamental cycle basis is fixed
+is an iterable of (edge, coefficient) terms, and a GF(2) vector is an int
+whose bit k is its coordinate k.  The fundamental cycle basis is fixed
 once and for all by a breadth-first spanning forest, making every downstream
 generator word reproducible.
 """
@@ -87,15 +87,6 @@ def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
         terms.sort()
         basis.append(tuple(terms))
     return CycleBasis(tuple(basis))
-
-
-def mod2_reduce(terms: Iterable[tuple[int, int]]) -> int:
-    """Bit mask of the edges whose coefficient is odd."""
-    mask = 0
-    for k, c in terms:
-        if c % 2:
-            mask ^= 1 << k
-    return mask
 
 
 def gf2_rank(masks: Iterable[int]) -> int:

@@ -109,14 +109,15 @@ def build_graph(
     labels: dict[tuple[int, int], Label] = {}
     for u, v, m in edges:
         i = index.get(u)
-        if i is None:
-            raise CoxhomError(f"unknown vertex {echo(u)}")
         j = index.get(v)
-        if j is None:
-            raise CoxhomError(f"unknown vertex {echo(v)}")
-        if i == j:
+        if i is None or j is None or i == j:
+            if i is None:
+                raise CoxhomError(f"unknown vertex {echo(u)}")
+            if j is None:
+                raise CoxhomError(f"unknown vertex {echo(v)}")
             raise CoxhomError(f"self-loop at {echo(u)}")
-        if not (type(m) is int and 2 <= m < _LABEL_BOUND):  # a type test: 3.0 == 3 and True == 1 are refused
+        # a type test: 3.0 == 3 and True == 1 are refused, and a float inf other than INFINITY is normalised
+        if not (type(m) is int and 2 <= m < _LABEL_BOUND) and m is not INFINITY:
             m = _check_label(m)
         seen = labels.setdefault((i, j) if i < j else (j, i), m)
         if seen != m:

@@ -11,8 +11,7 @@ hyperplane-complement orbit space.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, PlainGraph, odd_subgraph
@@ -55,7 +54,10 @@ class PairPartition:
         slots = self.slots
         for v, born in enumerate(self.births):
             base = v * (v - 1) // 2
-            for x in _bits(born):
+            while born:
+                low = born & -born
+                x = low.bit_length() - 1
+                born ^= low
                 r = _root(slots, base + x)
                 if r not in least or (x, v) < least[r]:
                     least[r] = (x, v)
@@ -71,7 +73,11 @@ class PairPartition:
         slots, noncommuting = self.slots, self.noncommuting
         full = (1 << len(noncommuting)) - 1
         for a, row in enumerate(noncommuting):
-            for x in _bits(full & ~row & -(2 << a)):
+            rest = full & ~row & -(2 << a)
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                rest ^= low
                 blocks.setdefault(_root(slots, x * (x - 1) // 2 + a), []).append((a, x))
         return tuple(map(tuple, blocks.values()))
 
@@ -170,14 +176,6 @@ def _root(parent: list[int], x: int) -> int:
     return x
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indices of the set bits of mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _read_labels(g: CoxeterGraph) -> tuple[list[int], list[list[int]], list[int], int, int]:
     """What the engine and the profile read of g's labels, in one pass:
     ``(noncommuting, odd, threes, q2, n2)``.
@@ -222,15 +220,17 @@ def _grow(noncommuting: list[int], odd_lowers: Iterable[list[int]]) -> tuple[lis
     highest odd neighbour and S the row's vertices that commute with y.  Each
     slot {x,v} with x in S joins the class of {x,y}; the row's other slots
     are births.  So v's slots are laid in three steps: row y's y slots are
-    copied in one slice, the slots from y to v are fresh and each one of S
-    above y points at {x,y}, and each birth below y is reset to itself.  A
-    slot {x,v} whose x does not commute with v may keep row y's value, as it
-    is never read: no find, join, torsion mark or listing of the classes
-    starts at it, and no parent pointer leads to it.  What is left to join:
+    copied in one slice, each slot from y to v points at {x,y}, and each
+    birth is reset to itself.  A slot {x,v} whose x does not commute with v
+    may keep any value, as it is never read: no find, join, torsion mark or
+    listing of the classes starts at it, and no parent pointer leads to it.
+    What is left to join:
 
     - {v,x} ~ {v,u} for an odd edge {x,u} of v's row.  When x and u both lie
-      in S, {x,y} ~ {u,y} holds already, so only the edges at the births are
-      walked;
+      in S, {x,y} ~ {u,y} holds already.  So one search runs per group of
+      births that these edges join: from a birth no search has reached, it
+      ORs the odd-neighbour masks of the births it reaches, keeps the row's
+      bits, and joins each vertex reached to that first birth;
     - {a,w} ~ {a,v} for each other odd neighbour w and each a commuting with
       both.
 
@@ -239,32 +239,55 @@ def _grow(noncommuting: list[int], odd_lowers: Iterable[list[int]]) -> tuple[lis
     counts: list[int] = []
     slots: list[int] = []
     births: list[int] = []
-    odd_neighbours: list[list[int]] = []  # each vertex's, up to the latest added
+    odd_masks: list[int] = []  # each vertex's odd neighbours, up to the latest added
     has_odd = classes = 0  # has_odd: the vertices with an odd neighbour
     for v, odd in enumerate(odd_lowers):
-        row = ((1 << v) - 1) & ~noncommuting[v]
+        born = row = ((1 << v) - 1) & ~noncommuting[v]
         base = len(slots)  # the slot of {x,v} is base + x
-        shared = y = 0
         if odd:
             y = odd[-1]
-            shared = row & ~noncommuting[y]
+            born &= noncommuting[y]
             slots += slots[y * (y - 1) // 2:y * (y + 1) // 2]  # row y, whole
-        slots += range(base + y, base + v)
-        for x in _bits(shared & -(2 << y)):  # above y, {x,y} is slot x*(x-1)//2 + y
-            slots[base + x] = x * (x - 1) // 2 + y
-        born = row & ~shared
-        for x in _bits(born & ((1 << y) - 1)):  # a birth starts a class of its own
-            slots[base + x] = base + x
+            slots += [x * (x - 1) // 2 + y for x in range(y, v)]  # {x,y} above y; {y,v} is never read
+            rest = born
+            while rest:  # a birth starts a class of its own
+                low = rest & -rest
+                x = base + low.bit_length() - 1
+                slots[x] = x
+                rest ^= low
+        else:
+            slots += range(base, base + v)
         births.append(born)
         classes += born.bit_count()
-        if classes > 1:
-            # pairs of slots whose classes meet; the other odd neighbours' come
-            # lazily, as once one class is left most of them go untried
-            joins = [(base + x, base + u) for x in _bits(born & has_odd) for u in odd_neighbours[x] if row >> u & 1 and (u < x or shared >> u & 1)]
-            if len(odd) > 1:
-                joins = chain(joins, ((w * (w - 1) // 2 + a if a < w else a * (a - 1) // 2 + w, base + a)
-                                      for w in odd[:-1] for a in _bits(row & ~noncommuting[w])))
-            for x, u in joins:  # _root on both ends, inline: no call per union
+        todo = born & has_odd  # the births a search may start from
+        while todo and classes > 1:
+            reached = pending = b = todo & -todo
+            while pending:  # through births only: S's own odd edges are joined already
+                low = pending & -pending
+                pending ^= low
+                found = odd_masks[low.bit_length() - 1] & row & ~reached
+                reached |= found
+                pending |= found & born
+            todo &= ~reached
+            b = base + b.bit_length() - 1  # a root: no join has reached it
+            while reached:  # _root inline: no call per union
+                low = reached & -reached
+                x = base + low.bit_length() - 1
+                reached ^= low
+                while slots[x] != x:
+                    slots[x] = x = slots[slots[x]]
+                if x != b:
+                    slots[x] = b
+                    classes -= 1
+                    if classes == 1:
+                        break
+        for w in odd[:-1]:  # {a,w} ~ {a,v} for each a commuting with both
+            rest = row & ~noncommuting[w] if classes > 1 else 0
+            while rest:  # _root on both ends, inline: no call per union
+                low = rest & -rest
+                a = low.bit_length() - 1
+                rest ^= low
+                x, u = w * (w - 1) // 2 + a if a < w else a * (a - 1) // 2 + w, base + a
                 while slots[x] != x:
                     slots[x] = x = slots[slots[x]]
                 while slots[u] != u:
@@ -274,10 +297,11 @@ def _grow(noncommuting: list[int], odd_lowers: Iterable[list[int]]) -> tuple[lis
                     classes -= 1
                     if classes == 1:
                         break
+        odd_masks.append(0)
         for x in odd:
-            odd_neighbours[x].append(v)
-            has_odd |= 1 << x | 1 << v
-        odd_neighbours.append(odd[:])
+            odd_masks[x] |= 1 << v
+            odd_masks[v] |= 1 << x
+        has_odd |= odd_masks[v] | (1 << v if odd else 0)
         counts.append(classes)
     return counts, slots, births
 
@@ -300,10 +324,17 @@ def pair_classes(g: CoxeterGraph, labels: Optional[tuple] = None) -> PairPartiti
         if len(torsion) == n3:
             break
         witnessed = 0  # the vertices sharing a 3-neighbour with a
-        for w in _bits(threes[a]):
-            witnessed |= threes[w]
-        for x in _bits(witnessed & ~noncommuting[a] & -(2 << a)):  # {a,x} commuting, a < x
+        rest = threes[a]
+        while rest:
+            low = rest & -rest
+            witnessed |= threes[low.bit_length() - 1]
+            rest ^= low
+        rest = witnessed & ~noncommuting[a] & -(2 << a)  # {a,x} commuting, a < x
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
             torsion.add(_root(slots, x * (x - 1) // 2 + a))
+            rest ^= low
 
     return PairPartition(n3, len(torsion), slots, births, noncommuting, torsion)
 

@@ -22,8 +22,8 @@ def parse_graph(text: str) -> CoxeterGraph:
     """Graph of a file-format text; every error names its 1-based line.  A
     graph may have MAX_CATALOG_N + 1 vertices, as the largest catalog diagram
     does, and the first vertex line past them is refused."""
-    vertices: list[tuple[int, str]] = []
-    edges: list[tuple[int, tuple[str, str, Label]]] = []
+    vertices: list[str] = []
+    edges: list[tuple[str, str, Label]] = []
     # lines end at \n, \r\n or \r only; str.splitlines() would also end them
     # at characters such as \f and \u2028, which str.split() reads as spaces
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -41,14 +41,14 @@ def parse_graph(text: str) -> CoxeterGraph:
                     label = read[tokens[3]] = read_label(tokens[3])
                 except CoxhomError as exc:
                     raise GraphSyntaxError(str(exc), number) from None
-            edges.append((number, (tokens[1], tokens[2], label)))
+            edges.append((tokens[1], tokens[2], label))
         elif tokens[0] == "vertex":
             if len(tokens) != 2:
                 raise GraphSyntaxError("expected `vertex <name>`", number)
             if len(vertices) > MAX_CATALOG_N:
                 limit = MAX_CATALOG_N + 1
                 raise GraphSyntaxError(f"vertex {limit + 1} is above the limit of {limit} vertices", number)
-            vertices.append((number, tokens[1]))
+            vertices.append(tokens[1])
         elif not tokens[0].startswith("#"):
             raise GraphSyntaxError(f"unknown directive {echo(tokens[0])}", number)
     current = 0
@@ -60,9 +60,15 @@ def parse_graph(text: str) -> CoxeterGraph:
             yield row
 
     try:
-        return build_graph(rows(vertices), rows(edges))
-    except CoxhomError as exc:
-        raise GraphSyntaxError(str(exc), current) from None
+        return build_graph(vertices, edges)
+    except CoxhomError:  # built again, to name the line: the k-th edge row is on the k-th `edge` line
+        numbers = {kind: [k for k, raw in enumerate(lines, start=1) if raw.split()[:1] == [kind]]
+                   for kind in ("vertex", "edge")}
+        try:
+            build_graph(rows(zip(numbers["vertex"], vertices)), rows(zip(numbers["edge"], edges)))
+        except CoxhomError as exc:
+            raise GraphSyntaxError(str(exc), current) from None
+        raise
 
 
 def render_graph(g: CoxeterGraph) -> str:

@@ -120,6 +120,15 @@ def permuted_copy(g: CoxeterGraph, rng: random.Random) -> CoxeterGraph:
     return build_graph(names, edges)
 
 
+def mod2_reduce(terms) -> int:
+    """Bit mask of the edges whose coefficient is odd."""
+    mask = 0
+    for k, c in terms:
+        if c % 2:
+            mask ^= 1 << k
+    return mask
+
+
 def incidence_masks(pg) -> list[int]:
     """One GF(2) row per vertex of a plain graph: bit k set when edge k ends there."""
     return [sum(1 << k for k, edge in enumerate(pg.edges) if v in edge) for v in range(len(pg.vertices))]

@@ -51,6 +51,8 @@ INPUTS = {
     "edgeless_over": lambda: _edgeless(FILE_N + 1),
     # every pair an odd edge: the most omega3 words and letters per vertex
     "dense1000": lambda: _complete(1000, 3),
+    # 349562 labels of every kind: about 100 births per row, which the pair classes' searches join
+    "random1000": lambda: render_graph(random_coxeter_graph(random.Random(1), 1000)),
     "commented_over": lambda: "# edgeless\n" + _edgeless(FILE_N + 1),
     # grown through births and joins, where the catalog order copies whole rows
     "shuffled1000": lambda: render_graph(permuted_copy(from_catalog("A1000"), random.Random(1))),
@@ -98,10 +100,12 @@ ROWS = [
     Row("compute --json --file @edgeless1000", 30),
     Row("generators --json --file @edgeless1000", 30),
     Row("check --file @edgeless1000", 60),
-    # no check row: fundamental_cycles_bound's gf2_rank keeps a pivot mask of up to
-    # E bits for each of the about E fundamental cycles, 432 MB on K400 with every label 3
+    # no check row: rational_cycle_rank scans every vertex row for each of the
+    # 499500 edge columns of K1000's odd subgraph, about 25 s
     Row("compute --json --file @dense1000", 30),
     Row("generators --json --file @dense1000", 60),
+    Row("compute --json --file @random1000", 5),
+    Row("generators --json --file @random1000", 20),
     # n-max <= MAX_SCAN_STEPS; a seed takes what a graph file takes, as the scan grows
     # only the seed and three appended vertices
     Row(f"stability --seed-file @one --n-max {STEPS}", 10),

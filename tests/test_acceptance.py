@@ -16,11 +16,12 @@ from conftest import (
     incidence_masks,
     label_ix,
     listed,
+    mod2_reduce,
     permuted_copy,
     power,
     random_coxeter_graph,
 )
-from coxhom.chains import boundary, fundamental_cycle_basis, gf2_rank, mod2_reduce
+from coxhom.chains import boundary, fundamental_cycle_basis, gf2_rank
 from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze, pair_classes, stability_scan

@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import random
 
-from conftest import corpus_graphs, random_coxeter_graph
+from conftest import corpus_graphs, mod2_reduce, random_coxeter_graph
 from coxhom.chains import (
     boundary,
     fundamental_cycle_basis,
     gf2_rank,
-    mod2_reduce,
 )
 from coxhom.graph import PlainGraph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze

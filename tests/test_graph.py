@@ -54,6 +54,17 @@ def test_build_graph_errors_name_the_offender():
         build_graph(["a"], [("a", "a", 3)])
 
 
+def test_build_graph_reads_any_float_inf_as_infinity():
+    # the parser's labels are the INFINITY object itself; a library caller's
+    # float("inf") is another object, normalised to it
+    inf = float("inf")
+    assert inf is not INFINITY
+    g = build_graph(["s", "t", "u"], [("s", "t", inf), ("t", "u", INFINITY), ("u", "s", 3)])
+    assert all(g.labels[pair] is INFINITY for pair in ((0, 1), (1, 2)))
+    with pytest.raises(CoxhomError, match="unknown vertex 'x'"):
+        build_graph(["s"], [("x", "x", inf)])  # the vertices are checked before the label
+
+
 def test_build_graph_label_errors_cut_long_values_short():
     with pytest.raises(CoxhomError) as info:
         build_graph(["a", "b"], [("a", "b", -10**200)])

@@ -91,6 +91,29 @@ def test_pair_classes_keep_their_count_along_catalog_families(family, expected):
     assert (len(large.least), sum(large.torsion_flags)) == expected
 
 
+def test_pair_classes_search_goes_on_through_births():
+    # v4 commutes with v0..v3 and has no odd neighbour, so its four slots are
+    # births.  They are joined only along the chain v0 - v2 - v3 - v1 of odd
+    # edges: a search from v0 that stops at v2 leaves v1 to a search that
+    # stops at v3, and the edge v2 - v3 joins the two.
+    g = _named(5, [(0, 2, 3), (2, 3, 3), (1, 3, 3)])
+    partition = pair_classes(g)
+    assert partition.n3 == 2
+    assert partition.classes[1] == ((0, 4), (1, 4), (2, 4), (3, 4))
+    assert listed(partition) == naive_pair_closure(g)
+
+
+def test_pair_classes_births_meet_at_a_shared_vertex():
+    # v4's highest odd neighbour is v3, which commutes with v2 but not with
+    # v0 or v1: {v0,v4} and {v1,v4} are births, and only their odd edges to
+    # the shared v2 join them, through {v2,v4}, to {v2,v3}.
+    g = _named(5, [(3, 4, 3), (0, 3, 4), (1, 3, 4), (0, 2, 3), (1, 2, 3)])
+    partition = pair_classes(g)
+    assert partition.n3 == 2
+    assert partition.classes[1] == ((0, 4), (1, 4), (2, 3), (2, 4))
+    assert listed(partition) == naive_pair_closure(g)
+
+
 def test_invariant_profile_affine_d4():
     profile = analyze(from_catalog("~D4"))
     assert (profile.p, profile.q1, profile.q2, profile.q3, profile.q) == (6, 0, 0, 0, 0)

@@ -12,11 +12,12 @@ from conftest import (
     dihedral_h2_reference,
     incidence_masks,
     listed,
+    mod2_reduce,
     permuted_copy,
     random_coxeter_graph,
     unread_slot_graph,
 )
-from coxhom.chains import fundamental_cycle_basis, gf2_rank, mod2_reduce
+from coxhom.chains import fundamental_cycle_basis, gf2_rank
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, PlainGraph, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze, pair_classes
@@ -150,3 +151,22 @@ def test_consistency_report_gf2_row_on_random_graphs():
     for g in graphs:
         (row,) = [row for row in consistency_report(g) if row[0] == "cycle_rank_oracles"]
         assert row[1], (len(g.vertices), row[2])
+
+
+def test_fundamental_cycles_bound_fails_on_a_basis_holding_one_cycle_twice(monkeypatch):
+    import coxhom.oracles as oracles
+    from coxhom.chains import CycleBasis
+
+    # two triangles on the edge b - c: q3 = 2, and the cycles share that edge
+    g = build_graph("abcd", [(s, t, 3) for s, t in ("ab", "ac", "bc", "bd", "cd")])
+    real = oracles.omega_sets
+
+    def doubled(graph, flavor):
+        omegas = real(graph, flavor)
+        first = omegas.basis.basis[0]
+        return omegas._replace(basis=CycleBasis((first, first)))  # as many cycles as q3, but dependent
+
+    assert all(passed for _, passed, _ in consistency_report(g))
+    monkeypatch.setattr(oracles, "omega_sets", doubled)
+    rows = oracles.consistency_report(g)
+    assert [name for name, passed, _ in rows if not passed] == ["fundamental_cycles_bound"]
