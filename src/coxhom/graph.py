@@ -166,10 +166,10 @@ _CATALOG = {
 _I2_MIN = 3
 # Largest catalog parameter n.  compute and generators --json hold the pair
 # classes' slot per vertex pair, so their memory grows as n**2.  check's pair
-# closure oracle grows as about n**2 on A_n or an edgeless graph and n**3 on a
-# dense random one; this limit does not bound it.  A graph file may have
-# MAX_CATALOG_N + 1 vertices, as ~A<MAX_CATALOG_N> has.  tests/limits.py
-# holds each command's time budget at these sizes.
+# closure oracle holds each commuting pair once, about n**2 on A_n or an
+# edgeless graph, and takes about n**3 steps on a dense random one; this limit
+# does not bound it.  A graph file may have MAX_CATALOG_N + 1 vertices, as
+# ~A<MAX_CATALOG_N> has.  tests/limits.py holds each command's time budget here.
 MAX_CATALOG_N = 3000
 
 _I2_RE = re.compile(r"I2\(([0-9]+|inf)\)")

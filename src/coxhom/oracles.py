@@ -1,11 +1,10 @@
 """Independent oracles backing the test suite and `check`.
 
-Each oracle reimplements a quantity by a structurally different route: pair
-classes as the components of the direct relation built from its definition,
-searched breadth first, instead of a union-find over pair slots grown vertex
-by vertex; cycle rank by elimination over the integers, with integer
-cross-multiplication, instead of component counting.  Agreement between routes is evidence, not tautology.  `check`
-also reads Howlett's n3 and n4 from these two oracles, not from the profile.
+Each reads only the stored labels (an absent pair has m = 2) and the odd
+edges, by a route of its own: pair classes as the components of the direct
+relation, searched breadth first, not a union-find over pair slots; cycle
+rank by integer elimination of edge rows, not by counting components.  Their
+agreement is evidence, not tautology; `check` reads n3 and n4 from them.
 """
 
 from __future__ import annotations
@@ -23,23 +22,18 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
     whether each is torsion: ``(classes, flags)``, in the order and shape of
     ``PairPartition``'s ``classes`` and ``torsion_flags``.
 
-    The relation is read from its definition: for each odd edge {x,y},
-    every vertex a commuting with both relates {a,x} to {a,y}.  A
-    breadth-first search from each class's least pair lists the class,
-    stepping from each member {a,x} along the odd edges at either end.
-    This shares nothing with ``invariants._grow``, which grows a union-find
-    over pair slots vertex by vertex: here there is no union-find, no slot
-    table and no bit mask, only sets of vertices and lists of pairs.
+    The relation is read from its definition: for each odd edge {x,y}, every
+    vertex a commuting with both relates {a,x} to {a,y}, and a commutes with
+    y when ``g.labels`` holds no label for them.  A breadth-first search from
+    each class's least pair lists the class.  Unlike ``invariants._grow``,
+    which grows a union-find over pair slots vertex by vertex, this keeps
+    no union-find, slot table or bit mask, only neighbour lists and pairs.
     """
-    n = len(g.vertices)
-    # each vertex's commuting set, odd neighbours and 3-neighbours, read in
-    # one pass over the stored labels: an absent pair has m = 2
-    commuting = [set(range(n)) - {a} for a in range(n)]
-    odd: list[list[int]] = [[] for _ in range(n)]
-    threes: list[set[int]] = [set() for _ in range(n)]
-    for (s, t), m in g.labels.items():
-        commuting[s].discard(t)
-        commuting[t].discard(s)
+    labels = g.labels  # a stored pair does not commute
+    # each vertex's odd neighbours and 3-neighbours, read in one pass over the stored labels
+    odd: list[list[int]] = [[] for _ in g.vertices]
+    threes: list[set[int]] = [set() for _ in g.vertices]
+    for (s, t), m in labels.items():
         if is_odd(m):
             odd[s].append(t)
             odd[t].append(s)
@@ -48,19 +42,19 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
             threes[t].add(s)
     classes: list[tuple[Pair, ...]] = []
     seen: set[Pair] = set()
-    pairs = [(a, x) for a, x in combinations(range(n), 2) if x in commuting[a]]
-    for pair in pairs:  # in increasing order, so each search starts at its class's least pair
-        if pair in seen:
+    for pair in combinations(range(len(g.vertices)), 2):  # in order, so a search starts at its class's least pair
+        if pair in labels or pair in seen:
             continue
         seen.add(pair)
         block = [pair]
         for s, t in block:  # the block grows as it is walked
-            # {a,x} ~ {a,y} for each odd edge {x,y} with a commuting with y
-            related = [(a, y) if a < y else (y, a) for a, x in ((s, t), (t, s)) for y in odd[x] if y in commuting[a]]
-            for other in related:
-                if other not in seen:
-                    seen.add(other)
-                    block.append(other)
+            # {a,x} ~ {a,y} for each odd edge {x,y} with a commuting with y; y != a, as {a,x} commutes
+            for a, x in ((s, t), (t, s)):
+                for y in odd[x]:
+                    other = (a, y) if a < y else (y, a)
+                    if other not in labels and other not in seen:
+                        seen.add(other)
+                        block.append(other)
         classes.append(tuple(sorted(block)))
     # a class is torsion when one of its own pairs {s,t} has a common 3-neighbour
     flags = tuple(any(not threes[s].isdisjoint(threes[t]) for s, t in block) for block in classes)
@@ -70,28 +64,23 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
 def rational_cycle_rank(pg: PlainGraph) -> int:
     """#edges minus the rank of the boundary matrix over the rationals.
 
-    Exact elimination on sparse integer rows: each vertex row is a
-    {column: int} dict, and entries that become 0 are dropped.  A row
-    holding the pivot's column becomes a * row - b * pivot, a the pivot's
-    entry there and b the row's, which clears that column and keeps the
-    rank over the rationals.  An incidence matrix's pivots are +-1, so its
-    entries stay in {-1, 0, 1}.
+    That is its transpose's rank: each edge {i,j} gives an integer row
+    ``{i: -1, j: 1}``, reduced against the rows kept so far, one per leading
+    (highest) vertex, as a * row - b * kept (a the kept row's entry there, b
+    the row's) until it leads with a new vertex and is kept, or is 0.  Exact
+    elimination, with no union-find (``invariants._components``) or forest.
     """
-    rows: list[dict[int, int]] = [{} for _ in pg.vertices]
-    for column, (i, j) in enumerate(pg.edges):
-        rows[i][column] = -1
-        rows[j][column] = 1
-    rank = 0
-    for col in range(len(pg.edges)):
-        holding = [row for row in rows if col in row]
-        if not holding:
-            continue
-        pivot = holding[0]
-        rows = [row for row in rows if row is not pivot]
-        rank += 1
-        a = pivot[col]
-        for row in holding[1:]:
-            b = row[col]
+    kept: dict[int, dict[int, int]] = {}  # leading vertex -> the kept row that leads with it
+    for i, j in pg.edges:
+        row = {i: -1, j: 1}
+        while row:
+            top = max(row)
+            pivot = kept.get(top)
+            if pivot is None:
+                kept[top] = row
+                break
+            a = pivot[top]
+            b = row[top]
             for c in row:
                 row[c] *= a
             for c, x in pivot.items():
@@ -100,7 +89,7 @@ def rational_cycle_rank(pg: PlainGraph) -> int:
                     row[c] = y
                 else:
                     del row[c]
-    return len(pg.edges) - rank
+    return len(pg.edges) - len(kept)
 
 
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
@@ -132,11 +121,7 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     partition = profile.partition
     agree = closure == (partition.classes, partition.torsion_flags)
     rows.append(("pair_classes_vs_naive_closure", agree, f"{profile.n3} classes"))
-    incidence = [0] * len(pg.vertices)  # bit k of vertex v: edge k ends at v
-    for k, (i, j) in enumerate(pg.edges):
-        incidence[i] |= 1 << k
-        incidence[j] |= 1 << k
-    gf2_dim = len(pg.edges) - gf2_rank(incidence)
+    gf2_dim = len(pg.edges) - gf2_rank((1 << i) | (1 << j) for i, j in pg.edges)  # one 2-bit row per edge
     rows.append((
         "cycle_rank_oracles",
         profile.q3 == rational == gf2_dim == len(basis.basis),

@@ -91,17 +91,20 @@ ROWS = [
     Row("compute --file @edgeless_over", 10, 2, f"line {FILE_N + 1}: {OVER_FILE_N}"),  # refused while parsing
     Row("compute --json --file @commented_over", 10, 2, f"line {FILE_N + 2}: {OVER_FILE_N}"),
     Row("stability --n-max 4 --seed-file @commented_over", 10, 2, f"line {FILE_N + 2}: {OVER_FILE_N}"),
-    # check has no limit of its own: its closure oracle grows as about n**2 on A<n> and edgeless graphs
+    # check has no limit of its own: its closure oracle grows as about n**2 on A<n> and edgeless graphs,
+    # and its word rows with the omega words
     Row("generators --json --file @random200", 30),
     Row("check --file @random200", 60),
     Row("check --type A100", 10),
     Row("check --type A1000", 30),
+    Row(f"check --type A{N}", 30),  # the largest catalog A: about 4.5M commuting pairs for the closure
     Row("check --file @edgeless100", 10),
     Row("compute --json --file @edgeless1000", 30),
     Row("generators --json --file @edgeless1000", 30),
     Row("check --file @edgeless1000", 60),
-    # no check row: rational_cycle_rank scans every vertex row for each of the
-    # 499500 edge columns of K1000's odd subgraph, about 25 s
+    # K1000's odd subgraph: 499500 edge rows for rational_cycle_rank, and as many
+    # fundamental cycles for the cycle and word rows
+    Row("check --file @dense1000", 30),
     Row("compute --json --file @dense1000", 30),
     Row("generators --json --file @dense1000", 60),
     Row("compute --json --file @random1000", 5),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -48,6 +49,45 @@ def test_rational_cycle_rank_matches_q3_on_large_graphs(n):
     for seed in range(2):
         profile = analyze(random_coxeter_graph(random.Random(seed), n))
         assert rational_cycle_rank(profile.odd) == profile.q3
+
+
+def _wheel(rim: int):
+    """A rim cycle of label-3 edges, and a hub after it joined to each rim vertex by a 3."""
+    names = [f"r{k}" for k in range(rim)] + ["hub"]
+    edges = [(f"r{k}", f"r{(k + 1) % rim}", 3) for k in range(rim)] + [(f"r{k}", "hub", 3) for k in range(rim)]
+    return build_graph(names, edges)
+
+
+def _complete_threes(n: int):
+    names = [f"v{i}" for i in range(n)]
+    return build_graph(names, [(s, t, 3) for s, t in combinations(names, 2)])
+
+
+def _shuffled_path_with_chords():
+    """A200 in a shuffled order with four odd chords and one even one: q3 = 4."""
+    path = from_catalog("A200").vertices
+    shuffled = permuted_copy(from_catalog("A200"), random.Random(3))
+    edges = [(shuffled.vertices[i], shuffled.vertices[j], m) for (i, j), m in shuffled.labels.items()]
+    chords = [(0, 199, 3), (10, 67, 5), (40, 43, 3), (120, 190, 3), (5, 150, 4)]
+    return build_graph(shuffled.vertices, edges + [(path[i], path[j], m) for i, j, m in chords])
+
+
+@pytest.mark.parametrize("make, q3, small", [
+    # ~A<n>: the last edge read closes the cycle, and its row reduces through every kept row down to vertex 0
+    (lambda: from_catalog("~A100"), 1, True),
+    (lambda: from_catalog("~A3000"), 1, False),
+    # each spoke's row leads with the hub, then walks down the rim's kept rows
+    (lambda: _wheel(2000), 2000, False),
+    (lambda: _complete_threes(5), 6, True),
+    (lambda: _complete_threes(40), 741, True),
+    (_shuffled_path_with_chords, 4, True),
+], ids=["~A100", "~A3000", "wheel2000", "K5", "K40", "shuffled-A200-chords"])
+def test_rational_cycle_rank_on_long_reductions(make, q3, small):
+    g = make()
+    pg = odd_subgraph(g)
+    assert rational_cycle_rank(pg) == analyze(g).q3 == q3
+    if small:
+        assert len(pg.edges) - gf2_rank(incidence_masks(pg)) == q3
 
 
 def test_dihedral_reference():
