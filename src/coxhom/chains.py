@@ -2,10 +2,11 @@
 
 All arithmetic is exact integer arithmetic.  An edge (i, j) with i < j is
 oriented from i to j, so its boundary is (vertex j) - (vertex i).  A 1-chain
-is an iterable of (edge, coefficient) terms, and a GF(2) vector is an int
-whose bit k is its coordinate k.  The fundamental cycle basis is fixed
-once and for all by a breadth-first spanning forest, making every downstream
-generator word reproducible.
+is an iterable of (edge, coefficient) terms, a 0-chain a dict from vertex to
+its nonzero coefficient, and a GF(2) vector an int whose bit k is its
+coordinate k.  The fundamental cycle basis is fixed once and for all by a
+breadth-first spanning forest, making every downstream generator word
+reproducible.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ class CycleBasis(NamedTuple):
     basis: tuple[tuple[tuple[int, int], ...], ...]
 
 
-def boundary(pg: PlainGraph, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Integer 0-chain of the boundary: one coefficient per vertex."""
-    out = [0] * len(pg.vertices)
+def boundary(pg: PlainGraph, terms: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Integer 0-chain of the boundary, at the vertices the terms touch: a cycle's is ``{}``."""
+    out: dict[int, int] = {}
     for k, c in terms:
         i, j = pg.edges[k]
-        out[i] -= c
-        out[j] += c
-    return tuple(out)
+        out[i] = out.get(i, 0) - c
+        out[j] = out.get(j, 0) + c
+    return {v: c for v, c in out.items() if c}
 
 
 def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import CoxhomError
-from .graph import INFINITY, CoxeterGraph, PlainGraph, odd_subgraph
+from .graph import INFINITY, CoxeterGraph
 
 Pair = tuple[int, int]
 
@@ -118,8 +118,7 @@ class AbelianDescriptor(NamedTuple):
 class InvariantProfile(NamedTuple):
     """The counts p, q1..q3 and Howlett's n1..n4 of one graph, the two graph
     facts its corollary adds to q1 = 0, every descriptor they determine, and,
-    left out of ==, hash and repr, the ``partition`` and ``odd`` subgraph
-    they were read from."""
+    left out of ==, hash and repr, the ``partition`` they were read from."""
 
     p: int
     q1: int
@@ -132,7 +131,6 @@ class InvariantProfile(NamedTuple):
     odd_equals_gamma: bool
     tree: bool
     partition: PairPartition
-    odd: PlainGraph
 
     __eq__, __ne__, __hash__, __repr__ = _leading_fields(10)
 
@@ -354,20 +352,21 @@ def _components(n: int, edges: Iterable[Pair]) -> int:
     return components
 
 
-def _odd_ranks(g: CoxeterGraph) -> tuple[PlainGraph, int, int]:
-    """g's odd subgraph, and q3 and n4: its independent cycles and components."""
-    pg = odd_subgraph(g)
-    components = _components(len(g.vertices), pg.edges)
-    return pg, len(pg.edges) - len(g.vertices) + components, components
+def _odd_ranks(odd: list[list[int]], edges: int) -> tuple[int, int]:
+    """q3 and n4, the independent cycles and components of the odd subgraph:
+    its ``edges`` edges join each v to the x in ``odd[v]``, as
+    ``_read_labels`` lists them."""
+    components = _components(len(odd), ((x, v) for v, lower in enumerate(odd) for x in lower))
+    return edges - len(odd) + components, components
 
 
 def analyze(g: CoxeterGraph) -> InvariantProfile:
-    """The rank profile of g, with the pair partition and odd subgraph it was
-    read from, each computed once."""
+    """The rank profile of g, with the pair partition it was read from, each
+    computed from one pass over the labels."""
     labels = _read_labels(g)
     q2, n2 = labels[3:]
     partition = pair_classes(g, labels)
-    pg, q3, n4 = _odd_ranks(g)
+    q3, n4 = _odd_ranks(labels[1], n2 - q2)
     n, edges = len(g.vertices), len(g.labels)
     # a forest has n - components edges, never more than n: a denser graph
     # is no forest and is not searched
@@ -381,10 +380,9 @@ def analyze(g: CoxeterGraph) -> InvariantProfile:
         n2=n2,
         n3=partition.n3,
         n4=n4,
-        odd_equals_gamma=len(pg.edges) == edges,  # every stored label is odd
+        odd_equals_gamma=n2 - q2 == edges,  # every stored label is odd
         tree=tree,
         partition=partition,
-        odd=pg,
     )
 
 
@@ -424,8 +422,8 @@ def stability_scan(seed: CoxeterGraph, n_max: int) -> StabilityReport:
     if n_max > MAX_SCAN_STEPS:
         raise CoxhomError(f"n_max must be <= {MAX_SCAN_STEPS}, got {n_max}")
     n = len(seed.vertices)
-    noncommuting, odd, _, q2, _ = _read_labels(seed)
-    _, q3, _ = _odd_ranks(seed)
+    noncommuting, odd, _, q2, n2 = _read_labels(seed)
+    q3 = _odd_ranks(odd, n2 - q2)[0]  # before the appended vertices join odd
     for v in range(n, n + 3):  # v - 1 -- v is a 3-edge
         noncommuting[v - 1] |= 1 << v
         noncommuting.append(3 << (v - 1))

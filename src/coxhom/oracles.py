@@ -95,8 +95,7 @@ def rational_cycle_rank(pg: PlainGraph) -> int:
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     """Every internal identity on one graph, as (name, passed, detail) rows."""
     omegas = omega_sets(g, "artin")  # both flavors build the same words
-    profile, basis = omegas.profile, omegas.basis
-    pg = profile.odd
+    profile, pg, basis = omegas.profile, omegas.odd, omegas.basis
     # the oracle runs first, so its working sets are freed before the partition lists its classes
     closure = naive_pair_closure(g)
     rational = rational_cycle_rank(pg)
@@ -135,7 +134,7 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
             held[k] += c % 2
     rows.append((
         "fundamental_cycles_bound",
-        all(not any(boundary(pg, cycle)) for cycle in basis.basis)
+        not any(boundary(pg, cycle) for cycle in basis.basis)
         and len(basis.basis) == profile.q3
         and all(any(c % 2 and held[k] == 1 for k, c in cycle) for cycle in basis.basis),
         f"{len(basis.basis)} cycles",
@@ -148,16 +147,17 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
         and omegas.total == profile.mod2_rank,
         f"|1|,|2|,|3| = {len(omegas.omega1)},{len(omegas.omega2)},{len(omegas.omega3)}",
     ))
+    words = omegas.omega1 + omegas.omega2 + omegas.omega3
     rows.append((
         "omega_abelianization",
-        all(map(in_commutator_subgroup, omegas.omega1 + omegas.omega2 + omegas.omega3)),
+        all(map(in_commutator_subgroup, words)),
         f"{omegas.total} words",
     ))
     rows.append((
         "omega_freely_reduced",
         all(
             0 not in w and all(a != -b for a, b in zip(w, w[1:]))
-            for w in omegas.omega1 + omegas.omega2 + omegas.omega3
+            for w in words
         ),
         f"{omegas.total} words",
     ))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .chains import CycleBasis, fundamental_cycle_basis
 from .errors import CoxhomError
-from .graph import INFINITY, CoxeterGraph, Label, is_even
+from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, is_even, odd_subgraph
 from .invariants import InvariantProfile, _leading_fields, analyze
 
 FLAVORS = ("artin", "coxeter")
@@ -81,14 +81,15 @@ def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
 
 class OmegaSets(NamedTuple):
     """Generator words for the second homology, one family per mechanism,
-    and, left out of ==, hash and repr, the profile and cycle basis they
-    were built from."""
+    and, left out of ==, hash and repr, the profile, odd subgraph and cycle
+    basis they were built from."""
 
     flavor: str
     omega1: tuple[tuple[int, ...], ...]
     omega2: tuple[tuple[int, ...], ...]
     omega3: tuple[tuple[int, ...], ...]
     profile: InvariantProfile
+    odd: PlainGraph
     basis: CycleBasis
 
     __eq__, __ne__, __hash__, __repr__ = _leading_fields(4)
@@ -111,7 +112,7 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     # a least pair has s < t, and the relator of label 2 is the commutator [s, t]
     omega1 = tuple(relator(s, t, 2) for s, t in profile.partition.least)
     omega2 = tuple(relator(i, j, m) for (i, j), m in g.labels.items() if is_even(m))
-    pg = profile.odd
+    pg = odd_subgraph(g)  # the cycle basis reads its edges in pair order
     basis = fundamental_cycle_basis(pg)
     # a term (edge, +-1) -> the edge's relator to that power, spelled at its first use
     spelled: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -129,4 +130,4 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
             else:  # nothing cancels at the join
                 stack += part
         omega3.append(tuple(stack))
-    return OmegaSets(flavor, omega1, omega2, tuple(omega3), profile, basis)
+    return OmegaSets(flavor, omega1, omega2, tuple(omega3), profile, pg, basis)

@@ -36,9 +36,12 @@ def _complete(n: int, m: int) -> str:
     return _edgeless(n) + "".join(f"edge v{i} v{j} {m}\n" for i in range(n) for j in range(i + 1, n))
 
 
-# Each input's text by its name; a row's command names it as "@name".
+# Each input's text by its name; a row's command names it as "@name".  An
+# accepted input with no check row says why.
 INPUTS = {
-    "one": lambda: "vertex a\n",  # a scan's work follows its seed, not n-max
+    # a scan's work follows its seed, not n-max; no check row for either stability
+    # seed, as the benchmark's catalog_check workload checks graphs of 1-10 vertices
+    "one": lambda: "vertex a\n",
     "three": lambda: "vertex a\nvertex b\nvertex c\nedge a b 3\n",
     # its omega3 words time the word layer, and check runs every oracle on it
     "random200": lambda: render_graph(random_coxeter_graph(random.Random(1), 200)),
@@ -47,15 +50,18 @@ INPUTS = {
     # every pair a class of its own: the pair classes' worst case at each size
     "edgeless100": lambda: _edgeless(100),
     "edgeless1000": lambda: _edgeless(1000),
+    # no check row: 4.5M omega1 words and as many closure pairs, measured at 40.5 s and 3.5 GB
     "edgeless_max": lambda: _edgeless(FILE_N),
     "edgeless_over": lambda: _edgeless(FILE_N + 1),
     # every pair an odd edge: the most omega3 words and letters per vertex
     "dense1000": lambda: _complete(1000, 3),
-    # 349562 labels of every kind: about 100 births per row, which the pair classes' searches join
+    # 349562 labels of every kind: about 100 births per row, which the pair classes' searches join.
+    # No check row: the closure grows as about n**3 on dense random graphs, 6.5 s in process at n = 600
     "random1000": lambda: render_graph(random_coxeter_graph(random.Random(1), 1000)),
     "commented_over": lambda: "# edgeless\n" + _edgeless(FILE_N + 1),
     # grown through births and joins, where the catalog order copies whole rows
     "shuffled1000": lambda: render_graph(permuted_copy(from_catalog("A1000"), random.Random(1))),
+    # no check row: its closure is the check --type A<N> row's, on one more vertex
     "affine_max": lambda: render_graph(from_catalog(f"~A{N}")),
     "label5000": lambda: f"vertex a\nvertex b\nedge a b {'9' * 5000}\n",
 }
@@ -102,6 +108,8 @@ ROWS = [
     Row("compute --json --file @edgeless1000", 30),
     Row("generators --json --file @edgeless1000", 30),
     Row("check --file @edgeless1000", 60),
+    Row("check --file @sparse1000", 30),
+    Row("check --file @shuffled1000", 30),
     # K1000's odd subgraph: 499500 edge rows for rational_cycle_rank, and as many
     # fundamental cycles for the cycle and word rows
     Row("check --file @dense1000", 30),
@@ -139,7 +147,10 @@ def write_inputs(rows: list[Row], directory: str | Path) -> dict[str, str]:
 
 
 def run(rows: list[Row]) -> int:
-    """1 at the first row that fails, each run as a whole process in turn, else 0."""
+    """1 at the first row that fails, each run as a whole process in turn, else
+    0; either way the last line gives the rows run, their seconds and the slowest."""
+    times: list[tuple[float, Row]] = []
+    failed = False
     with tempfile.TemporaryDirectory() as directory:
         paths = write_inputs(rows, directory)
         for row in rows:
@@ -151,12 +162,16 @@ def run(rows: list[Row]) -> int:
             except subprocess.TimeoutExpired:
                 code, stderr = None, "killed at its budget"
             seconds = time.perf_counter() - start
+            times.append((seconds, row))
             failed = (code, stderr) != (row.code, row.stderr) or seconds > row.budget
             print(f"{'FAIL' if failed else 'ok'} {seconds:.2f} of {row.budget:g} s, exit {code}: {row}")
             if failed:
                 print(f"expected exit {row.code} and stderr {row.stderr!r}, got stderr {stderr[:200]!r}")
-                return 1
-    return 0
+                break
+    slowest, row = max(times, key=lambda entry: entry[0])
+    print(f"rows run: {len(times)} of {len(rows)}, {sum(seconds for seconds, _ in times):.1f} s in all, "
+          f"slowest {slowest:.2f} s: {row}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -165,7 +165,7 @@ def test_criterion_08_kernel_law(capsys):
             if flag:
                 for k, coefficient in cycle:
                     a[k] += coefficient
-        assert all(c % 2 == 0 for c in boundary(pg, enumerate(a)))
+        assert all(c % 2 == 0 for c in boundary(pg, enumerate(a)).values())
         zero_image = mod2_reduce(enumerate(a)) == 0
         doubly_even = all(c % 2 == 0 for c in a)
         assert zero_image == doubly_even

@@ -34,7 +34,7 @@ def test_fundamental_basis_triangle():
     basis = fundamental_cycle_basis(TRIANGLE)
     assert len(basis.basis) == 1
     cycle = basis.basis[0]
-    assert not any(boundary(TRIANGLE, cycle))
+    assert not boundary(TRIANGLE, cycle)
     assert [k for k, c in cycle] == [0, 1, 2]  # support is all 3 edges
     assert all(abs(c) == 1 for k, c in cycle)
     assert (_path_walk_cycle_basis(TRIANGLE)[1][0], 1) in cycle
@@ -53,7 +53,7 @@ def test_fundamental_basis_boundaries_vanish_on_corpus():
         basis = fundamental_cycle_basis(pg)
         nontree = _path_walk_cycle_basis(pg)[1]
         for k, cycle in enumerate(basis.basis):
-            assert not any(boundary(pg, cycle))
+            assert not boundary(pg, cycle)
             assert (nontree[k], 1) in cycle
             assert [e for e, c in cycle] == sorted({e for e, c in cycle})
             assert all(c in (-1, 1) for e, c in cycle)
@@ -126,7 +126,7 @@ def test_fundamental_basis_matches_path_walk_oracle():
         cycles_oracle, nontree = _path_walk_cycle_basis(pg)
         assert basis.basis == cycles_oracle
         for k, cycle in zip(nontree, basis.basis):
-            assert not any(boundary(pg, cycle))
+            assert not boundary(pg, cycle)
             assert (k, 1) in cycle
         cycles += len(basis.basis)
     assert cycles > 10000
@@ -140,10 +140,21 @@ def test_mod2_reduce_triangle_is_all_ones():
 
 
 def test_boundary_parity():
-    assert not any(c % 2 for c in boundary(EDGE, enumerate([2])))
-    assert any(c % 2 for c in boundary(EDGE, enumerate([1])))
+    assert not any(c % 2 for c in boundary(EDGE, enumerate([2])).values())
+    assert any(c % 2 for c in boundary(EDGE, enumerate([1])).values())
     for cycle in fundamental_cycle_basis(K4).basis:
-        assert not any(c % 2 for c in boundary(K4, cycle))
+        assert not any(c % 2 for c in boundary(K4, cycle).values())
+
+
+def test_boundary_keeps_only_the_nonzero_coefficients_it_touches():
+    path = odd_subgraph(from_catalog("A5"))  # 0 - 1 - 2 - 3 - 4
+    assert boundary(path, [(k, 1) for k in range(4)]) == {0: -1, 4: 1}
+    assert boundary(path, [(k, -1) for k in (3, 2, 1)]) == {4: -1, 1: 1}
+    for pg in (K4, odd_subgraph(from_catalog("~A5"))):
+        cycles = fundamental_cycle_basis(pg).basis
+        assert cycles and all(boundary(pg, cycle) == {} for cycle in cycles)
+    assert boundary(EDGE, [(0, 2)]) == {0: -2, 1: 2}
+    assert boundary(EDGE, [(0, 1), (0, -1)]) == {}
 
 
 def test_mod2_reduce_kills_doubled_chains():
@@ -185,7 +196,7 @@ def test_kernel_law_on_random_even_chains():
             if flag:
                 for k, c in cycle:
                     a[k] += c
-        assert not any(c % 2 for c in boundary(pg, enumerate(a)))
+        assert not any(c % 2 for c in boundary(pg, enumerate(a)).values())
         all_even = all(c % 2 == 0 for c in a)
         assert all_even == (not any(flags))
         assert (mod2_reduce(enumerate(a)) == 0) == all_even
@@ -203,5 +214,5 @@ def test_xi_is_onto_the_mod2_cycle_space():
             if rng.random() < 0.5:
                 target ^= mod2_reduce(cycle)
         lift = [target >> k & 1 for k in range(len(pg.edges))]
-        assert not any(c % 2 for c in boundary(pg, enumerate(lift)))
+        assert not any(c % 2 for c in boundary(pg, enumerate(lift)).values())
         assert mod2_reduce(enumerate(lift)) == target

@@ -263,14 +263,14 @@ def test_analyze_counts_the_largest_edgeless_graph_without_listing_a_class():
 def test_profile_and_omega_sets_compare_hash_and_show_their_counts_and_words_only():
     g = from_catalog("~D4")
     profile, omegas = analyze(g), omega_sets(g, "artin")
-    bare = profile._replace(partition=None, odd=None)
+    bare = profile._replace(partition=None)
     assert profile == bare and not profile != bare and hash(profile) == hash(bare)
     assert profile != profile._replace(n1=profile.n1 + 1) and not profile == profile._replace(tree=False)
     assert profile != tuple(profile) and omegas != tuple(omegas)
     assert repr(profile) == (
         "InvariantProfile(p=6, q1=0, q2=0, q3=0, n1=5, n2=4, n3=6, n4=1, odd_equals_gamma=True, tree=True)"
     )
-    same = omegas._replace(profile=None, basis=None)
+    same = omegas._replace(profile=None, odd=None, basis=None)
     assert omegas == same and not omegas != same and hash(omegas) == hash(same)
     assert omegas != omegas._replace(flavor="coxeter") and omegas != omegas._replace(omega1=())
     assert repr(omegas) == f"OmegaSets(flavor='artin', omega1={omegas.omega1!r}, omega2=(), omega3=())"

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -682,6 +683,13 @@ def test_limits_runner_exits_1_at_a_row_off_its_exit_code_or_budget():
     assert limits.run([limits.Row("catalog list", 10)]) == 0
     assert limits.run([limits.Row("catalog list", 10, 1)]) == 1
     assert limits.run([limits.Row("check --type A1000", 0.01)]) == 1
+
+
+def test_limits_runner_ends_with_the_rows_run_their_seconds_and_the_slowest(capsys):
+    rows = [limits.Row("catalog list", 10), limits.Row("catalog list", 10, 1), limits.Row("catalog list", 10)]
+    assert limits.run(rows) == 1  # the second row is off its exit code, so the third is not run
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"rows run: 2 of 3, \d+\.\d s in all, slowest \d+\.\d\d s: catalog list", last)
 
 
 def test_cli_reads_a_file_of_the_largest_catalog_diagram(tmp_path, capsys):

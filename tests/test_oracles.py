@@ -47,8 +47,8 @@ def test_rational_cycle_rank_examples():
 @pytest.mark.parametrize("n", [60, 100])
 def test_rational_cycle_rank_matches_q3_on_large_graphs(n):
     for seed in range(2):
-        profile = analyze(random_coxeter_graph(random.Random(seed), n))
-        assert rational_cycle_rank(profile.odd) == profile.q3
+        g = random_coxeter_graph(random.Random(seed), n)
+        assert rational_cycle_rank(odd_subgraph(g)) == analyze(g).q3
 
 
 def _wheel(rim: int):
@@ -210,3 +210,24 @@ def test_fundamental_cycles_bound_fails_on_a_basis_holding_one_cycle_twice(monke
     monkeypatch.setattr(oracles, "omega_sets", doubled)
     rows = oracles.consistency_report(g)
     assert [name for name, passed, _ in rows if not passed] == ["fundamental_cycles_bound"]
+
+
+@pytest.mark.parametrize("name, failed", [
+    ("~A3", ["howlett_term_identities", "cycle_rank_oracles", "fundamental_cycles_bound", "omega_counts"]),
+    ("A4", ["howlett_identity", "howlett_term_identities"]),
+], ids=["~A3", "A4"])
+def test_check_fails_where_the_odd_subgraph_and_the_profile_disagree(monkeypatch, name, failed):
+    # the profile counts the odd edges from its label pass, the oracles read
+    # odd_subgraph's; one edge dropped from the second must show
+    import coxhom.words as words
+
+    real = words.odd_subgraph
+
+    def short(g):
+        pg = real(g)
+        return pg._replace(edges=pg.edges[:-1])
+
+    g = from_catalog(name)
+    assert all(passed for _, passed, _ in consistency_report(g))
+    monkeypatch.setattr(words, "odd_subgraph", short)
+    assert [row for row, passed, _ in consistency_report(g) if not passed] == failed

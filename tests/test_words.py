@@ -70,7 +70,7 @@ def test_relator_closed_form_matches_its_definition(s, gap, m):
         assert -1 in dict(cycle).values()
         parts = []
         for k, coefficient in cycle:
-            i, j = om.profile.odd.edges[k]
+            i, j = om.odd.edges[k]
             parts.extend(power(relator(i, j, g.labels[i, j]), coefficient))
         assert om.omega3 == (free_reduce(parts),)
 
@@ -286,7 +286,7 @@ def test_omega_sets_spells_each_term_of_the_cycle_basis_once(monkeypatch):
     monkeypatch.setattr(coxhom.words, "_spell", spy)
     g = random_coxeter_graph(random.Random(30), 62)
     om = omega_sets(g, "artin")
-    pg = om.profile.odd
+    pg = om.odd
     terms = {term for cycle in om.basis.basis for term in cycle}
     expected = []
     for k, sign in terms:
