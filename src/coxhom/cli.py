@@ -131,8 +131,8 @@ def _yn(flag: bool) -> str:
 
 def _cmd_generators(args) -> int:
     g = _load_graph(args)
-    omegas = omega_sets(g, args.flavor)
-    profile = omegas.profile
+    profile = analyze(g)
+    omegas = omega_sets(g, profile, args.flavor)
     if omegas.total != profile.mod2_rank:
         print("internal error: generator count != p+q", file=sys.stderr)
         return 3

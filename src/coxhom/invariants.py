@@ -86,28 +86,6 @@ class PairPartition:
         return tuple(sorted(pair for block in self.classes for pair in block))
 
 
-def _leading_fields(count: int):
-    """``__eq__``, ``__ne__``, ``__hash__`` and ``__repr__`` for a NamedTuple
-    that read only its first ``count`` fields, as a dataclass reads the
-    fields it compares; an object of another type, a plain tuple among
-    them, is never equal."""
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self[:count] == other[:count]
-
-    def __ne__(self, other):
-        return not __eq__(self, other)
-
-    def __hash__(self):
-        return hash(self[:count])
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[:count]))
-        return f"{type(self).__name__}({shown})"
-
-    return __eq__, __ne__, __hash__, __repr__
-
-
 class AbelianDescriptor(NamedTuple):
     """Finitely generated abelian group of shape Z^free_rank + Z2^torsion2_rank."""
 
@@ -118,7 +96,8 @@ class AbelianDescriptor(NamedTuple):
 class InvariantProfile(NamedTuple):
     """The counts p, q1..q3 and Howlett's n1..n4 of one graph, the two graph
     facts its corollary adds to q1 = 0, every descriptor they determine, and,
-    left out of ==, hash and repr, the ``partition`` they were read from."""
+    left out of ==, hash and repr, the ``partition`` they were read from.  An
+    object of another type, a plain tuple among them, is never equal."""
 
     p: int
     q1: int
@@ -132,7 +111,18 @@ class InvariantProfile(NamedTuple):
     tree: bool
     partition: PairPartition
 
-    __eq__, __ne__, __hash__, __repr__ = _leading_fields(10)
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:10] == other[:10]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:10])
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self[:10]))
+        return f"InvariantProfile({shown})"
 
     @property
     def q(self) -> int:

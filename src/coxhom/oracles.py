@@ -10,10 +10,11 @@ agreement is evidence, not tautology; `check` reads n3 and n4 from them.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 
 from .chains import boundary, gf2_rank
 from .graph import CoxeterGraph, PlainGraph, is_odd
-from .invariants import Pair
+from .invariants import Pair, analyze
 from .words import in_commutator_subgroup, omega_sets
 
 
@@ -24,16 +25,21 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
 
     The relation is read from its definition: for each odd edge {x,y}, every
     vertex a commuting with both relates {a,x} to {a,y}, and a commutes with
-    y when ``g.labels`` holds no label for them.  A breadth-first search from
-    each class's least pair lists the class.  Unlike ``invariants._grow``,
-    which grows a union-find over pair slots vertex by vertex, this keeps
-    no union-find, slot table or bit mask, only neighbour lists and pairs.
+    y when ``g.labels`` holds no label for them, that is, when y is not in
+    the set of vertices a has a stored label with.  A breadth-first search
+    from each class's least pair lists the class.  Unlike
+    ``invariants._grow``, which grows a union-find over pair slots vertex by
+    vertex, this keeps no union-find, slot table or bit mask, only neighbour
+    lists and sets, which grow with the labels, and pairs.
     """
-    labels = g.labels  # a stored pair does not commute
-    # each vertex's odd neighbours and 3-neighbours, read in one pass over the stored labels
+    # each vertex's odd neighbours, 3-neighbours and stored neighbours (those it
+    # does not commute with), read in one pass over the stored labels
     odd: list[list[int]] = [[] for _ in g.vertices]
     threes: list[set[int]] = [set() for _ in g.vertices]
-    for (s, t), m in labels.items():
+    stored: list[set[int]] = [set() for _ in g.vertices]
+    for (s, t), m in g.labels.items():
+        stored[s].add(t)
+        stored[t].add(s)
         if is_odd(m):
             odd[s].append(t)
             odd[t].append(s)
@@ -43,16 +49,19 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
     classes: list[tuple[Pair, ...]] = []
     seen: set[Pair] = set()
     for pair in combinations(range(len(g.vertices)), 2):  # in order, so a search starts at its class's least pair
-        if pair in labels or pair in seen:
+        if pair in g.labels or pair in seen:
             continue
         seen.add(pair)
         block = [pair]
         for s, t in block:  # the block grows as it is walked
             # {a,x} ~ {a,y} for each odd edge {x,y} with a commuting with y; y != a, as {a,x} commutes
             for a, x in ((s, t), (t, s)):
+                stored_a = stored[a]
                 for y in odd[x]:
+                    if y in stored_a:
+                        continue
                     other = (a, y) if a < y else (y, a)
-                    if other not in labels and other not in seen:
+                    if other not in seen:
                         seen.add(other)
                         block.append(other)
         classes.append(tuple(sorted(block)))
@@ -94,8 +103,9 @@ def rational_cycle_rank(pg: PlainGraph) -> int:
 
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     """Every internal identity on one graph, as (name, passed, detail) rows."""
-    omegas = omega_sets(g, "artin")  # both flavors build the same words
-    profile, pg, basis = omegas.profile, omegas.odd, omegas.basis
+    profile = analyze(g)
+    omegas = omega_sets(g, profile, "artin")  # both flavors build the same words
+    pg, basis = omegas.odd, omegas.basis
     # the oracle runs first, so its working sets are freed before the partition lists its classes
     closure = naive_pair_closure(g)
     rational = rational_cycle_rank(pg)
@@ -155,10 +165,7 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     ))
     rows.append((
         "omega_freely_reduced",
-        all(
-            0 not in w and all(a != -b for a, b in zip(w, w[1:]))
-            for w in words
-        ),
+        all(0 not in w and 0 not in map(add, w, w[1:]) for w in words),  # a + b == 0 when b == -a
         f"{omegas.total} words",
     ))
     return rows

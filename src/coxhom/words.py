@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .chains import CycleBasis, fundamental_cycle_basis
 from .errors import CoxhomError
 from .graph import INFINITY, CoxeterGraph, Label, PlainGraph, is_even, odd_subgraph
-from .invariants import InvariantProfile, _leading_fields, analyze
+from .invariants import InvariantProfile
 
 FLAVORS = ("artin", "coxeter")
 
@@ -81,26 +81,23 @@ def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
 
 class OmegaSets(NamedTuple):
     """Generator words for the second homology, one family per mechanism,
-    and, left out of ==, hash and repr, the profile, odd subgraph and cycle
-    basis they were built from."""
+    and the odd subgraph and cycle basis omega3 was spelled from."""
 
     flavor: str
     omega1: tuple[tuple[int, ...], ...]
     omega2: tuple[tuple[int, ...], ...]
     omega3: tuple[tuple[int, ...], ...]
-    profile: InvariantProfile
     odd: PlainGraph
     basis: CycleBasis
-
-    __eq__, __ne__, __hash__, __repr__ = _leading_fields(4)
 
     @property
     def total(self) -> int:
         return len(self.omega1) + len(self.omega2) + len(self.omega3)
 
 
-def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
-    """Construct the three generator families for either presentation.
+def omega_sets(g: CoxeterGraph, profile: InvariantProfile, flavor: str) -> OmegaSets:
+    """Construct the three generator families of g for either presentation,
+    reading each class's least pair from g's invariant ``profile``.
 
     Both flavors share letter data (every Artin relator is a Coxeter relator,
     and the signed cycle exponents need no squaring relators), so the flavor
@@ -108,7 +105,6 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
     """
     if flavor not in FLAVORS:
         raise CoxhomError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    profile = analyze(g)
     # a least pair has s < t, and the relator of label 2 is the commutator [s, t]
     omega1 = tuple(relator(s, t, 2) for s, t in profile.partition.least)
     omega2 = tuple(relator(i, j, m) for (i, j), m in g.labels.items() if is_even(m))
@@ -130,4 +126,4 @@ def omega_sets(g: CoxeterGraph, flavor: str) -> OmegaSets:
             else:  # nothing cancels at the join
                 stack += part
         omega3.append(tuple(stack))
-    return OmegaSets(flavor, omega1, omega2, tuple(omega3), profile, pg, basis)
+    return OmegaSets(flavor, omega1, omega2, tuple(omega3), pg, basis)

@@ -56,7 +56,8 @@ INPUTS = {
     # every pair an odd edge: the most omega3 words and letters per vertex
     "dense1000": lambda: _complete(1000, 3),
     # 349562 labels of every kind: about 100 births per row, which the pair classes' searches join.
-    # No check row: the closure grows as about n**3 on dense random graphs, 6.5 s in process at n = 600
+    # Its check row is the closure's worst case: a breadth-first search over about 150000 commuting
+    # pairs, each trying every odd neighbour of both its vertices
     "random1000": lambda: render_graph(random_coxeter_graph(random.Random(1), 1000)),
     "commented_over": lambda: "# edgeless\n" + _edgeless(FILE_N + 1),
     # grown through births and joins, where the catalog order copies whole rows
@@ -117,6 +118,7 @@ ROWS = [
     Row("generators --json --file @dense1000", 60),
     Row("compute --json --file @random1000", 5),
     Row("generators --json --file @random1000", 20),
+    Row("check --file @random1000", 60),
     # n-max <= MAX_SCAN_STEPS; a seed takes what a graph file takes, as the scan grows
     # only the seed and three appended vertices
     Row(f"stability --seed-file @one --n-max {STEPS}", 10),

@@ -108,8 +108,8 @@ def test_criterion_07_omega_contract(capsys):
     for g in graphs:
         profile = analyze(g)
         rank = len(g.vertices)
-        artin = omega_sets(g, "artin")
-        coxeter = omega_sets(g, "coxeter")
+        artin = omega_sets(g, profile, "artin")
+        coxeter = omega_sets(g, profile, "coxeter")
         for omegas in (artin, coxeter):
             assert len(omegas.omega1) == profile.p + profile.q1
             assert len(omegas.omega2) == profile.q2

@@ -260,20 +260,27 @@ def test_analyze_counts_the_largest_edgeless_graph_without_listing_a_class():
     assert not {"least", "torsion_flags", "classes", "pairs"} & vars(profile.partition).keys()
 
 
-def test_profile_and_omega_sets_compare_hash_and_show_their_counts_and_words_only():
+def test_profile_shows_its_counts_only_and_omega_sets_every_field():
     g = from_catalog("~D4")
-    profile, omegas = analyze(g), omega_sets(g, "artin")
+    profile = analyze(g)
+    omegas = omega_sets(g, profile, "artin")
     bare = profile._replace(partition=None)
     assert profile == bare and not profile != bare and hash(profile) == hash(bare)
     assert profile != profile._replace(n1=profile.n1 + 1) and not profile == profile._replace(tree=False)
-    assert profile != tuple(profile) and omegas != tuple(omegas)
+    assert profile != tuple(profile)
     assert repr(profile) == (
         "InvariantProfile(p=6, q1=0, q2=0, q3=0, n1=5, n2=4, n3=6, n4=1, odd_equals_gamma=True, tree=True)"
     )
-    same = omegas._replace(profile=None, odd=None, basis=None)
-    assert omegas == same and not omegas != same and hash(omegas) == hash(same)
+    # the words' sources are plain fields, compared, hashed and shown like the words
+    assert type(omegas).__eq__ is tuple.__eq__ and type(omegas).__hash__ is tuple.__hash__
+    assert omegas._fields == ("flavor", "omega1", "omega2", "omega3", "odd", "basis")
+    assert omegas == tuple(omegas) and hash(omegas) == hash(tuple(omegas))
     assert omegas != omegas._replace(flavor="coxeter") and omegas != omegas._replace(omega1=())
-    assert repr(omegas) == f"OmegaSets(flavor='artin', omega1={omegas.omega1!r}, omega2=(), omega3=())"
+    assert omegas != omegas._replace(odd=None) and omegas != omegas._replace(basis=None)
+    assert repr(omegas) == (
+        f"OmegaSets(flavor='artin', omega1={omegas.omega1!r}, omega2=(), omega3=(), "
+        f"odd={omegas.odd!r}, basis=CycleBasis(basis=()))"
+    )
     assert repr(profile.partition) == "PairPartition(n3=6, p=6)"
 
 

@@ -157,8 +157,9 @@ def test_word_serialization():
 
 def _json_for(name, omegas_flavor=None):
     g = from_catalog(name)
-    omegas = omega_sets(g, omegas_flavor) if omegas_flavor else None
-    return json.loads(render_json(g, analyze(g), omegas))
+    profile = analyze(g)
+    omegas = omega_sets(g, profile, omegas_flavor) if omegas_flavor else None
+    return json.loads(render_json(g, profile, omegas))
 
 
 def test_render_json_affine_e6():
@@ -224,9 +225,10 @@ def test_generators_lists_one_word_per_class_of_an_edgeless_graph(tmp_path, caps
 
 
 def _assert_renders_as_the_reference(g, flavors=(None, "artin", "coxeter")):
+    profile = analyze(g)
     for flavor in flavors:
-        omegas = omega_sets(g, flavor) if flavor else None
-        args = (g, omegas.profile if omegas else analyze(g), omegas)
+        omegas = omega_sets(g, profile, flavor) if flavor else None
+        args = (g, profile, omegas)
         assert render_json(*args) == reference_json(*args), (g.vertices, flavor)
 
 
@@ -235,12 +237,14 @@ def test_render_json_bytes_on_catalog_and_corpus():
     for g in graphs + [build_graph([])]:
         _assert_renders_as_the_reference(g)
     a1 = from_catalog("A1")
-    text = render_json(a1, analyze(a1), omega_sets(a1, "artin"))
+    profile = analyze(a1)
+    text = render_json(a1, profile, omega_sets(a1, profile, "artin"))
     assert '"omega1": [],' in text and '"omega3": [],' in text  # a graph with no words
     # the flag is computed per word, not assumed: a word off the commutator subgroup reads false
     g = from_catalog("~A2")
-    omegas = omega_sets(g, "artin")._replace(omega2=((1, 2, 1), (1, -2, -1, 2)))
-    args = (g, omegas.profile, omegas)
+    profile = analyze(g)
+    omegas = omega_sets(g, profile, "artin")._replace(omega2=((1, 2, 1), (1, -2, -1, 2)))
+    args = (g, profile, omegas)
     text = render_json(*args)
     assert text == reference_json(*args)
     assert text.count('"abelianization_zero": false') == 1
@@ -489,8 +493,8 @@ def test_cli_exits_3_when_a_count_is_off_by_one(command, message, monkeypatch, c
         profile = real_analyze(g)
         return profile._replace(n1=profile.n1 + 1)
 
-    def off_words(g, flavor):  # one omega2 word more than p + q
-        omegas = real_omega_sets(g, flavor)
+    def off_words(g, profile, flavor):  # one omega2 word more than p + q
+        omegas = real_omega_sets(g, profile, flavor)
         return omegas._replace(omega2=omegas.omega2 + ((1, 2, -1, -2),))
 
     monkeypatch.setattr(cli, "analyze", off_profile)
@@ -504,9 +508,9 @@ def test_check_fails_only_the_reducedness_row_on_an_unreduced_word(monkeypatch, 
 
     real_omega_sets = oracles.omega_sets
 
-    def unreduced(g, flavor):
+    def unreduced(g, profile, flavor):
         # zero abelianization and the triangle's counts, but 2 next to -2
-        return real_omega_sets(g, flavor)._replace(omega3=((1, 2, -2, -1),))
+        return real_omega_sets(g, profile, flavor)._replace(omega3=((1, 2, -2, -1),))
 
     monkeypatch.setattr(oracles, "omega_sets", unreduced)
     rows = oracles.consistency_report(from_catalog("~A2"))

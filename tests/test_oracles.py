@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -173,6 +173,26 @@ def test_pair_classes_agree_with_naive_closure_along_odd_paths():
         assert listed(pair_classes(g)) == naive_pair_closure(g)
 
 
+@pytest.mark.parametrize("most, labels, graphs", [
+    (5, (2, 3), 1099),
+    (4, (2, 3, 4, 5, INFINITY), 15756),
+], ids=["labels-23", "labels-2345inf"])
+def test_pair_classes_agree_with_naive_closure_on_every_small_graph(most, labels, graphs):
+    # every labelled graph of 1..most vertices over the labels
+    count = 0
+    for n in range(1, most + 1):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(names, 2))
+        for choice in product(labels, repeat=len(pairs)):
+            g = build_graph(names, [(s, t, m) for (s, t), m in zip(pairs, choice)])
+            classes, flags = naive_pair_closure(g)
+            assert listed(pair_classes(g)) == (classes, flags), choice
+            profile = analyze(g)
+            assert (profile.n3, profile.p) == (len(classes), sum(flags)), choice
+            count += 1
+    assert count == graphs
+
+
 def test_cycle_rank_oracles_agree():
     for g in corpus_graphs(120, base_seed=60):
         pg = odd_subgraph(g)
@@ -201,8 +221,8 @@ def test_fundamental_cycles_bound_fails_on_a_basis_holding_one_cycle_twice(monke
     g = build_graph("abcd", [(s, t, 3) for s, t in ("ab", "ac", "bc", "bd", "cd")])
     real = oracles.omega_sets
 
-    def doubled(graph, flavor):
-        omegas = real(graph, flavor)
+    def doubled(graph, profile, flavor):
+        omegas = real(graph, profile, flavor)
         first = omegas.basis.basis[0]
         return omegas._replace(basis=CycleBasis((first, first)))  # as many cycles as q3, but dependent
 

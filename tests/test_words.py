@@ -65,7 +65,7 @@ def test_relator_closed_form_matches_its_definition(s, gap, m):
     assert _spell(t + 1, s + 1, m) == inverse(rel)
     if m % 2:  # a triangle whose cycle takes one odd-m relator with exponent -1
         g = build_graph(["a", "b", "c"], [("a", "b", m), ("b", "c", 3), ("a", "c", m)])
-        om = omega_sets(g, "artin")
+        om = omega_sets(g, analyze(g), "artin")
         (cycle,) = om.basis.basis
         assert -1 in dict(cycle).values()
         parts = []
@@ -94,8 +94,9 @@ def test_relator_refusals_keep_their_messages():
 def test_relator_equals_commutator_for_label_two():
     # omega1 spells [s, t] = s t s^-1 t^-1 for the least pair (s, t) of each class
     for g in corpus_graphs(60):
-        om = omega_sets(g, "coxeter")
-        least = om.profile.partition.least
+        profile = analyze(g)
+        om = omega_sets(g, profile, "coxeter")
+        least = profile.partition.least
         assert om.omega1 == tuple((s + 1, t + 1, -(s + 1), -(t + 1)) for s, t in least)
 
 
@@ -200,14 +201,16 @@ def test_word_power_and_inverse():
 
 
 def test_omega_sets_a3():
-    om = omega_sets(from_catalog("A3"), "artin")
+    g = from_catalog("A3")
+    om = omega_sets(g, analyze(g), "artin")
     assert om.omega1 == ((1, 3, -1, -3),)
     assert om.omega2 == ()
     assert om.omega3 == ()
 
 
 def test_omega_sets_i24():
-    om = omega_sets(from_catalog("I2(4)"), "artin")
+    g = from_catalog("I2(4)")
+    om = omega_sets(g, analyze(g), "artin")
     assert om.omega1 == ()
     assert om.omega2 == (relator(0, 1, 4),)
     assert om.omega2[0] == (1, 2, 1, 2, -1, -2, -1, -2)
@@ -218,7 +221,7 @@ TRIANGLE = build_graph(["s1", "s2", "s3"], [("s1", "s2", 3), ("s2", "s3", 3), ("
 
 
 def test_omega_sets_triangle_cycle_word():
-    om = omega_sets(TRIANGLE, "artin")
+    om = omega_sets(TRIANGLE, analyze(TRIANGLE), "artin")
     assert (len(om.omega1), len(om.omega2), len(om.omega3)) == (0, 0, 1)
     word = om.omega3[0]
     assert in_commutator_subgroup(word)
@@ -237,7 +240,7 @@ def test_omega_exponent_recovery_on_corpus():
         pg = odd_subgraph(g)
         basis = fundamental_cycle_basis(pg)
         for flavor in ("artin", "coxeter"):
-            om = omega_sets(g, flavor)
+            om = omega_sets(g, analyze(g), flavor)
             assert len(om.omega3) == len(basis.basis)
             for word, cycle in zip(om.omega3, basis.basis):
                 parts = []
@@ -268,7 +271,7 @@ def test_omega3_join_reduction_equals_full_reduction_on_large_graphs(weights):
     cycles = 0
     for g in graphs:
         expected = _omega3_by_full_reduction(g)
-        assert omega_sets(g, "artin").omega3 == expected
+        assert omega_sets(g, analyze(g), "artin").omega3 == expected
         cycles += len(expected)
     assert cycles > 1000
 
@@ -285,7 +288,7 @@ def test_omega_sets_spells_each_term_of_the_cycle_basis_once(monkeypatch):
 
     monkeypatch.setattr(coxhom.words, "_spell", spy)
     g = random_coxeter_graph(random.Random(30), 62)
-    om = omega_sets(g, "artin")
+    om = omega_sets(g, analyze(g), "artin")
     pg = om.odd
     terms = {term for cycle in om.basis.basis for term in cycle}
     expected = []
@@ -302,7 +305,7 @@ def test_omega_sets_memory_stays_near_the_output_size():
     g = random_coxeter_graph(random.Random(1), 100)
     tracemalloc.start()
     try:
-        omega_sets(g, "artin")
+        omega_sets(g, analyze(g), "artin")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -313,7 +316,7 @@ def test_omega_counts_and_abelianization_on_corpus():
     for g in corpus_graphs(60, base_seed=100):
         profile = analyze(g)
         for flavor in ("artin", "coxeter"):
-            om = omega_sets(g, flavor)
+            om = omega_sets(g, profile, flavor)
             assert len(om.omega1) == profile.p + profile.q1
             assert len(om.omega2) == profile.q2
             assert len(om.omega3) == profile.q3
@@ -325,8 +328,9 @@ def test_omega_counts_and_abelianization_on_corpus():
 
 def test_both_flavors_build_the_same_words():
     for g in corpus_graphs(40, base_seed=200):
-        artin = omega_sets(g, "artin")
-        coxeter = omega_sets(g, "coxeter")
+        profile = analyze(g)
+        artin = omega_sets(g, profile, "artin")
+        coxeter = omega_sets(g, profile, "coxeter")
         assert (artin.flavor, coxeter.flavor) == ("artin", "coxeter")
         assert artin.omega1 == coxeter.omega1
         assert artin.omega2 == coxeter.omega2
@@ -335,5 +339,6 @@ def test_both_flavors_build_the_same_words():
 
 def test_omega_sets_refuses_an_unknown_flavor():
     with pytest.raises(CoxhomError) as info:
-        omega_sets(from_catalog("A3"), "bogus")
+        g = from_catalog("A3")
+        omega_sets(g, analyze(g), "bogus")
     assert str(info.value) == "flavor must be one of ('artin', 'coxeter'), got 'bogus'"
