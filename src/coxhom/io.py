@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote  # how json.dumps quotes every str
+from operator import length_hint
 from typing import Iterator, Optional, Sequence
 
 from .errors import CoxhomError, GraphSyntaxError, echo
@@ -51,37 +52,16 @@ def parse_graph(text: str) -> CoxeterGraph:
             vertices.append(tokens[1])
         elif not tokens[0].startswith("#"):
             raise GraphSyntaxError(f"unknown directive {echo(tokens[0])}", number)
-    current = 0
-
-    def rows(numbered):
-        # build_graph draws each row once, so a build error belongs to the latest line drawn
-        nonlocal current
-        for current, row in numbered:
-            yield row
-
+    vertex_rows, edge_rows = iter(vertices), iter(edges)
     try:
-        return build_graph(vertices, edges)
-    except CoxhomError:  # built again, to name the line: the k-th edge row is on the k-th `edge` line
-        numbers = {kind: [k for k, raw in enumerate(lines, start=1) if raw.split()[:1] == [kind]]
-                   for kind in ("vertex", "edge")}
-        try:
-            build_graph(rows(zip(numbers["vertex"], vertices)), rows(zip(numbers["edge"], edges)))
-        except CoxhomError as exc:
-            raise GraphSyntaxError(str(exc), current) from None
-        raise
-
-
-def render_graph(g: CoxeterGraph) -> str:
-    """Canonical file-format text; parsing it reproduces the graph exactly, so
-    a vertex name that is empty or holds whitespace is refused."""
-    for name in g.vertices:
-        if name.split() != [name]:
-            raise CoxhomError(f"vertex {echo(name)} is empty or holds whitespace; the file format cannot spell it")
-    lines = [f"vertex {name}" for name in g.vertices]
-    for (i, j), m in g.labels.items():
-        value = "inf" if m == INFINITY else m
-        lines.append(f"edge {g.vertices[i]} {g.vertices[j]} {value}")
-    return "\n".join(lines) + "\n"
+        return build_graph(vertex_rows, edge_rows)
+    except CoxhomError as exc:
+        # build_graph draws each row once, every vertex row before any edge row, and
+        # refuses the latest one drawn: the k-th row of a kind is on that kind's k-th line
+        drawn = len(edges) - length_hint(edge_rows)
+        kind, drawn = ("edge", drawn) if drawn else ("vertex", len(vertices) - length_hint(vertex_rows))
+        number = [k for k, raw in enumerate(lines, start=1) if raw.split()[:1] == [kind]][drawn - 1]
+        raise GraphSyntaxError(str(exc), number) from None
 
 
 def word_texts(families, vertices: Sequence[str]) -> list[Iterator[str]]:

@@ -27,15 +27,16 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
     vertex a commuting with both relates {a,x} to {a,y}, and a commutes with
     y when ``g.labels`` holds no label for them, that is, when y is not in
     the set of vertices a has a stored label with.  A breadth-first search
-    from each class's least pair lists the class.  Unlike
+    from each class's least pair lists the class.  The 3-neighbours that
+    decide its torsion are gathered only for vertices that lie in a pair,
+    once the stored sets show which.  Unlike
     ``invariants._grow``, which grows a union-find over pair slots vertex by
     vertex, this keeps no union-find, slot table or bit mask, only neighbour
     lists and sets, which grow with the labels, and pairs.
     """
-    # each vertex's odd neighbours, 3-neighbours and stored neighbours (those it
-    # does not commute with), read in one pass over the stored labels
+    # each vertex's odd neighbours and stored neighbours (those it does not
+    # commute with), read in one pass over the stored labels
     odd: list[list[int]] = [[] for _ in g.vertices]
-    threes: list[set[int]] = [set() for _ in g.vertices]
     stored: list[set[int]] = [set() for _ in g.vertices]
     for (s, t), m in g.labels.items():
         stored[s].add(t)
@@ -43,9 +44,16 @@ def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], t
         if is_odd(m):
             odd[s].append(t)
             odd[t].append(s)
+    # then the 3-neighbours of each vertex that commutes with another, as only
+    # such a vertex lies in a pair; the others' sets stay empty and are not read
+    paired = [len(nbrs) < len(g.vertices) - 1 for nbrs in stored]
+    threes: list[set[int]] = [set() for _ in g.vertices]
+    for (s, t), m in g.labels.items():
         if m == 3:
-            threes[s].add(t)
-            threes[t].add(s)
+            if paired[s]:
+                threes[s].add(t)
+            if paired[t]:
+                threes[t].add(s)
     classes: list[tuple[Pair, ...]] = []
     seen: set[Pair] = set()
     for pair in combinations(range(len(g.vertices)), 2):  # in order, so a search starts at its class's least pair

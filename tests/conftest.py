@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 
-from coxhom.errors import CoxhomError
+from coxhom.errors import CoxhomError, echo
 from coxhom.graph import INFINITY, CoxeterGraph, Label, build_graph
 from coxhom.invariants import analyze
 
@@ -28,6 +28,19 @@ def random_coxeter_graph(
     edges = [(names[i], names[j], rng.choices(LABEL_SUPPORT, weights=weights)[0])
              for i in range(n) for j in range(i + 1, n)]
     return build_graph(names, edges)
+
+
+def render_graph(g: CoxeterGraph) -> str:
+    """Canonical file-format text; parsing it reproduces the graph exactly, so
+    a vertex name that is empty or holds whitespace is refused."""
+    for name in g.vertices:
+        if name.split() != [name]:
+            raise CoxhomError(f"vertex {echo(name)} is empty or holds whitespace; the file format cannot spell it")
+    lines = [f"vertex {name}" for name in g.vertices]
+    for (i, j), m in g.labels.items():
+        value = "inf" if m == INFINITY else m
+        lines.append(f"edge {g.vertices[i]} {g.vertices[j]} {value}")
+    return "\n".join(lines) + "\n"
 
 
 def corpus_graphs(count: int, max_vertices: int = 8, base_seed: int = 0) -> list[CoxeterGraph]:

@@ -14,10 +14,9 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
-from conftest import permuted_copy, random_coxeter_graph
+from conftest import permuted_copy, random_coxeter_graph, render_graph
 from coxhom.graph import MAX_CATALOG_N, MAX_LABEL_DIGITS, from_catalog
 from coxhom.invariants import MAX_SCAN_STEPS
-from coxhom.io import render_graph
 from coxhom.words import MAX_SPELLED_LABEL
 
 N, STEPS, SPELLED, DIGITS = MAX_CATALOG_N, MAX_SCAN_STEPS, MAX_SPELLED_LABEL, MAX_LABEL_DIGITS
@@ -55,6 +54,8 @@ INPUTS = {
     "edgeless_over": lambda: _edgeless(FILE_N + 1),
     # every pair an odd edge: the most omega3 words and letters per vertex
     "dense1000": lambda: _complete(1000, 3),
+    # K1000 with its first pair listed again, labelled 5, on the last line: refused once every other row is drawn
+    "relabelled1000": lambda: _complete(1000, 3) + "edge v0 v1 5\n",
     # 349562 labels of every kind: about 100 births per row, which the pair classes' searches join.
     # Its check row is the closure's worst case: a breadth-first search over about 150000 commuting
     # pairs, each trying every odd neighbour of both its vertices
@@ -116,6 +117,7 @@ ROWS = [
     Row("check --file @dense1000", 30),
     Row("compute --json --file @dense1000", 30),
     Row("generators --json --file @dense1000", 60),
+    Row("compute --file @relabelled1000", 10, 2, "line 500501: pair ('v0', 'v1') listed with labels 3 and 5"),
     Row("compute --json --file @random1000", 5),
     Row("generators --json --file @random1000", 20),
     Row("check --file @random1000", 60),

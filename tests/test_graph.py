@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import LABEL_SUPPORT, SPARSE_WEIGHTS, catalog_sample, corpus_graphs, label_ix, random_coxeter_graph
+from conftest import (LABEL_SUPPORT, SPARSE_WEIGHTS, catalog_sample, corpus_graphs, label_ix, random_coxeter_graph,
+                      render_graph)
 from coxhom.cli import main
 from coxhom.errors import ECHO_LIMIT, CoxhomError
 from coxhom.graph import (
@@ -20,7 +21,7 @@ from coxhom.graph import (
     from_catalog,
     odd_subgraph,
 )
-from coxhom.io import parse_graph, render_graph
+from coxhom.io import parse_graph
 
 
 def test_build_graph_stores_labels():
