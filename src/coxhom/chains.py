@@ -38,13 +38,14 @@ def boundary(pg: PlainGraph, terms: Iterable[tuple[int, int]]) -> dict[int, int]
 def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
     """One integral cycle per non-tree edge, with +1 on that edge.
 
-    The spanning forest is a breadth-first search from the lowest-index
-    vertex of each component, visiting neighbors in vertex order, so it is
-    deterministic.  The rest of the cycle runs back through the forest;
-    traversing a tree edge with its orientation contributes +1, against it
-    -1, so the boundary telescopes to zero.  Each tree vertex keeps its
-    parent edge's term for the climb towards the root, so a cycle's terms
-    are read off while the deeper end of its edge climbs, until both ends meet.
+    The spanning forest is a breadth-first search from the lowest-index vertex
+    of each component, visiting neighbors in vertex order, so it is
+    deterministic; edges in pair order list each vertex's neighbors in that
+    order, unsorted.  The rest of the cycle runs back through the forest;
+    traversing a tree edge with its orientation contributes +1, against it -1,
+    so the boundary telescopes to zero.  Each tree vertex keeps its parent
+    edge's term for the climb towards the root, so a cycle's terms are read
+    off while the deeper end of its edge climbs, until both ends meet.
     """
     n = len(pg.vertices)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -62,7 +63,7 @@ def fundamental_cycle_basis(pg: PlainGraph) -> CycleBasis:
         depth[root] = 0
         queue = [root]
         for v in queue:  # the list is the queue: it grows as it is read
-            for w, k in sorted(incident[v]):
+            for w, k in incident[v]:
                 if depth[w] < 0:
                     depth[w] = depth[v] + 1
                     parent[w] = v

@@ -64,7 +64,7 @@ def _check_label(m: Label) -> Label:
         raise CoxhomError(f"label has more than {MAX_LABEL_DIGITS} digits, above the limit")
     if m < 2:
         raise CoxhomError(f"label must be >= 2, got {echo(str(m), False)}")
-    return m
+    return int(m)  # a plain int: a subclass may format or compare as it likes
 
 
 class CoxeterGraph(NamedTuple):
@@ -82,8 +82,8 @@ class CoxeterGraph(NamedTuple):
 class PlainGraph(NamedTuple):
     """Unlabeled graph whose edges join vertex indices.
 
-    ``vertices`` holds one name per vertex.  Chains orient an edge (i, j)
-    with i < j, boundary j - i, as ``odd_subgraph`` lists them.
+    ``vertices`` holds one name per vertex, ``edges`` each edge (i, j), i < j,
+    in increasing pair order, as ``odd_subgraph`` lists them (the forest relies on it).
     """
 
     vertices: tuple[str, ...]
@@ -103,6 +103,8 @@ def build_graph(
     """
     index: dict[str, int] = {}
     for name in vertices:
+        if not isinstance(name, str):
+            raise CoxhomError(f"vertex name must be a str, got {echo(repr(name), False)}")
         if name in index:
             raise CoxhomError(f"vertex {echo(name)} declared twice")
         index[name] = len(index)

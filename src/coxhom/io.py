@@ -2,7 +2,8 @@
 
 The graph file format is line oriented: ``vertex <name>`` declares a vertex
 (declaration order is the total order), ``edge <u> <v> <m>`` sets a label
-(integer >= 2 or ``inf``), ``#`` starts a comment.  JSON output has a fixed
+(integer >= 2 or ``inf``), and a line whose first token starts with ``#``
+is a comment (a later ``#`` is part of its token).  JSON output has a fixed
 key order so identical inputs give byte-identical bytes.
 """
 

@@ -130,7 +130,6 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
     rows.append((
         "howlett_term_identities",
         n3 == profile.p + profile.q1
-        and profile.n1 == len(pg.vertices)
         and profile.n2 == profile.q2 + len(pg.edges)
         and n4 == profile.n4,
         f"n1..n4 = {profile.n1},{profile.n2},{n3},{n4}",
@@ -161,8 +160,7 @@ def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:
         "omega_counts",
         len(omegas.omega1) == profile.p + profile.q1
         and len(omegas.omega2) == profile.q2
-        and len(omegas.omega3) == profile.q3
-        and omegas.total == profile.mod2_rank,
+        and len(omegas.omega3) == profile.q3,
         f"|1|,|2|,|3| = {len(omegas.omega1)},{len(omegas.omega2)},{len(omegas.omega3)}",
     ))
     words = omegas.omega1 + omegas.omega2 + omegas.omega3

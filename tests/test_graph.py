@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import re
 from itertools import combinations
@@ -21,7 +22,8 @@ from coxhom.graph import (
     from_catalog,
     odd_subgraph,
 )
-from coxhom.io import parse_graph
+from coxhom.invariants import analyze
+from coxhom.io import parse_graph, render_json
 
 
 def test_build_graph_stores_labels():
@@ -53,6 +55,25 @@ def test_build_graph_errors_name_the_offender():
         build_graph(["a"], [("a", "b", 3)])
     with pytest.raises(CoxhomError, match="self-loop at 'a'"):
         build_graph(["a"], [("a", "a", 3)])
+
+
+def test_build_graph_refuses_vertex_names_that_are_not_str():
+    # a name is echoed in messages and quoted in JSON as a str
+    for vertices, edges, shown in (([1, 1], (), "1"), ([1, 2], [(1, 2, 4)], "1"), ([["a"]], (), "\\['a'\\]")):
+        with pytest.raises(CoxhomError, match=f"^vertex name must be a str, got {shown}$"):
+            build_graph(vertices, edges)
+
+
+class _Three(int):
+    def __format__(self, spec):
+        return "three"
+
+
+def test_build_graph_stores_finite_labels_as_plain_ints():
+    # a label of an int subclass is stored as the int it equals, so JSON writes its digits
+    g = build_graph(["a", "b"], [("a", "b", _Three(3))])
+    assert type(g.labels[0, 1]) is int
+    assert json.loads(render_json(g, analyze(g)))["edges"] == [{"u": "a", "v": "b", "m": 3}]
 
 
 def test_build_graph_reads_any_float_inf_as_infinity():

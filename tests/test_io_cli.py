@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
@@ -42,6 +43,7 @@ def test_parse_comments_blanks_and_inf():
     text = "# a comment\n\nvertex a\nvertex b\n  \nedge a b inf\n"
     g = parse_graph(text)
     assert label_ix(g, g.vertices.index("a"), g.vertices.index("b")) == INFINITY
+    assert parse_graph("vertex a#b\n").vertices == ("a#b",)  # a later `#` is part of its token
 
 
 def test_parse_self_loop():
@@ -106,6 +108,8 @@ def test_build_errors_carry_the_line():
         ("# note\n\nvertex a\n  \n# edges\nedge a b 3\nedge a a 3\n", "unknown vertex 'b'", 6),
         ("vertex a\r\nvertex b\r\n\r\nedge a b 3\r\nedge b a 5\r\n", "pair ('b', 'a') listed with labels 3 and 5", 5),
         ("vertex a\r# note\rvertex b\redge a c 3\r", "unknown vertex 'c'", 4),
+        # `#` starts a comment only as a line's first token
+        ("vertex a # note\n", "expected `vertex <name>`", 1),
     ):
         with pytest.raises(GraphSyntaxError) as info:
             parse_graph(text)
@@ -483,25 +487,18 @@ def test_cli_check_reports_failures_with_exit_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command, message", [
-    (["compute"], "internal error: Howlett identity violated"),
-    (["compute", "--json"], "internal error: Howlett identity violated"),
     (["generators"], "internal error: generator count != p+q"),
     (["generators", "--json", "--flavor", "coxeter"], "internal error: generator count != p+q"),
 ])
 def test_cli_exits_3_when_a_count_is_off_by_one(command, message, monkeypatch, capsys):
     import coxhom.cli as cli
 
-    real_analyze, real_omega_sets = cli.analyze, cli.omega_sets
-
-    def off_profile(g):  # n1 one too high breaks -n1 + n2 + n3 + n4 = p + q
-        profile = real_analyze(g)
-        return profile._replace(n1=profile.n1 + 1)
+    real_omega_sets = cli.omega_sets
 
     def off_words(g, profile, flavor):  # one omega2 word more than p + q
         omegas = real_omega_sets(g, profile, flavor)
         return omegas._replace(omega2=omegas.omega2 + ((1, 2, -1, -2),))
 
-    monkeypatch.setattr(cli, "analyze", off_profile)
     monkeypatch.setattr(cli, "omega_sets", off_words)
     assert main([*command, "--type", "~A2"]) == 3
     assert capsys.readouterr() == ("", message + "\n")
@@ -699,6 +696,23 @@ def test_limits_runner_ends_with_the_rows_run_their_seconds_and_the_slowest(caps
     assert limits.run(rows) == 1  # the second row is off its exit code, so the third is not run
     last = capsys.readouterr().out.splitlines()[-1]
     assert re.fullmatch(r"rows run: 2 of 3, \d+\.\d s in all, slowest \d+\.\d\d s: catalog list", last)
+
+
+def test_same_bytes_prints_the_same_lines_under_two_hash_seeds():
+    # the digests cover every benchmark job; a run order or output that follows
+    # string hashing would print different lines per process
+    script = Path(__file__).resolve().parent / "same_bytes.py"
+    runs = [
+        subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": seed})
+        for seed in ("1", "2")
+    ]
+    outs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outs[0] == outs[1]
+    lines = [line.split() for line in outs[0].splitlines()]
+    assert [name for name, _, _ in lines] == ["catalog_check", "dense_random", "sparse_family"]
+    assert all(int(count) > 0 and len(sha) == 64 for _, count, sha in lines)
 
 
 def test_cli_reads_a_file_of_the_largest_catalog_diagram(tmp_path, capsys):
