@@ -110,13 +110,15 @@ def build_graph(
         index[name] = len(index)
     labels: dict[tuple[int, int], Label] = {}
     for u, v, m in edges:
-        i = index.get(u)
-        j = index.get(v)
-        if i is None or j is None or i == j:
-            if i is None:
-                raise CoxhomError(f"unknown vertex {echo(u)}")
-            if j is None:
-                raise CoxhomError(f"unknown vertex {echo(v)}")
+        try:
+            i = index[u]
+            j = index[v]
+        except (KeyError, TypeError):  # a name's type is tested only here, on a miss or an unhashable name
+            for name in (u, v):
+                if not isinstance(name, str):
+                    raise CoxhomError(f"vertex name must be a str, got {echo(repr(name), False)}") from None
+            raise CoxhomError(f"unknown vertex {echo(u if u not in index else v)}") from None
+        if i == j:
             raise CoxhomError(f"self-loop at {echo(u)}")
         # a type test: 3.0 == 3 and True == 1 are refused, and a float inf other than INFINITY is normalised
         if not (type(m) is int and 2 <= m < _LABEL_BOUND) and m is not INFINITY:
@@ -208,8 +210,9 @@ def from_catalog(name: str) -> CoxeterGraph:
     (lo, hi), edges, _ = _CATALOG[family]
     if n < lo or (hi is not None and n > hi):
         raise CoxhomError(f"{family}{n}: parameter out of range ({_constraint(lo, hi)})")
-    names = [f"s{k}" for k in range(1, n + 1 + family.startswith("~"))]
-    return build_graph(names, [(names[i], names[j], m) for i, j, m in edges(n)])
+    # a table lists each pair once, i < j, none labelled 2: its sorted rows are the labels
+    names = tuple(f"s{k}" for k in range(1, n + 1 + family.startswith("~")))
+    return CoxeterGraph(names, {(i, j): m for i, j, m in sorted(edges(n))})
 
 
 def catalog_grammar() -> list[tuple[str, str, str]]:

@@ -236,7 +236,7 @@ def _grow(noncommuting: list[int], odd_lowers: Iterable[list[int]]) -> tuple[lis
             y = odd[-1]
             born &= noncommuting[y]
             slots += slots[y * (y - 1) // 2:y * (y + 1) // 2]  # row y, whole
-            slots += [x * (x - 1) // 2 + y for x in range(y, v)]  # {x,y} above y; {y,v} is never read
+            slots += (y * (y + 1) // 2,) if y + 1 == v else [x * (x - 1) // 2 + y for x in range(y, v)]  # {x,y}, y <= x < v
             rest = born
             while rest:  # a birth starts a class of its own
                 low = rest & -rest
@@ -285,11 +285,13 @@ def _grow(noncommuting: list[int], odd_lowers: Iterable[list[int]]) -> tuple[lis
                     classes -= 1
                     if classes == 1:
                         break
-        odd_masks.append(0)
+        mask = 0  # v's odd neighbours
         for x in odd:
             odd_masks[x] |= 1 << v
-            odd_masks[v] |= 1 << x
-        has_odd |= odd_masks[v] | (1 << v if odd else 0)
+            mask |= 1 << x
+        odd_masks.append(mask)
+        if odd:
+            has_odd |= mask | 1 << v
         counts.append(classes)
     return counts, slots, births
 

@@ -14,6 +14,7 @@ from conftest import (LABEL_SUPPORT, SPARSE_WEIGHTS, catalog_sample, corpus_grap
 from coxhom.cli import main
 from coxhom.errors import ECHO_LIMIT, CoxhomError
 from coxhom.graph import (
+    _CATALOG,
     INFINITY,
     MAX_CATALOG_N,
     MAX_LABEL_DIGITS,
@@ -58,8 +59,11 @@ def test_build_graph_errors_name_the_offender():
 
 
 def test_build_graph_refuses_vertex_names_that_are_not_str():
-    # a name is echoed in messages and quoted in JSON as a str
-    for vertices, edges, shown in (([1, 1], (), "1"), ([1, 2], [(1, 2, 4)], "1"), ([["a"]], (), "\\['a'\\]")):
+    # a name is echoed in messages and quoted in JSON as a str; an edge's
+    # endpoint is refused alike, whether it hashes (1) or not (["b"])
+    for vertices, edges, shown in (([1, 1], (), "1"), ([1, 2], [(1, 2, 4)], "1"), ([["a"]], (), "\\['a'\\]"),
+                                   (["a", "b"], [(1, "a", 3)], "1"), (["a", "b"], [("a", ["b"], 3)], "\\['b'\\]"),
+                                   (["a", "b"], [("x", 2.5, 3)], "2.5")):
         with pytest.raises(CoxhomError, match=f"^vertex name must be a str, got {shown}$"):
             build_graph(vertices, edges)
 
@@ -123,6 +127,25 @@ def test_build_graph_refuses_labels_of_too_many_digits():
             build_graph(["a", "b"], edges)
     widest = 10**MAX_LABEL_DIGITS - 1
     assert render_graph(build_graph(["a", "b"], [("a", "b", widest)])).endswith(f"edge a b {widest}\n")
+
+
+def test_catalog_diagrams_equal_their_tables_built_by_build_graph():
+    # from_catalog builds a family's diagram straight from its 0-based table;
+    # build_graph, which checks and sorts each row, must give the same graph
+    names = [name for name in catalog_sample() if not name.startswith("I2")]  # I2 goes through build_graph
+    names += [f"{family}{lo}" for family, ((lo, _), _, _) in _CATALOG.items()]
+    names += [f"{family}{n - family.startswith('~')}" for family, ((_, hi), _, _) in _CATALOG.items()
+              if hi is None for n in range(60, 98)]  # the sparse_family benchmark's vertex counts
+    names += ["A3000", "~A3000", "~D3000"]
+    for name in names:
+        family, n = re.fullmatch(r"(~?[A-Z])([0-9]+)", name).groups()
+        table = _CATALOG[family][1](int(n))
+        vertices = [f"s{k}" for k in range(1, int(n) + 1 + family.startswith("~"))]
+        expected = build_graph(vertices, [(vertices[i], vertices[j], m) for i, j, m in table])
+        g = from_catalog(name)
+        assert g == expected
+        assert list(g.labels.items()) == list(expected.labels.items())  # the same pair order
+        assert len(table) == len(g.labels)  # each pair listed once
 
 
 def _assert_in_pair_order(g):

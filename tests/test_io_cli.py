@@ -715,6 +715,19 @@ def test_same_bytes_prints_the_same_lines_under_two_hash_seeds():
     assert all(int(count) > 0 and len(sha) == 64 for _, count, sha in lines)
 
 
+def test_ab_times_a_tree_against_itself():
+    # a smoke run: one round on a short workload; the times are not asserted
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(root / "tests" / "ab.py"), str(root), str(root),
+                           "--workload", "sparse_family", "--seed", "1", "--repeat", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    summary, *table = done.stdout.splitlines()
+    assert re.fullmatch(r"sparse_family seed 1: \d+ jobs, same bytes, best of 1", summary)
+    assert [line.split()[0] for line in table] == ["check", "compute", "generators", "stability", "pass", "p50", "max"]
+    assert all(re.fullmatch(r"\S+ +\d+\.\d{3} ms +\d+\.\d{3} ms +\d+\.\d{3}", line) for line in table)
+
+
 def test_cli_reads_a_file_of_the_largest_catalog_diagram(tmp_path, capsys):
     name = f"~A{MAX_CATALOG_N}"
     path = tmp_path / "largest.graph"

@@ -140,10 +140,16 @@ def test_pair_classes_agree_with_naive_closure_above_ten_vertices():
     graphs += [random_coxeter_graph(random.Random(seed), n, weights)
                for seed, n in enumerate((30, 60, 90, 120)) for weights in (DEFAULT_WEIGHTS, SPARSE_WEIGHTS)]
     graphs += [permuted_copy(from_catalog("A100"), random.Random(1)), build_graph([f"v{i}" for i in range(100)])]
+    # the sparse_family benchmark's families at 61 and 97 vertices, in catalog
+    # order: a path's row tail is one slot, D and ~D also fork (y + 1 < v)
+    graphs += [from_catalog(f"{family}{n - family.startswith('~')}")
+               for family in ("A", "B", "D", "~A", "~C", "~D") for n in (61, 97)]
     shapes = set()
     for g in graphs:
         partition = pair_classes(g)
-        assert listed(partition) == naive_pair_closure(g)
+        classes, flags = naive_pair_closure(g)
+        assert listed(partition) == (classes, flags)
+        assert partition.least == tuple(block[0] for block in classes)
         shapes.add((len(partition.classes) >= 4, all(partition.torsion_flags)))
     assert (True, False) in shapes and (True, True) in shapes
 
