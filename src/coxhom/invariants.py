@@ -133,10 +133,6 @@ class InvariantProfile(NamedTuple):
         return self.p + self.q
 
     @property
-    def howlett_identity(self) -> bool:
-        return -self.n1 + self.n2 + self.n3 + self.n4 == self.mod2_rank
-
-    @property
     def all_torsion(self) -> bool:
         return self.q1 == 0
 

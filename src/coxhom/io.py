@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 from .errors import CoxhomError, GraphSyntaxError, echo
 from .graph import INFINITY, MAX_CATALOG_N, CoxeterGraph, Label, build_graph, read_label
 from .invariants import InvariantProfile, StabilityReport
-from .words import OmegaSets, in_commutator_subgroup
+from .words import OmegaSets
 
 
 def parse_graph(text: str) -> CoxeterGraph:
@@ -94,13 +94,14 @@ def _slots(*keys: str) -> dict:
 # row is split at its slots, to be filled by one f-string per row.
 _FLAG = {True: "true", False: "false"}
 _EDGE_HEAD, _EDGE_V, _EDGE_M, _EDGE_TAIL = ("    " + _template(_slots("u", "v", "m"), 2)).split("%s")
-_WORD_HEAD, _WORD_FLAG, _WORD_TAIL = ("      " + _template(_slots("word", "abelianization_zero"), 3)).split("%s")
+_WORD_HEAD, _WORD_TAIL = ("      " + _template({"word": "%s", "abelianization_zero": True}, 3)).split("%s")
 _TRAJECTORY_ROW = "    " + _template(_slots("n", "rank"), 2)
 _DESCRIPTOR = _template(_slots("free_rank", "torsion2_rank"), 1)
 _PROFILE = {
     **_slots("vertices", "edges", "p", "q1", "q2", "q3", "q"),
     "n": _slots("n1", "n2", "n3", "n4"),
-    **_slots("howlett_identity", "h1_artin_free_rank", "h2_orbit", "h2_coxeter", "h2_artin_mod2_rank"),
+    "howlett_identity": True,  # analyze sets q1 = n3 - p and q3 = (n2 - q2) - n1 + n4
+    **_slots("h1_artin_free_rank", "h2_orbit", "h2_coxeter", "h2_artin_mod2_rank"),
     "corollary": _slots("all_torsion", "odd_equals_gamma", "tree", "applies"),
     "h2_artin_integral": "%s",
 }
@@ -122,7 +123,8 @@ def _array(rows: list[str], indent: str) -> str:
 def render_json(g: CoxeterGraph, profile: InvariantProfile, omegas: Optional[OmegaSets] = None) -> str:
     """The JSON document, keys in a fixed order: the bytes of
     ``json.dumps(doc, indent=2) + "\\n"``, filled in from templates with
-    their strings quoted by the C encoder."""
+    their strings quoted by the C encoder.  ``omegas`` must be ``omega_sets``'
+    output, whose every word has zero abelianization by construction."""
     names = [_quote(name) for name in g.vertices]
     inf = '"inf"'
     edges = [
@@ -133,8 +135,7 @@ def render_json(g: CoxeterGraph, profile: InvariantProfile, omegas: Optional[Ome
         _array([f"    {name}" for name in names], "  "), _array(edges, "  "),
         profile.p, profile.q1, profile.q2, profile.q3, profile.q,
         profile.n1, profile.n2, profile.n3, profile.n4,
-        _FLAG[profile.howlett_identity], profile.n4,
-        _descriptor(profile.h2_orbit), _descriptor(profile.h2_coxeter), profile.mod2_rank,
+        profile.n4, _descriptor(profile.h2_orbit), _descriptor(profile.h2_coxeter), profile.mod2_rank,
         _FLAG[profile.all_torsion], _FLAG[profile.odd_equals_gamma], _FLAG[profile.tree],
         _FLAG[profile.corollary_applies], _descriptor(profile.h2_artin_integral),
     )
@@ -144,9 +145,8 @@ def render_json(g: CoxeterGraph, profile: InvariantProfile, omegas: Optional[Ome
     # the encoder quotes each character alone, so words spelled from the
     # quoted names, less their quotes, are the quoted word texts, less theirs
     arrays = [
-        _array([f'{_WORD_HEAD}"{text}"{_WORD_FLAG}{_FLAG[in_commutator_subgroup(w)]}{_WORD_TAIL}'
-                for w, text in zip(words, texts)], "    ")
-        for words, texts in zip(families, word_texts(families, [name[1:-1] for name in names]))
+        _array([f'{_WORD_HEAD}"{text}"{_WORD_TAIL}' for text in texts], "    ")
+        for texts in word_texts(families, [name[1:-1] for name in names])
     ]
     return _GENERATORS % (*fields, _quote(omegas.flavor), *arrays, *map(len, families), omegas.total, profile.mod2_rank)
 

@@ -10,12 +10,12 @@ agreement is evidence, not tautology; `check` reads n3 and n4 from them.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import add
+from operator import add, neg
 
 from .chains import boundary, gf2_rank
 from .graph import CoxeterGraph, PlainGraph, is_odd
 from .invariants import Pair, analyze
-from .words import in_commutator_subgroup, omega_sets
+from .words import omega_sets
 
 
 def naive_pair_closure(g: CoxeterGraph) -> tuple[tuple[tuple[Pair, ...], ...], tuple[bool, ...]]:
@@ -107,6 +107,17 @@ def rational_cycle_rank(pg: PlainGraph) -> int:
                 else:
                     del row[c]
     return len(pg.edges) - len(kept)
+
+
+def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
+    """Exact commutator-subgroup test in a free group: zero abelianization,
+    that is, each letter occurs as often as its inverse.  Then the word has
+    even length, and its sorted letters' upper half is their lower half
+    negated and reversed; conversely that match makes the lower half all
+    negative and the letters closed under negation, count by count."""
+    ordered = sorted(w)
+    half = len(ordered) // 2
+    return len(ordered) % 2 == 0 and ordered[half:] == list(map(neg, reversed(ordered[:half])))
 
 
 def consistency_report(g: CoxeterGraph) -> list[tuple[str, bool, str]]:

@@ -16,7 +16,6 @@ The generator families are:
 
 from __future__ import annotations
 
-from operator import neg
 from typing import NamedTuple
 
 from .chains import CycleBasis, fundamental_cycle_basis
@@ -66,17 +65,6 @@ def _spell(a: int, b: int, m: int) -> tuple[int, ...]:
     pairs; the halves meet at different vertices, and _spell(b, a, m) is the inverse."""
     k = (m + 1) // 2
     return ((a, b) * k)[:m] + ((-b, -a) * k)[:m] if m % 2 else (a, b) * k + (-a, -b) * k
-
-
-def in_commutator_subgroup(w: tuple[int, ...]) -> bool:
-    """Exact commutator-subgroup test in a free group: zero abelianization,
-    that is, each letter occurs as often as its inverse.  Then the word has
-    even length, and its sorted letters' upper half is their lower half
-    negated and reversed; conversely that match makes the lower half all
-    negative and the letters closed under negation, count by count."""
-    ordered = sorted(w)
-    half = len(ordered) // 2
-    return len(ordered) % 2 == 0 and ordered[half:] == list(map(neg, reversed(ordered[:half])))
 
 
 class OmegaSets(NamedTuple):

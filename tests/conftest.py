@@ -209,7 +209,7 @@ def reference_json(g, profile, omegas=None) -> str:
         "q3": profile.q3,
         "q": profile.q,
         "n": {"n1": profile.n1, "n2": profile.n2, "n3": profile.n3, "n4": profile.n4},
-        "howlett_identity": profile.howlett_identity,
+        "howlett_identity": -profile.n1 + profile.n2 + profile.n3 + profile.n4 == profile.mod2_rank,
         "h1_artin_free_rank": profile.n4,
         "h2_orbit": _descriptor(profile.h2_orbit),
         "h2_coxeter": _descriptor(profile.h2_coxeter),

@@ -117,6 +117,7 @@ ROWS = [
     Row("check --file @dense1000", 30),
     Row("compute --json --file @dense1000", 30),
     Row("generators --json --file @dense1000", 60),
+    Row("generators --file @dense1000", 60),
     Row("compute --file @relabelled1000", 10, 2, "line 500501: pair ('v0', 'v1') listed with labels 3 and 5"),
     Row("compute --json --file @random1000", 5),
     Row("generators --json --file @random1000", 20),

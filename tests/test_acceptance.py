@@ -25,8 +25,8 @@ from coxhom.chains import boundary, fundamental_cycle_basis, gf2_rank
 from coxhom.cli import main
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze, pair_classes, stability_scan
-from coxhom.oracles import naive_pair_closure, rational_cycle_rank
-from coxhom.words import in_commutator_subgroup, omega_sets
+from coxhom.oracles import in_commutator_subgroup, naive_pair_closure, rational_cycle_rank
+from coxhom.words import omega_sets
 
 
 def _report(number: int, text: str) -> None:

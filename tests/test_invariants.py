@@ -215,7 +215,7 @@ def test_howlett_identity_on_corpus():
     for g in graphs:
         profile = analyze(g)
         odd_edges = [pair for pair, m in g.labels.items() if m != INFINITY and m % 2]
-        assert profile.howlett_identity
+        assert -profile.n1 + profile.n2 + profile.n3 + profile.n4 == profile.mod2_rank
         assert profile.n3 == profile.p + profile.q1
         assert profile.n1 == len(g.vertices)
         assert profile.n4 == _forest_components(len(g.vertices), odd_edges)[0]

@@ -248,14 +248,6 @@ def test_render_json_bytes_on_catalog_and_corpus():
     profile = analyze(a1)
     text = render_json(a1, profile, omega_sets(a1, profile, "artin"))
     assert '"omega1": [],' in text and '"omega3": [],' in text  # a graph with no words
-    # the flag is computed per word, not assumed: a word off the commutator subgroup reads false
-    g = from_catalog("~A2")
-    profile = analyze(g)
-    omegas = omega_sets(g, profile, "artin")._replace(omega2=((1, 2, 1), (1, -2, -1, 2)))
-    args = (g, profile, omegas)
-    text = render_json(*args)
-    assert text == reference_json(*args)
-    assert text.count('"abelianization_zero": false') == 1
 
 
 def test_render_json_bytes_on_large_graphs_and_labels():
@@ -464,6 +456,16 @@ def test_cli_generators(capsys):
     out = capsys.readouterr().out
     assert "flavor: coxeter" in out
     assert "s1 s2 s1 s2 s1^-1 s2^-1 s1^-1 s2^-1" in out
+    assert main(["generators", "--type", "B3"]) == 0
+    assert capsys.readouterr().out == (
+        "flavor: artin\n"
+        "omega1 (1 words):\n"
+        "  s1 s3 s1^-1 s3^-1   (abelianization zero: yes)\n"
+        "omega2 (1 words):\n"
+        "  s1 s2 s1 s2 s1^-1 s2^-1 s1^-1 s2^-1   (abelianization zero: yes)\n"
+        "omega3 (0 words):\n"
+        "total = 2 = p+q = 2\n"
+    )
     assert main(["generators", "--type", "~A2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["generators"]["counts"]["total"] == 1
@@ -504,20 +506,31 @@ def test_cli_exits_3_when_a_count_is_off_by_one(command, message, monkeypatch, c
     assert capsys.readouterr() == ("", message + "\n")
 
 
-def test_check_fails_only_the_reducedness_row_on_an_unreduced_word(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "name, family, word, row, detail",
+    [
+        # zero abelianization and the triangle's counts, but 2 next to -2
+        ("~A2", "omega3", (1, 2, -2, -1), "omega_freely_reduced", "1 words"),
+        # freely reduced and B3's counts, but one more s2 than s2^-1
+        ("B3", "omega2", (1, 2, 1, 2, -1, -2, -1), "omega_abelianization", "2 words"),
+    ],
+    ids=["unreduced", "unbalanced"],
+)
+def test_check_fails_only_its_own_row_on_a_bad_word(
+    name, family, word, row, detail, monkeypatch, capsys
+):
     import coxhom.oracles as oracles
 
     real_omega_sets = oracles.omega_sets
 
-    def unreduced(g, profile, flavor):
-        # zero abelianization and the triangle's counts, but 2 next to -2
-        return real_omega_sets(g, profile, flavor)._replace(omega3=((1, 2, -2, -1),))
+    def altered(g, profile, flavor):
+        return real_omega_sets(g, profile, flavor)._replace(**{family: (word,)})
 
-    monkeypatch.setattr(oracles, "omega_sets", unreduced)
-    rows = oracles.consistency_report(from_catalog("~A2"))
-    assert [name for name, passed, _ in rows if not passed] == ["omega_freely_reduced"]
-    assert main(["check", "--type", "~A2"]) == 3
-    assert "FAIL omega_freely_reduced: 1 words" in capsys.readouterr().out
+    monkeypatch.setattr(oracles, "omega_sets", altered)
+    rows = oracles.consistency_report(from_catalog(name))
+    assert [row_name for row_name, passed, _ in rows if not passed] == [row]
+    assert main(["check", "--type", name]) == 3
+    assert f"FAIL {row}: {detail}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

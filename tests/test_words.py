@@ -25,11 +25,11 @@ from coxhom.chains import fundamental_cycle_basis
 from coxhom.errors import CoxhomError
 from coxhom.graph import INFINITY, build_graph, from_catalog, odd_subgraph
 from coxhom.invariants import analyze
+from coxhom.oracles import in_commutator_subgroup
 from coxhom.words import (
     MAX_SPELLED_LABEL,
     _extend_reduced,
     _spell,
-    in_commutator_subgroup,
     omega_sets,
     relator,
 )
