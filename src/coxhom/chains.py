@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 from .graph import PlainGraph
 
 
-class CycleBasis(NamedTuple):
+class CycleBasis(NamedTuple):  # kept because bench/spans.py counts cycles by its basis field
     """Fundamental cycles of a graph, one per non-tree edge, in edge order.
 
     Each cycle is its nonzero (edge, +-1) terms in increasing edge order.

@@ -79,7 +79,7 @@ class CoxeterGraph(NamedTuple):
     labels: dict[tuple[int, int], Label]
 
 
-class PlainGraph(NamedTuple):
+class PlainGraph(NamedTuple):  # kept because bench/spans.py counts odd edges and cycles by its fields
     """Unlabeled graph whose edges join vertex indices.
 
     ``vertices`` holds one name per vertex, ``edges`` each edge (i, j), i < j,
@@ -107,6 +107,8 @@ def build_graph(
             raise CoxhomError(f"vertex name must be a str, got {echo(repr(name), False)}")
         if name in index:
             raise CoxhomError(f"vertex {echo(name)} declared twice")
+        if name.endswith("^-1"):
+            raise CoxhomError(f"vertex name {echo(name)} ends in `^-1`, which word texts read as an inverse")
         index[name] = len(index)
     labels: dict[tuple[int, int], Label] = {}
     for u, v, m in edges:
@@ -196,7 +198,7 @@ def from_catalog(name: str) -> CoxeterGraph:
         value = read_label(m.group(1))
         if value < _I2_MIN:
             raise CoxhomError(f"I2 requires m >= {_I2_MIN} or inf, got {value}")
-        return build_graph(["s1", "s2"], [("s1", "s2", value)])
+        return CoxeterGraph(("s1", "s2"), {(0, 1): value})  # value is a plain int >= 3 or INFINITY itself
     m = _FAMILY_RE.fullmatch(name)
     if not m:
         raise CoxhomError(f"unknown catalog name {echo(name)}")

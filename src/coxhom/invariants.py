@@ -24,9 +24,9 @@ class PairPartition:
 
     ``n3`` counts the classes and ``p`` the torsion ones, those with a pair
     whose vertices have a common neighbour with both labels exactly 3.  The
-    other fields are ``pair_classes``' union-find: ``slots`` and ``births``
-    as ``_grow`` returns them, ``noncommuting`` as ``_read_labels`` does,
-    and ``torsion``, the roots of the torsion classes.  The classes are
+    other fields are ``pair_classes``' union-find, ``slots`` and ``births``
+    as ``_grow`` returns them and ``torsion``, the torsion roots, and the
+    ``reading`` of ``_read_labels`` that ``analyze`` shares.  The classes are
     listed only when read, ordered by their lexicographically smallest pair,
     ``least[k]``, each internally sorted; ``torsion_flags[k]`` tells whether
     class k is torsion.  A partition is treated as immutable, and compares
@@ -34,12 +34,12 @@ class PairPartition:
     """
 
     def __init__(self, n3: int, p: int, slots: list[int], births: list[int],
-                 noncommuting: list[int], torsion: set[int]):
+                 reading: tuple, torsion: set[int]):
         self.n3 = n3
         self.p = p
         self.slots = slots
         self.births = births
-        self.noncommuting = noncommuting
+        self.reading = reading
         self.torsion = torsion
 
     def __repr__(self) -> str:
@@ -70,7 +70,7 @@ class PairPartition:
     @cached_property
     def classes(self) -> tuple[tuple[Pair, ...], ...]:
         blocks: dict[int, list[Pair]] = {}  # pairs in order, so the blocks open in class order
-        slots, noncommuting = self.slots, self.noncommuting
+        slots, noncommuting = self.slots, self.reading[0]
         full = (1 << len(noncommuting)) - 1
         for a, row in enumerate(noncommuting):
             rest = full & ~row & -(2 << a)
@@ -82,7 +82,7 @@ class PairPartition:
         return tuple(map(tuple, blocks.values()))
 
     @cached_property
-    def pairs(self) -> tuple[Pair, ...]:
+    def pairs(self) -> tuple[Pair, ...]:  # kept because bench/spans.py counts the traced run's pairs by it
         return tuple(sorted(pair for block in self.classes for pair in block))
 
 
@@ -292,17 +292,17 @@ def _grow(noncommuting: list[int], odd_lowers: Iterable[list[int]]) -> tuple[lis
     return counts, slots, births
 
 
-def pair_classes(g: CoxeterGraph, labels: Optional[tuple] = None) -> PairPartition:
-    """Partition of the commuting pairs under the odd-label relation;
-    ``labels`` is ``_read_labels(g)``, read here when not given.
+def pair_classes(g: CoxeterGraph) -> PairPartition:
+    """Partition of the commuting pairs under the odd-label relation.
 
+    The labels are read once (``_read_labels``) and kept in the partition.
     The classes are counted by growing g vertex by vertex (``_grow``).  A
     class is torsion when one of its pairs {a,x} has a common 3-neighbour w,
     so each vertex a marks the roots of its such pairs with x > a, until
     every class is marked.  The partition keeps the union-find and lists
     the least pairs, flags and member pairs only when they are read.
     """
-    noncommuting, odd, threes, _, _ = labels or _read_labels(g)
+    noncommuting, odd, threes, _, _ = reading = _read_labels(g)
     counts, slots, births = _grow(noncommuting, odd)
     n3 = counts[-1] if counts else 0
     torsion = set()  # the roots of the torsion classes
@@ -322,7 +322,7 @@ def pair_classes(g: CoxeterGraph, labels: Optional[tuple] = None) -> PairPartiti
             torsion.add(_root(slots, x * (x - 1) // 2 + a))
             rest ^= low
 
-    return PairPartition(n3, len(torsion), slots, births, noncommuting, torsion)
+    return PairPartition(n3, len(torsion), slots, births, reading, torsion)
 
 
 def _components(n: int, edges: Iterable[Pair]) -> int:
@@ -350,11 +350,10 @@ def _odd_ranks(odd: list[list[int]], edges: int) -> tuple[int, int]:
 
 def analyze(g: CoxeterGraph) -> InvariantProfile:
     """The rank profile of g, with the pair partition it was read from, each
-    computed from one pass over the labels."""
-    labels = _read_labels(g)
-    q2, n2 = labels[3:]
-    partition = pair_classes(g, labels)
-    q3, n4 = _odd_ranks(labels[1], n2 - q2)
+    computed from the partition's one pass over the labels."""
+    partition = pair_classes(g)
+    _, odd, _, q2, n2 = partition.reading
+    q3, n4 = _odd_ranks(odd, n2 - q2)
     n, edges = len(g.vertices), len(g.labels)
     # a forest has n - components edges, never more than n: a denser graph
     # is no forest and is not searched

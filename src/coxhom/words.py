@@ -71,7 +71,7 @@ class OmegaSets(NamedTuple):
     """Generator words for the second homology, one family per mechanism,
     and the odd subgraph and cycle basis omega3 was spelled from."""
 
-    flavor: str
+    flavor: str  # kept because bench/spans.py keys its letter count by it
     omega1: tuple[tuple[int, ...], ...]
     omega2: tuple[tuple[int, ...], ...]
     omega3: tuple[tuple[int, ...], ...]

@@ -22,6 +22,7 @@ from coxhom.graph import (
     catalog_grammar,
     from_catalog,
     odd_subgraph,
+    read_label,
 )
 from coxhom.invariants import analyze
 from coxhom.io import parse_graph, render_json
@@ -56,6 +57,9 @@ def test_build_graph_errors_name_the_offender():
         build_graph(["a"], [("a", "b", 3)])
     with pytest.raises(CoxhomError, match="self-loop at 'a'"):
         build_graph(["a"], [("a", "a", 3)])
+    # word texts spell x's inverse `x^-1`, so a vertex of that name would make them ambiguous
+    with pytest.raises(CoxhomError, match="^vertex name 'x\\^-1' ends in `\\^-1`, which word texts read as an inverse$"):
+        build_graph(["x", "x^-1"])
 
 
 def test_build_graph_refuses_vertex_names_that_are_not_str():
@@ -130,22 +134,29 @@ def test_build_graph_refuses_labels_of_too_many_digits():
 
 
 def test_catalog_diagrams_equal_their_tables_built_by_build_graph():
-    # from_catalog builds a family's diagram straight from its 0-based table;
-    # build_graph, which checks and sorts each row, must give the same graph
-    names = [name for name in catalog_sample() if not name.startswith("I2")]  # I2 goes through build_graph
+    # from_catalog builds a family's diagram straight from its 0-based table,
+    # and I2(m) from its one label; build_graph, which checks and sorts each
+    # row, must give the same graph
+    largest = "9" * MAX_LABEL_DIGITS
+    names = list(catalog_sample()) + ["I2(inf)", f"I2({largest})"]
     names += [f"{family}{lo}" for family, ((lo, _), _, _) in _CATALOG.items()]
     names += [f"{family}{n - family.startswith('~')}" for family, ((_, hi), _, _) in _CATALOG.items()
               if hi is None for n in range(60, 98)]  # the sparse_family benchmark's vertex counts
     names += ["A3000", "~A3000", "~D3000"]
     for name in names:
-        family, n = re.fullmatch(r"(~?[A-Z])([0-9]+)", name).groups()
-        table = _CATALOG[family][1](int(n))
-        vertices = [f"s{k}" for k in range(1, int(n) + 1 + family.startswith("~"))]
+        if name.startswith("I2"):
+            vertices, table = ["s1", "s2"], [(0, 1, read_label(name[3:-1]))]
+        else:
+            family, n = re.fullmatch(r"(~?[A-Z])([0-9]+)", name).groups()
+            table = _CATALOG[family][1](int(n))
+            vertices = [f"s{k}" for k in range(1, int(n) + 1 + family.startswith("~"))]
         expected = build_graph(vertices, [(vertices[i], vertices[j], m) for i, j, m in table])
         g = from_catalog(name)
         assert g == expected
         assert list(g.labels.items()) == list(expected.labels.items())  # the same pair order
         assert len(table) == len(g.labels)  # each pair listed once
+    assert from_catalog("I2(inf)").labels[0, 1] is INFINITY
+    assert type(from_catalog(f"I2({largest})").labels[0, 1]) is int
 
 
 def _assert_in_pair_order(g):

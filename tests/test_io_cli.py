@@ -110,6 +110,7 @@ def test_build_errors_carry_the_line():
         ("vertex a\r# note\rvertex b\redge a c 3\r", "unknown vertex 'c'", 4),
         # `#` starts a comment only as a line's first token
         ("vertex a # note\n", "expected `vertex <name>`", 1),
+        ("vertex x\nvertex x^-1\n", "vertex name 'x^-1' ends in `^-1`, which word texts read as an inverse", 2),
     ):
         with pytest.raises(GraphSyntaxError) as info:
             parse_graph(text)
@@ -137,6 +138,11 @@ def test_cli_build_error_names_the_line(tmp_path, capsys):
     path.write_text("vertex a\nvertex a\n", encoding="utf-8")
     assert main(["compute", "--file", str(path)]) == 2
     assert capsys.readouterr().err == "error: line 2: vertex 'a' declared twice\n"
+    # `x x^-1 x^-1 x^-1^-1` would not read back, so the name is refused
+    path.write_text("vertex x\nvertex x^-1\n", encoding="utf-8")
+    assert main(["generators", "--file", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: line 2: vertex name 'x^-1' ends in `^-1`, "
+                                       "which word texts read as an inverse\n")
 
 
 def test_round_trip_catalog_and_corpus():
@@ -599,6 +605,7 @@ def test_cli_runs_pair_classes_once_per_graph(monkeypatch, capsys):
         monkeypatch.setattr(module, name, count)
 
     counting(invariants, "pair_classes")
+    counting(invariants, "_read_labels")
     counting(words, "fundamental_cycle_basis")
     for argv, classes, bases in (
         (["compute", "--type", "~D6", "--json"], 1, 0),
@@ -608,6 +615,7 @@ def test_cli_runs_pair_classes_once_per_graph(monkeypatch, capsys):
         calls.clear()
         assert main(argv) == 0
         assert calls.count("pair_classes") == classes, argv
+        assert calls.count("_read_labels") == 1, argv  # the labels are walked once per graph
         assert calls.count("fundamental_cycle_basis") == bases, argv
     capsys.readouterr()
 
