@@ -7,9 +7,9 @@ signals a bug rather than valid output).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+import types
 
 from .errors import ECHO_LIMIT, CoxhomError, echo
 from .graph import CoxeterGraph, catalog_grammar, from_catalog
@@ -20,11 +20,6 @@ from .words import FLAVORS, omega_sets
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _cut_long_tokens(message: str, argv: list[str]) -> str:
@@ -38,9 +33,55 @@ def _cut_long_tokens(message: str, argv: list[str]) -> str:
     return message
 
 
+# Each plain command's options: dest, default, and how a value is read (None
+# for a flag, a tuple of choices, or a converter).  The parser is the reference.
+_SOURCE = {"--file": ("file", None, str), "--type": ("catalog", None, str)}
+_JSON = {"--json": ("json", False, None)}
+_OPTIONS = {
+    "compute": {**_SOURCE, **_JSON}, "check": _SOURCE,
+    "generators": {**_SOURCE, "--flavor": ("flavor", "artin", FLAVORS), **_JSON},
+    "stability": {"--seed-file": ("seed_file", None, str), "--n-max": ("n_max", None, int), **_JSON},
+}
+
+
+def _plain_args(argv: list[str]) -> types.SimpleNamespace | None:
+    """The top parser's namespace for a plain argv, else None: a command of
+    ``_OPTIONS``, each of its options at most once and in full, every value
+    valid and a token of its own not starting with ``-``, and exactly one graph
+    source (both for stability).  Values are read after the walk, as argparse
+    reads a repeated option's every value."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    options, given = _OPTIONS.get(command, {}), {}
+    for flag in tokens:
+        if flag not in options or flag in given:
+            return None
+        given[flag] = options[flag][2] is None or next(tokens, "-")  # True for a flag
+        if given[flag] is not True and given[flag].startswith("-"):  # no value, or one argparse must read
+            return None
+    if len(given.keys() & {"--file", "--type", "--seed-file", "--n-max"}) != (2 if command == "stability" else 1):
+        return None
+    args = types.SimpleNamespace(command=command, **{dest: default for dest, default, _ in options.values()})
+    try:
+        for flag, value in given.items():
+            dest, _, read = options[flag]
+            if isinstance(read, tuple) and value not in read:
+                return None
+            setattr(args, dest, read(value) if callable(read) else value)
+    except ValueError:  # an --n-max that int() does not read
+        return None
+    return args
+
+
 @functools.cache  # built at first use and reused: a parse keeps no state in the parser
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top parser and each command's own parser, by command name."""
+def _build_parser():
+    """The top parser, which reads every argv ``_plain_args`` does not."""
+    import argparse  # a plain argv never loads argparse, nor its gettext
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
     parser = _Parser(prog="coxhom", description="Homology invariants of Artin and Coxeter groups from Coxeter graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -68,7 +109,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     catalog = sub.add_parser("catalog", help="catalog utilities")
     catalog.add_argument("action", choices=("list",))
-    return parser, sub.choices
+    return parser
 
 
 def _read_graph_file(path: str) -> CoxeterGraph:
@@ -198,16 +239,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, commands = _build_parser()
     try:
-        # A named command's own parser reads the rest once; through the top
-        # parser its subcommand action would parse it a second time.  Every
-        # other argv (none, an unknown command, -h) is the top parser's.
-        if argv and argv[0] in commands:
-            args = commands[argv[0]].parse_args(argv[1:])
-            args.command = argv[0]
-        else:
-            args = parser.parse_args(argv)
+        args = _plain_args(argv) or _build_parser().parse_args(argv)
     except _UsageError as exc:
         message = _cut_long_tokens(str(exc), argv)
         print(f"usage error: {message}", file=sys.stderr)

@@ -109,6 +109,8 @@ def build_graph(
             raise CoxhomError(f"vertex {echo(name)} declared twice")
         if name.endswith("^-1"):
             raise CoxhomError(f"vertex name {echo(name)} ends in `^-1`, which word texts read as an inverse")
+        if name.split() != [name]:  # word texts join letters with spaces
+            raise CoxhomError(f"vertex name {echo(name)} is empty or holds whitespace, which word texts cannot spell")
         index[name] = len(index)
     labels: dict[tuple[int, int], Label] = {}
     for u, v, m in edges:

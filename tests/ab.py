@@ -13,10 +13,12 @@ each job runs ``--repeat`` times on each tree, alternating which tree runs
 first, and a job's time on a tree is the best of its runs.
 
 The script prints a summary line, then one row per command (the sum of its
-jobs' best times), ``pass`` (the sum over all jobs) and the median ``p50`` and
-maximum ``max`` of the jobs' best times: the parent's milliseconds, the
-change's, and change / parent.  It writes no bytecode and changes nothing
-under either tree.
+jobs' best times), ``pass`` (the sum over all jobs), the median ``p50`` and
+maximum ``max`` of the jobs' best times, and ``import``, the median of 9
+fresh interpreters' ``import coxhom.cli`` times per tree (the trees taking
+turns, bytecode cached in a temporary directory, each tree's first import
+not counted): the parent's milliseconds, the change's, and change / parent.
+It writes no bytecode under either tree and changes nothing there.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import gc
 import importlib
 import importlib.util
 import io
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -38,6 +42,12 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import WORKLOADS, jobs_for, select  # noqa: E402
+
+IMPORT_PROBE = (
+    "import sys, time; sys.path.insert(0, sys.argv[1]); "
+    "t = time.perf_counter(); import coxhom.cli; print(time.perf_counter() - t)"
+)
+IMPORT_REPEAT = 9
 
 
 def load_cli(tree: Path, alias: str):
@@ -73,6 +83,21 @@ def best_times(clis, jobs, repeat: int) -> list[list[float]]:
     return best
 
 
+def import_seconds(trees) -> list[float]:
+    """Each tree's median time for a fresh interpreter to import coxhom.cli."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        env["PYTHONPYCACHEPREFIX"] = cache
+        times = [[] for _ in trees]
+        for r in range(IMPORT_REPEAT + 1):
+            for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                probe = [sys.executable, "-c", IMPORT_PROBE, str(trees[side] / "src")]
+                done = subprocess.run(probe, capture_output=True, text=True, check=True, env=env)
+                if r:  # the first import writes the bytecode
+                    times[side].append(float(done.stdout))
+    return [statistics.median(t) for t in times]
+
+
 def rows(jobs, best) -> list[tuple[str, float, float]]:
     """(name, parent seconds, change seconds) per command, then pass, p50 and max."""
     table = []
@@ -103,8 +128,9 @@ def main(argv=None) -> int:
                 print(f"outputs differ: {' '.join(job.argv)}", file=sys.stderr)
                 return 1
         best = best_times(clis, jobs, args.repeat)
+    table = rows(jobs, best) + [("import", *import_seconds((args.parent, args.change)))]
     print(f"{args.workload} seed {args.seed}: {len(jobs)} jobs, same bytes, best of {args.repeat}")
-    for name, parent, change in rows(jobs, best):
+    for name, parent, change in table:
         print(f"{name:<12}{parent * 1e3:12.3f} ms{change * 1e3:12.3f} ms{change / parent:9.3f}")
     return 0
 

@@ -60,6 +60,11 @@ def test_build_graph_errors_name_the_offender():
     # word texts spell x's inverse `x^-1`, so a vertex of that name would make them ambiguous
     with pytest.raises(CoxhomError, match="^vertex name 'x\\^-1' ends in `\\^-1`, which word texts read as an inverse$"):
         build_graph(["x", "x^-1"])
+    # word texts join letters with spaces, so a name must be one whitespace-free token
+    for name in ("", "a b", "x\u2028y", "\x1c"):
+        with pytest.raises(CoxhomError) as info:
+            build_graph(["a", name], [("a", name, 3)])
+        assert str(info.value) == f"vertex name {name!r} is empty or holds whitespace, which word texts cannot spell"
 
 
 def test_build_graph_refuses_vertex_names_that_are_not_str():

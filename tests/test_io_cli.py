@@ -13,16 +13,16 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (DEFAULT_WEIGHTS, SPARSE_WEIGHTS, catalog_sample, corpus_graphs, free_reduce, label_ix,
                       random_coxeter_graph, reference_json, render_graph)
 import limits
 import coxhom.invariants
-from coxhom.cli import _build_parser, _UsageError, main
+from coxhom.cli import _build_parser, _cut_long_tokens, _UsageError, main
 from coxhom.errors import ECHO_LIMIT, CoxhomError, GraphSyntaxError
-from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, build_graph, from_catalog
+from coxhom.graph import INFINITY, MAX_CATALOG_N, MAX_LABEL_DIGITS, CoxeterGraph, build_graph, from_catalog
 from coxhom.invariants import StabilityReport, analyze, stability_scan
 from coxhom.io import (
     parse_graph,
@@ -156,8 +156,9 @@ def test_round_trip_catalog_and_corpus():
 @pytest.mark.parametrize("name", ["", "a b", "x\u2028y", "\x1c"])
 def test_render_graph_refuses_names_the_format_cannot_spell(name):
     # parse_graph reads a name as one str.split() token, so these names
-    # would render to a file it refuses or reads as another graph
-    g = build_graph(["a", name], [("a", name, 3)])
+    # would render to a file it refuses or reads as another graph;
+    # build_graph refuses them too, so the graph is built without it
+    g = CoxeterGraph(("a", name), {(0, 1): 3})
     with pytest.raises(CoxhomError) as info:
         render_graph(g)
     assert str(info.value) == f"vertex {name!r} is empty or holds whitespace; the file format cannot spell it"
@@ -278,8 +279,8 @@ def test_render_json_bytes_on_odd_vertex_names():
     for seed in range(10):
         g = random_coxeter_graph(rng, len(names))
         order = rng.sample(names, len(names))
-        edges = [(order[i], order[j], m) for (i, j), m in g.labels.items()]
-        _assert_renders_as_the_reference(build_graph(order, edges))
+        # built without build_graph, which refuses the names holding whitespace
+        _assert_renders_as_the_reference(CoxeterGraph(tuple(order), g.labels))
 
 
 # -- command line --------------------------------------------------------------
@@ -745,7 +746,8 @@ def test_ab_times_a_tree_against_itself():
     assert done.returncode == 0, done.stderr
     summary, *table = done.stdout.splitlines()
     assert re.fullmatch(r"sparse_family seed 1: \d+ jobs, same bytes, best of 1", summary)
-    assert [line.split()[0] for line in table] == ["check", "compute", "generators", "stability", "pass", "p50", "max"]
+    commands = ["check", "compute", "generators", "stability"]
+    assert [line.split()[0] for line in table] == commands + ["pass", "p50", "max", "import"]
     assert all(re.fullmatch(r"\S+ +\d+\.\d{3} ms +\d+\.\d{3} ms +\d+\.\d{3}", line) for line in table)
 
 
@@ -791,9 +793,8 @@ def test_cli_errors_cut_long_tokens_short(case, tmp_path, capsys):
 
 
 def _full_parser():
-    """A top parser built apart from main's cached one, which parses a
-    command's arguments through its subcommand action."""
-    return _build_parser.__wrapped__()[0]
+    """A top parser built apart from main's cached one."""
+    return _build_parser.__wrapped__()
 
 
 @pytest.mark.parametrize(
@@ -854,9 +855,22 @@ def test_cli_reuses_one_parser_and_keeps_its_bytes(capsys):
             assert capsys.readouterr() == expected
 
 
-# argv forms main hands to a command's own parser, or to the top parser when
-# argv[0] names no command; the file arguments are never opened here.
+# argv forms main reads from its option table (each command's plain form, in
+# two option orders) or hands to the top parser; the file arguments are never
+# opened here.
 _DISPATCHED = [
+    ["compute", "--type", "A3", "--json"],
+    ["compute", "--json", "--file", "g.txt"],
+    ["generators", "--file", "g.txt", "--flavor", "coxeter", "--json"],
+    ["generators", "--json", "--type", "A2", "--flavor", "artin"],
+    ["check", "--type", "A3"],
+    ["check", "--file", "g.txt"],
+    ["stability", "--seed-file", "s.txt", "--n-max", "4", "--json"],
+    ["stability", "--json", "--n-max", "4", "--seed-file", "s.txt"],
+    ["generators", "--type", "A2", "--flavor", "x", "--flavor", "artin"],
+    ["stability", "--n-max", "x", "--n-max", "4", "--seed-file", "s.txt"],
+    ["generators", "--type", "A2", "--flavor", "x"],
+    ["compute", "--type", "A2", "--file", "g.txt"],
     ["compute", "--json", "--type=A3"],
     ["generators", "--type=A2", "--flavor=coxeter", "--json"],
     ["check", "--file=g.txt"],
@@ -898,33 +912,99 @@ _DISPATCHED = [
 
 
 def _full_run(argv):
-    """Exit code, stdout, stderr and namespace as main would give them
-    through a fresh top parser."""
+    """Exit code, stdout, stderr and the namespace's vars() as main would
+    give them through a fresh top parser."""
     out, err = io.StringIO(), io.StringIO()
     args = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            args = _full_parser().parse_args(argv)
+            args = vars(_full_parser().parse_args(argv))
             code = 0
         except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
+            print(f"usage error: {_cut_long_tokens(str(exc), argv)}", file=sys.stderr)
             code = 1
         except SystemExit as exc:
             code = int(exc.code or 0)
     return code, out.getvalue(), err.getvalue(), args
 
 
-@pytest.mark.parametrize("argv", _DISPATCHED, ids=" ".join)
-def test_cli_dispatches_what_the_full_parser_parses(argv, monkeypatch, capsys):
+def _main_run(argv):
+    """Exit code, stdout, stderr and the dispatched namespace's vars() of
+    one main call, with every command replaced by a recorder."""
     import coxhom.cli as cli
 
     dispatched = []
-    for name in ("compute", "generators", "check", "stability", "catalog"):
-        monkeypatch.setitem(cli._COMMANDS, name, lambda args: dispatched.append(args) or 0)
-    code, out, err, args = _full_run(list(argv))
-    assert main(list(argv)) == code
-    assert capsys.readouterr() == (out, err)
-    assert dispatched == ([] if args is None else [args])
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        for name in cli._COMMANDS:
+            patch.setitem(cli._COMMANDS, name, lambda args: dispatched.append(vars(args)) or 0)
+        code = main(list(argv))
+    assert len(dispatched) <= 1
+    return code, out.getvalue(), err.getvalue(), dispatched[0] if dispatched else None
+
+
+@pytest.mark.parametrize("argv", _DISPATCHED, ids=" ".join)
+def test_cli_dispatches_what_the_full_parser_parses(argv):
+    assert _main_run(argv) == _full_run(list(argv))
+
+
+# Each command's options, its plain values, and a vocabulary of other tokens.
+_COMMAND_OPTIONS = {
+    "compute": ["--file", "--type", "--json"],
+    "generators": ["--file", "--type", "--flavor", "--json"],
+    "check": ["--file", "--type"],
+    "stability": ["--seed-file", "--n-max", "--json"],
+    "catalog": [],
+}
+_PLAIN_VALUES = {
+    "--file": ["g.txt", ""], "--type": ["A3", "~D4"], "--flavor": ["artin", "coxeter"],
+    "--seed-file": ["s.txt"], "--n-max": ["\u0664", "4_0"],
+}
+_OPTION_WORDS = sorted(_PLAIN_VALUES) + ["--json"]
+_VALUES = ["A3", "~D4", "g.txt", "", "-", "-5", "\u0664", "4_0", "artin", "coxeter", "x", "x" * 5000]
+_VOCABULARY = (
+    [*_COMMAND_OPTIONS, "list", "-h", "--"]
+    + [word[:k] for word in _OPTION_WORDS for k in range(3, len(word) + 1)]
+    + [f"{word}={value}" for word in _OPTION_WORDS for value in _VALUES]
+    + _VALUES
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command and some of its options in any order, one of them at times
+    twice, each value plain or from the vocabulary, and up to two vocabulary
+    tokens put in anywhere; about a quarter of the draws are plain."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    argv = [command]
+    often = st.sampled_from([True, True, True, False])
+    unused = draw(st.sampled_from(["--file", "--type"])) if draw(often) else None  # one graph source
+    options = _COMMAND_OPTIONS[command]
+    if options and not draw(often):
+        options = options + [draw(st.sampled_from(options))]
+    for option in draw(st.permutations(options)):
+        if option == unused or not draw(often):
+            continue
+        argv.append(option)
+        if option in _PLAIN_VALUES:
+            argv.append(draw(st.sampled_from(_PLAIN_VALUES[option] * 4 + _VALUES)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_VOCABULARY)))
+    return argv
+
+
+# The examples: argparse reads a repeated option's every value, checks each
+# flavor and n-max, and refuses a second graph source.
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+@example(["generators", "--type", "A2", "--flavor", "x", "--flavor", "artin"])
+@example(["stability", "--n-max", "x", "--n-max", "4_0", "--seed-file", "s.txt"])
+@example(["generators", "--flavor", "x", "--type", "A3"])
+@example(["check", "--type", "A3", "--file", "g.txt"])
+def test_cli_reads_every_argv_as_the_full_parser_does(argv):
+    # main reads a plain argv from its option table and hands every other to
+    # argparse; either way the exit code, output and namespace are argparse's
+    assert _main_run(argv) == _full_run(list(argv))
 
 
 def test_cli_module_reads_its_arguments_from_sys_argv(capsys):
@@ -952,10 +1032,11 @@ def test_cli_empty_path_is_named_as_given(argv, capsys):
     assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
 
 
-def test_cli_import_loads_no_heavy_stdlib_modules():
+def test_cli_import_loads_no_heavy_stdlib_modules(capsys):
     # dataclasses pulls in inspect, ast, dis and tokenize, and fractions
     # pulls in decimal: together about two thirds of a command's start-up.
-    # Only check reads the oracles, so only check loads them
+    # Only check reads the oracles, so only check loads them, and only an
+    # argv that is not plain builds the parser, so argparse and gettext wait
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys; before = set(sys.modules); import coxhom.cli; "
@@ -964,7 +1045,14 @@ def test_cli_import_loads_no_heavy_stdlib_modules():
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src)
     added = set(run.stdout.split())
     assert "coxhom.cli" in added
-    assert not {"dataclasses", "fractions", "decimal", "inspect", "coxhom.oracles"} & added
+    assert not {"dataclasses", "fractions", "decimal", "inspect", "argparse", "gettext", "coxhom.oracles"} & added
+    probe = (
+        "import sys; from coxhom.cli import main; code = main(['compute', '--json', '--type', 'A3']); "
+        "print(code, 'argparse' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, cwd=src)
+    assert main(["compute", "--json", "--type", "A3"]) == 0
+    assert (run.stdout, run.stderr) == (capsys.readouterr().out + "0 False\n", "")
 
 
 def test_cli_catalog_list(capsys):
